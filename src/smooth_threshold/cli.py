@@ -1,11 +1,16 @@
 """Command line surface: CSV in, structured text documents and CSV tables out.
 
-Subcommands cover the whole workflow: ``fit`` (one tuned or fixed penalized
-fit), ``path`` (per-stage solution path as CSV), ``cv`` (cross-validation
-curve), ``adapt-beta`` / ``adapt-s`` (dyadic-grid adaptation of the bandwidth
-or the sparsity level), ``simulate`` (write a synthetic dataset), ``bench``
-(repeated generate/tune/fit/score table), ``toy-risks`` (closed-form scalar
-risk curves), and ``diagnose`` (numerical probes).
+Subcommands cover the whole workflow: ``fit`` (one penalized fit), ``path``
+(per-stage solution path as CSV), ``simulate`` (write a synthetic dataset),
+``bench`` (repeated generate/tune/fit/score table), ``toy-risks``
+(closed-form scalar risk curves), and ``diagnose`` (numerical probes).
+
+``fit --tune`` picks the penalty and bandwidth: ``fixed`` (given), ``theory``
+(closed-form schedules), ``cv`` (cross-validation curve, then the fit at
+lambda_1se), ``lepski-beta`` / ``lepski-s`` (dyadic-grid adaptation of the
+bandwidth or the sparsity level, with constants ``--c-sel`` / ``--c-bar``).
+One solver config, built from the solver flags, drives every fit a command
+makes: CV folds and Lepski grid points included.
 
 Results and probe reports are single ``key = value`` text documents; tables
 (path, bench, toy-risks, simulate) are RFC-4180 CSV.  Floats are written with
@@ -23,7 +28,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,6 +190,8 @@ def _load_input(args):
         raise InputError(f"{args.subcommand} requires --input")
     data, weights, notes = load_csv(args.input, _roles_from_args(args),
                                     delimiter=args.delimiter)
+    if weights is None:
+        weights = WeightScheme.unit()
     scales = np.ones(data.d)
     if args.standardize:
         observed = data.z.std(axis=0)
@@ -215,11 +222,17 @@ def _resolve_threads(args) -> int:
     return raw
 
 
-def _path_config(args, lambda_tgt: float) -> PathConfig:
+def _path_config(args, lambda_tgt: float = 1.0) -> PathConfig:
     return PathConfig(lambda_tgt=lambda_tgt, lambda0=args.lambda0,
                       num_stages=args.stages, phi=args.phi, nu=args.nu,
                       eta=args.eta, eps_tgt=args.eps_tgt,
                       omega_radius=args.radius)
+
+
+def _solver_echo(args) -> dict:
+    return {"lambda0": args.lambda0, "stages": args.stages, "phi": args.phi,
+            "nu": args.nu, "eta": args.eta, "eps_tgt": args.eps_tgt,
+            "radius": args.radius}
 
 
 def _config_lines(pairs: dict) -> list:
@@ -304,15 +317,14 @@ def _cmd_fit(args) -> None:
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
     threads = _resolve_threads(args)
-    scheme = weights if weights is not None else WeightScheme.unit()
+    cfg = _path_config(args)
 
     echo = {"subcommand": "fit", "input": args.input,
             "response": args.response, "threshold": args.threshold,
             "covariates": args.covariates or "rest",
             "weight": args.weight, "standardize": args.standardize,
             "kernel": args.kernel, "tune": args.tune, "seed": args.seed,
-            "threads": threads, "nu": args.nu, "eta": args.eta,
-            "radius": args.radius}
+            "threads": threads, **_solver_echo(args)}
     lines = ["document = smooth-threshold fit"]
     extra = []
 
@@ -322,8 +334,8 @@ def _cmd_fit(args) -> None:
             _require(args, ["delta", "lambda-tgt"])
             echo.update(delta=args.delta, lambda_tgt=args.lambda_tgt)
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                    scheme)
-            path = path_following(spec, _path_config(args, args.lambda_tgt))
+                                    weights)
+            path = path_following(spec, replace(cfg, lambda_tgt=args.lambda_tgt))
             extra = _fit_lines(path, scales)
         elif args.tune == "theory":
             _require(args, ["s", "beta"])
@@ -337,40 +349,46 @@ def _cmd_fit(args) -> None:
             lam = target_lambda(data.n, data.d, delta, args.c_lambda)
             echo.update(s=args.s, beta=args.beta, c_delta=args.c_delta,
                         c_lambda=args.c_lambda, delta=delta, lambda_tgt=lam)
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), scheme)
-            path = path_following(spec, _path_config(args, lam))
+            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
+            path = path_following(spec, replace(cfg, lambda_tgt=lam))
             extra = [f"result delta = {_fmt(delta)}"] + _fit_lines(path, scales)
         elif args.tune == "cv":
             _require(args, ["delta"])
             grid = default_lambda_grid(data, kernel, args.delta,
-                                       weights=scheme)
+                                       weights=weights)
             result = cross_validate_lambda(data, kernel, args.delta,
                                            args.folds, grid, args.seed,
-                                           weights=scheme, threads=threads)
+                                           weights=weights, path_cfg=cfg,
+                                           threads=threads)
             echo.update(delta=args.delta, folds=args.folds,
                         lambda_grid=np.asarray(grid))
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                    scheme)
-            path = path_following(spec, _path_config(args, result.lambda_1se))
-            extra = [f"result lambda_min = {_fmt(result.lambda_min)}",
-                     f"result lambda_1se = {_fmt(result.lambda_1se)}"] \
+                                    weights)
+            path = path_following(spec, replace(cfg, lambda_tgt=result.lambda_1se))
+            extra = ["table cv: lambda mean_cv_loss se_cv_loss"]
+            for lam, mean, se in zip(result.lambda_grid, result.mean_cv_loss,
+                                     result.se_cv_loss):
+                extra.append(f"row cv = {_fmt(lam)} {_fmt(mean)} {_fmt(se)}")
+            extra += [f"result lambda_min = {_fmt(result.lambda_min)}",
+                      f"result lambda_1se = {_fmt(result.lambda_1se)}"] \
                 + _fit_lines(path, scales)
         elif args.tune == "lepski-beta":
             _require(args, ["s"])
-            echo.update(s=args.s, c_lambda=args.c_lambda)
+            echo.update(s=args.s, c_sel=args.c_sel, c_lambda=args.c_lambda)
             delta_hat, theta, fits = lepski_bandwidth(
-                data, kernel, args.s, c_lambda=args.c_lambda, weights=scheme,
-                threads=threads)
+                data, kernel, args.s, c_sel=args.c_sel, c_lambda=args.c_lambda,
+                path_cfg=cfg, weights=weights, threads=threads)
             extra = _lepski_lines(fits, scales,
                                   selected=f"result delta_hat = {_fmt(delta_hat)}",
                                   theta=theta)
         else:  # lepski-s
             _require(args, ["beta"])
             echo.update(beta=args.beta, c_delta=args.c_delta,
-                        c_lambda=args.c_lambda)
+                        c_lambda=args.c_lambda, c_bar=args.c_bar)
             s_hat, theta, fits = lepski_sparsity(
                 data, kernel, args.beta, c_delta=args.c_delta,
-                c_lambda=args.c_lambda, weights=scheme, threads=threads)
+                c_lambda=args.c_lambda, c_bar=args.c_bar, path_cfg=cfg,
+                weights=weights, threads=threads)
             extra = _lepski_lines(fits, scales,
                                   selected=f"result s_hat = {s_hat}",
                                   theta=theta)
@@ -398,9 +416,8 @@ def _lepski_lines(fits, scales, selected: str, theta) -> list:
 def _cmd_path(args) -> None:
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
-    scheme = weights if weights is not None else WeightScheme.unit()
     _require(args, ["delta", "lambda-tgt"])
-    spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta), scheme)
+    spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta), weights)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -421,9 +438,7 @@ def _cmd_path(args) -> None:
 
     echo = {"subcommand": "path", "input": args.input,
             "kernel": args.kernel, "delta": args.delta,
-            "lambda_tgt": args.lambda_tgt, "lambda0": args.lambda0,
-            "stages": args.stages, "phi": args.phi, "nu": args.nu,
-            "eta": args.eta, "eps_tgt": args.eps_tgt, "radius": args.radius,
+            "lambda_tgt": args.lambda_tgt, **_solver_echo(args),
             "standardize": args.standardize, "seed": args.seed,
             "out": args.out}
     doc = ["document = smooth-threshold path"] + _config_lines(echo)
@@ -433,87 +448,6 @@ def _cmd_path(args) -> None:
     doc.append(f"result stages = {len(path.stages)}")
     doc.append(f"result table = {args.out}")
     _write_doc(doc, _run_doc_path(args.out))
-
-
-def _cmd_cv(args) -> None:
-    data, weights, notes, _ = _load_input(args)
-    kernel = get_kernel(args.kernel)
-    scheme = weights if weights is not None else WeightScheme.unit()
-    threads = _resolve_threads(args)
-    _require(args, ["delta"])
-
-    grid = default_lambda_grid(data, kernel, args.delta, weights=scheme)
-    result = cross_validate_lambda(data, kernel, args.delta, args.folds,
-                                   grid, args.seed, weights=scheme,
-                                   threads=threads)
-
-    echo = {"subcommand": "cv", "input": args.input, "kernel": args.kernel,
-            "delta": args.delta, "folds": args.folds, "seed": args.seed,
-            "threads": threads, "standardize": args.standardize,
-            "lambda_grid": np.asarray(grid)}
-    lines = ["document = smooth-threshold cv"] + _config_lines(echo)
-    lines += [f"note: {n}" for n in notes]
-    lines.append("table cv: lambda mean_cv_loss se_cv_loss")
-    for lam, mean, se in zip(result.lambda_grid, result.mean_cv_loss,
-                             result.se_cv_loss):
-        lines.append(f"row cv = {_fmt(lam)} {_fmt(mean)} {_fmt(se)}")
-    lines.append(f"result lambda_min = {_fmt(result.lambda_min)}")
-    lines.append(f"result lambda_1se = {_fmt(result.lambda_1se)}")
-    _write_doc(lines, args.out)
-
-
-def _cmd_adapt_beta(args) -> None:
-    data, weights, notes, scales = _load_input(args)
-    kernel = get_kernel(args.kernel)
-    scheme = weights if weights is not None else WeightScheme.unit()
-    threads = _resolve_threads(args)
-    _require(args, ["s"])
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        delta_hat, theta, fits = lepski_bandwidth(
-            data, kernel, args.s, c_sel=args.c_sel, c_lambda=args.c_lambda,
-            weights=scheme, threads=threads)
-
-    echo = {"subcommand": "adapt-beta", "input": args.input,
-            "kernel": args.kernel, "s": args.s, "c_sel": args.c_sel,
-            "c_lambda": args.c_lambda, "seed": args.seed, "threads": threads,
-            "standardize": args.standardize}
-    lines = ["document = smooth-threshold adapt-beta"] + _config_lines(echo)
-    lines += [f"note: {n}" for n in notes]
-    lines += _lepski_lines(fits, scales,
-                           selected=f"result delta_hat = {_fmt(delta_hat)}",
-                           theta=theta)
-    lines += _warning_lines(caught)
-    _write_doc(lines, args.out)
-
-
-def _cmd_adapt_s(args) -> None:
-    data, weights, notes, scales = _load_input(args)
-    kernel = get_kernel(args.kernel)
-    scheme = weights if weights is not None else WeightScheme.unit()
-    threads = _resolve_threads(args)
-    _require(args, ["beta"])
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        s_hat, theta, fits = lepski_sparsity(
-            data, kernel, args.beta, c_delta=args.c_delta,
-            c_lambda=args.c_lambda, c_bar=args.c_bar, weights=scheme,
-            threads=threads)
-
-    echo = {"subcommand": "adapt-s", "input": args.input,
-            "kernel": args.kernel, "beta": args.beta,
-            "c_delta": args.c_delta, "c_lambda": args.c_lambda,
-            "c_bar": args.c_bar, "seed": args.seed, "threads": threads,
-            "standardize": args.standardize}
-    lines = ["document = smooth-threshold adapt-s"] + _config_lines(echo)
-    lines += [f"note: {n}" for n in notes]
-    lines += _lepski_lines(fits, scales,
-                           selected=f"result s_hat = {s_hat}",
-                           theta=theta)
-    lines += _warning_lines(caught)
-    _write_doc(lines, args.out)
 
 
 def _cmd_simulate(args) -> None:
@@ -548,15 +482,11 @@ def _cmd_bench(args) -> None:
     sim = _sim_from_args(args, s=3 if args.s is None else args.s)
     kernel = get_kernel(args.kernel)
     threads = _resolve_threads(args)
-    template = PathConfig(lambda_tgt=1.0, lambda0=args.lambda0,
-                          num_stages=args.stages, phi=args.phi, nu=args.nu,
-                          eta=args.eta, eps_tgt=args.eps_tgt,
-                          omega_radius=args.radius)
 
     result = run_benchmark(sim, kernel, tune=args.tune, delta=args.delta,
                            lambda_tgt=args.lambda_tgt, beta=args.beta,
                            c_delta=args.c_delta, c_lambda=args.c_lambda,
-                           folds=args.folds, path_cfg=template,
+                           folds=args.folds, path_cfg=_path_config(args),
                            repetitions=args.reps, seed=args.seed,
                            threads=threads)
 
@@ -572,7 +502,7 @@ def _cmd_bench(args) -> None:
             "d": sim.d, "s": sim.s, "mu": sim.mu, "noise_sd": sim.noise_sd,
             "noise": sim.noise, "kernel": args.kernel, "tune": args.tune,
             "delta": args.delta, "lambda_tgt": args.lambda_tgt,
-            "beta": args.beta, "c_delta": args.c_delta,
+            **_solver_echo(args), "beta": args.beta, "c_delta": args.c_delta,
             "c_lambda": args.c_lambda, "folds": args.folds,
             "reps": args.reps, "seed": args.seed, "threads": threads,
             "out": args.out}
@@ -618,9 +548,8 @@ def _cmd_diagnose(args) -> None:
     if args.probe == "gradient":
         data, weights, notes, _ = _load_input(args)
         _require(args, ["delta"])
-        scheme = weights if weights is not None else WeightScheme.unit()
         spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                scheme)
+                                weights)
         echo.update(input=args.input, delta=args.delta,
                     step=args.step or 1e-5)
         report = gradient_check(spec, np.zeros(data.d),
@@ -647,16 +576,14 @@ def _cmd_diagnose(args) -> None:
         if args.input is not None:
             data, weights, notes, _ = _load_input(args)
             _require(args, ["delta"])
-            scheme = weights if weights is not None else WeightScheme.unit()
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                    scheme)
+                                    weights)
             echo.update(input=args.input, delta=args.delta)
         else:
             sim = _sim_from_args(args)
             _require(args, ["delta"])
             data, _ = generate(sim)
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                    WeightScheme.unit())
+            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta))
             echo.update(model=sim.model, n=sim.n, d=sim.d, s=sim.s,
                         delta=args.delta)
         echo.update(support_size=args.support_size,
@@ -713,7 +640,7 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--eps-tgt", dest="eps_tgt", type=float, default=None,
                         help="final stage tolerance")
     parser.add_argument("--radius", type=float, default=10.0,
-                        help="feasible l1 ball radius")
+                        help="radius of the feasible l2 ball")
 
 
 def _add_tuning_flags(parser) -> None:
@@ -764,38 +691,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(fit)
     _add_solver_flags(fit)
     _add_tuning_flags(fit)
+    fit.add_argument("--c-sel", dest="c_sel", type=float, default=2.0,
+                     help="selection constant for --tune lepski-beta")
+    fit.add_argument("--c-bar", dest="c_bar", type=float, default=2.0,
+                     help="selection constant for --tune lepski-s")
     _add_common_flags(fit)
 
     path = sub.add_parser("path", help="per-stage solution path as CSV")
     _add_data_flags(path)
     _add_solver_flags(path)
     _add_common_flags(path)
-
-    cv = sub.add_parser("cv", help="cross-validation curve for the penalty")
-    _add_data_flags(cv)
-    cv.add_argument("--kernel", default="gaussian", choices=BUILTIN_KERNELS)
-    cv.add_argument("--delta", type=float, default=None)
-    cv.add_argument("--folds", type=int, default=5)
-    _add_common_flags(cv)
-
-    ab = sub.add_parser("adapt-beta",
-                        help="bandwidth adaptation on the dyadic grid")
-    _add_data_flags(ab)
-    ab.add_argument("--kernel", default="gaussian", choices=BUILTIN_KERNELS)
-    ab.add_argument("--s", type=int, default=None)
-    ab.add_argument("--c-sel", dest="c_sel", type=float, default=2.0)
-    ab.add_argument("--c-lambda", dest="c_lambda", type=float, default=1.0)
-    _add_common_flags(ab)
-
-    asp = sub.add_parser("adapt-s",
-                         help="sparsity adaptation on the dyadic grid")
-    _add_data_flags(asp)
-    asp.add_argument("--kernel", default="gaussian", choices=BUILTIN_KERNELS)
-    asp.add_argument("--beta", type=float, default=None)
-    asp.add_argument("--c-delta", dest="c_delta", type=float, default=1.0)
-    asp.add_argument("--c-lambda", dest="c_lambda", type=float, default=1.0)
-    asp.add_argument("--c-bar", dest="c_bar", type=float, default=2.0)
-    _add_common_flags(asp)
 
     sim = sub.add_parser("simulate", help="write a synthetic dataset as CSV")
     _add_sim_flags(sim)
@@ -850,9 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "fit": _cmd_fit,
     "path": _cmd_path,
-    "cv": _cmd_cv,
-    "adapt-beta": _cmd_adapt_beta,
-    "adapt-s": _cmd_adapt_s,
     "simulate": _cmd_simulate,
     "bench": _cmd_bench,
     "toy-risks": _cmd_toy_risks,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceWarning, InputError
+from .errors import ConvergenceWarning, InputError, NumericError
 from .risk import SmoothedRiskSpec, empirical_gradient, objective, _check_theta
 
 _TRACE_TOL = 1e-12
@@ -210,7 +210,11 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
 
     trace = np.asarray(trace)
     # monotone stage contract: each accepted step may not increase the objective
-    assert np.all(np.diff(trace) <= _TRACE_TOL), "objective trace increased"
+    rise = np.diff(trace)
+    if np.any(rise > _TRACE_TOL):
+        raise NumericError(
+            f"objective trace at lambda={lam:.6g} increased by up to "
+            f"{float(rise.max()):.3e} over an accepted step")
     return InnerResult(theta=theta, iterations=iterations, exit_omega=omega,
                        objective_trace=trace, status=status, gradient=g,
                        eta_final=step, boundary_hit=boundary_hit)

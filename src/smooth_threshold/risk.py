@@ -129,6 +129,10 @@ class WeightScheme:
         return np.where(data.y > 0, w_plus, w_minus)
 
 
+def _scheme_or_unit(weights: WeightScheme | None) -> WeightScheme:
+    return WeightScheme.unit() if weights is None else weights
+
+
 def _inverse_class_weights(data: Dataset) -> tuple[float, float]:
     n_plus = int(np.count_nonzero(data.y > 0))
     n_minus = data.n - n_plus
@@ -147,11 +151,17 @@ def class_weights(data: Dataset) -> WeightScheme:
 
 @dataclass(frozen=True)
 class SmoothedRiskSpec:
-    """Bundle of data, smoothed loss, and weight scheme defining one risk function."""
+    """Bundle of data, smoothed loss, and weight scheme defining one risk function.
+
+    ``weights = None`` means unit weights.
+    """
 
     data: Dataset
     loss: SurrogateLoss
-    weights: WeightScheme = field(default_factory=WeightScheme.unit)
+    weights: WeightScheme | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _scheme_or_unit(self.weights))
 
     @cached_property
     def weight_vector(self) -> np.ndarray:
@@ -205,9 +215,8 @@ def objective(spec: SmoothedRiskSpec, theta, lam: float) -> float:
 
 def zero_one_risk(data: Dataset, theta, weights: WeightScheme | None = None) -> float:
     """Weighted misclassification risk; a zero margin counts as half an error."""
-    weights = weights or WeightScheme.unit()
     theta = _check_theta(theta, data.d)
     u = data.y * (data.x - (data.z * theta).sum(axis=1))
-    w = weights.resolve(data)
+    w = _scheme_or_unit(weights).resolve(data)
     vals = w * 0.5 * (1.0 - np.sign(u))
     return float(np.sum(vals)) / data.n

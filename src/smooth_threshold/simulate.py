@@ -393,18 +393,17 @@ def run_benchmark(
         delta_res = 1.0 if delta is None else float(delta)
         lambda_res = None if tune == "cv" else float(lambda_tgt)
 
-    scheme = weights if weights is not None else WeightScheme.unit()
     base = path_cfg if path_cfg is not None else PathConfig(lambda_tgt=1.0)
 
     shared_lambda = None
     if tune == "cv" and reuse_tuning:
         data0, _ = generate(replace(spec, seed=derive_seed(seed, 0, 0)))
         grid0 = cv_grid if cv_grid is not None else default_lambda_grid(
-            data0, kernel, delta_res, weights=scheme
+            data0, kernel, delta_res, weights=weights
         )
         cv0 = cross_validate_lambda(
             data0, kernel, delta_res, folds, grid0, derive_seed(seed, 0, 1),
-            weights=scheme, path_cfg=base,
+            weights=weights, path_cfg=base,
         )
         shared_lambda = cv0.lambda_1se
 
@@ -417,11 +416,11 @@ def run_benchmark(
                 lam = shared_lambda
             else:
                 grid = cv_grid if cv_grid is not None else default_lambda_grid(
-                    data, kernel, delta_res, weights=scheme
+                    data, kernel, delta_res, weights=weights
                 )
                 cv = cross_validate_lambda(
                     data, kernel, delta_res, folds, grid, derive_seed(seed, i, 1),
-                    weights=scheme, path_cfg=base,
+                    weights=weights, path_cfg=base,
                 )
                 lam = cv.lambda_1se
         else:
@@ -429,7 +428,7 @@ def run_benchmark(
         fit_spec = SmoothedRiskSpec(
             data=data,
             loss=SurrogateLoss(kernel=kernel, bandwidth=delta_res),
-            weights=scheme,
+            weights=weights,
         )
         path = path_following(fit_spec, replace(base, lambda_tgt=lam))
         runtime = time.perf_counter() - t0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,8 +214,7 @@ def default_lambda_grid(
     min_ratio = float(min_ratio)
     if not (0.0 < min_ratio < 1.0):
         raise InputError(f"min_ratio must lie in (0, 1), got {min_ratio!r}")
-    scheme = weights if weights is not None else WeightScheme.unit()
-    spec = SmoothedRiskSpec(data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta), weights=scheme)
+    spec = SmoothedRiskSpec(data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta), weights=weights)
     lambda0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(data.d)))))
     if lambda0 <= 0.0:
         raise InputError(
@@ -283,10 +282,9 @@ def cross_validate_lambda(
         raise InputError("lambda grid values must be positive finite reals")
     grid_desc = np.sort(grid_arr)[::-1].copy()
 
-    scheme = weights if weights is not None else WeightScheme.unit()
-    wfull = scheme.resolve(data)
-    fold_id = _stratified_folds(data.y, folds, seed)
     loss = SurrogateLoss(kernel=kernel, bandwidth=delta)
+    wfull = SmoothedRiskSpec(data=data, loss=loss, weights=weights).weight_vector
+    fold_id = _stratified_folds(data.y, folds, seed)
 
     splits = []
     for k in range(folds):
@@ -335,6 +333,24 @@ def cross_validate_lambda(
     )
 
 
+def _select_lepski(
+    fits: Sequence[LepskiFit], key: Callable[[float], float], bound: Callable[[float], float]
+) -> Optional[LepskiFit]:
+    """Lepski's rule: walk the successful fits in increasing ``key`` of their
+    grid value and keep the first one within ``bound(value')`` of every fit
+    at a grid value' further along (or equal).  None when every fit failed.
+    """
+    ok = [f for f in fits if f.status == "ok"]
+    for cand in sorted(ok, key=lambda f: key(f.grid_value)):
+        if not any(
+            float(np.linalg.norm(cand.theta - other.theta)) > bound(other.grid_value)
+            for other in ok
+            if key(other.grid_value) >= key(cand.grid_value)
+        ):
+            return cand
+    return None
+
+
 def select_lepski_bandwidth(
     fits: Sequence[LepskiFit], n: int, d: int, s: int, c_sel: float
 ) -> Optional[float]:
@@ -346,21 +362,10 @@ def select_lepski_bandwidth(
     feasible, which (since a fit is always within bound of itself when
     c_sel >= 0) only happens when every fit failed.
     """
-    ok = [f for f in fits if f.status == "ok"]
     log_d = math.log(d)
-    for cand in sorted(ok, key=lambda f: -f.grid_value):
-        feasible = True
-        for other in ok:
-            if other.grid_value > cand.grid_value:
-                continue
-            dist = float(np.linalg.norm(cand.theta - other.theta))
-            bound = c_sel * math.sqrt(s * log_d / (n * other.grid_value))
-            if dist > bound:
-                feasible = False
-                break
-        if feasible:
-            return float(cand.grid_value)
-    return None
+    best = _select_lepski(fits, lambda delta: -delta,
+                          lambda delta: c_sel * math.sqrt(s * log_d / (n * delta)))
+    return None if best is None else float(best.grid_value)
 
 
 def select_lepski_sparsity(
@@ -372,49 +377,61 @@ def select_lepski_sparsity(
     The bound for comparator s' is c_bar * (s' log(d) / n)**(beta / (2 beta + 1)).
     Failed fits are ignored; None means every fit failed.
     """
-    ok = [f for f in fits if f.status == "ok"]
     log_d = math.log(d)
     expo = beta / (2.0 * beta + 1.0)
-    for cand in sorted(ok, key=lambda f: f.grid_value):
-        feasible = True
-        for other in ok:
-            if other.grid_value < cand.grid_value:
-                continue
-            dist = float(np.linalg.norm(cand.theta - other.theta))
-            bound = c_bar * (other.grid_value * log_d / n) ** expo
-            if dist > bound:
-                feasible = False
-                break
-        if feasible:
-            return int(cand.grid_value)
-    return None
+    best = _select_lepski(fits, lambda level: level,
+                          lambda level: c_bar * (level * log_d / n) ** expo)
+    return None if best is None else int(best.grid_value)
 
 
 def _fit_grid_point(
     data: Dataset,
     kernel: Kernel,
-    scheme: WeightScheme,
+    weights: Optional[WeightScheme],
     base_cfg: PathConfig,
     grid_value: float,
     delta: float,
     lam: float,
+    detail: str = "",
 ) -> LepskiFit:
-    try:
-        spec = SmoothedRiskSpec(
-            data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta), weights=scheme
-        )
-        path = path_following(spec, replace(base_cfg, lambda_tgt=lam))
-    except Exception as exc:  # noqa: BLE001 - any failure excludes the point
-        return LepskiFit(
-            grid_value=grid_value, delta=delta, lam=lam, theta=None,
-            status="failed", detail=str(exc),
-        )
+    spec = SmoothedRiskSpec(
+        data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta), weights=weights
+    )
+    path = path_following(spec, replace(base_cfg, lambda_tgt=lam))
     theta = path.theta_final.copy()
     theta.setflags(write=False)
-    return LepskiFit(grid_value=grid_value, delta=delta, lam=lam, theta=theta, status="ok")
+    return LepskiFit(grid_value=grid_value, delta=delta, lam=lam, theta=theta,
+                     status="ok", detail=detail)
 
 
-def _warn_failed(fits: Sequence[LepskiFit], label: str) -> None:
+def _lepski(
+    data: Dataset,
+    kernel: Kernel,
+    weights: Optional[WeightScheme],
+    path_cfg: Optional[PathConfig],
+    threads: int,
+    grid_values: Sequence[float],
+    schedule: Callable[[float], Tuple[float, float]],
+    label: str,
+    select: Callable[[Sequence[LepskiFit]], Optional[float]],
+    fallback: Tuple[float, str, str],
+) -> Tuple[float, np.ndarray, List[LepskiFit]]:
+    """Fit one path per grid value at its ``schedule`` (delta, lambda), warn
+    about and exclude failed fits, and ``select``.  When nothing is
+    selected, warn and fit ``fallback = (value, warning, detail)`` afresh;
+    that fit is appended to the list, and its failure propagates.
+    """
+    base = path_cfg if path_cfg is not None else PathConfig(lambda_tgt=1.0)
+
+    def fit_one(value: float) -> LepskiFit:
+        delta, lam = schedule(value)
+        try:
+            return _fit_grid_point(data, kernel, weights, base, value, delta, lam)
+        except Exception as exc:  # noqa: BLE001 - any failure excludes the point
+            return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
+                             status="failed", detail=str(exc))
+
+    fits = run_tasks(fit_one, grid_values, threads)
     for fit in fits:
         if fit.status == "failed":
             warnings.warn(
@@ -422,6 +439,16 @@ def _warn_failed(fits: Sequence[LepskiFit], label: str) -> None:
                 f"selection ({fit.detail})",
                 stacklevel=3,
             )
+
+    chosen = select(fits)
+    if chosen is None:
+        chosen, warning, detail = fallback
+        warnings.warn(warning, stacklevel=3)
+        delta, lam = schedule(chosen)
+        fits.append(_fit_grid_point(data, kernel, weights, base, chosen, delta, lam, detail))
+        return chosen, fits[-1].theta, fits
+    theta = next(f.theta for f in fits if f.status == "ok" and f.grid_value == chosen)
+    return chosen, theta, fits
 
 
 def lepski_bandwidth(
@@ -456,38 +483,16 @@ def lepski_bandwidth(
         raise InputError("d must be at least 2 so that log d is positive")
 
     n, d = data.n, data.d
-    grid = build_lepski_grid("bandwidth", n)
-    scheme = weights if weights is not None else WeightScheme.unit()
-    base = path_cfg if path_cfg is not None else PathConfig(lambda_tgt=1.0)
-
-    def fit_one(delta: float) -> LepskiFit:
-        lam = target_lambda(n, d, delta, c_lambda)
-        return _fit_grid_point(data, kernel, scheme, base, delta, delta, lam)
-
-    fits = run_tasks(fit_one, grid.values, threads)
-    _warn_failed(fits, "bandwidth")
-
-    delta_hat = select_lepski_bandwidth(fits, n=n, d=d, s=s, c_sel=c_sel)
-    if delta_hat is None:
-        delta_hat = 1.0 / n
-        warnings.warn(
-            f"no feasible bandwidth on the grid; falling back to 1/n = {delta_hat:g}",
-            stacklevel=2,
-        )
-        lam = target_lambda(n, d, delta_hat, c_lambda)
-        spec = SmoothedRiskSpec(
-            data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta_hat), weights=scheme
-        )
-        path = path_following(spec, replace(base, lambda_tgt=lam))
-        theta = path.theta_final.copy()
-        theta.setflags(write=False)
-        fits = list(fits) + [
-            LepskiFit(grid_value=delta_hat, delta=delta_hat, lam=lam, theta=theta,
-                      status="ok", detail="fallback fit at 1/n")
-        ]
-    else:
-        theta = next(f.theta for f in fits if f.status == "ok" and f.grid_value == delta_hat)
-    return float(delta_hat), theta, list(fits)
+    return _lepski(
+        data, kernel, weights, path_cfg, threads,
+        build_lepski_grid("bandwidth", n).values,
+        schedule=lambda delta: (delta, target_lambda(n, d, delta, c_lambda)),
+        label="bandwidth",
+        select=lambda fits: select_lepski_bandwidth(fits, n=n, d=d, s=s, c_sel=c_sel),
+        fallback=(1.0 / n,
+                  f"no feasible bandwidth on the grid; falling back to 1/n = {1.0 / n:g}",
+                  "fallback fit at 1/n"),
+    )
 
 
 def lepski_sparsity(
@@ -540,39 +545,18 @@ def lepski_sparsity(
 
     n, d = data.n, data.d
     grid = build_lepski_grid("sparsity", d)
-    scheme = weights if weights is not None else WeightScheme.unit()
-    base = path_cfg if path_cfg is not None else PathConfig(lambda_tgt=1.0)
 
-    def schedule_for(level: int) -> Tuple[float, float]:
+    def schedule(level: int) -> Tuple[float, float]:
         sched = TuningSchedule(n=n, d=d, s=level, beta=beta, c_delta=c_delta, c_lambda=c_lambda)
         delta = theoretical_bandwidth(sched)
         return delta, target_lambda(n, d, delta, c_lambda)
 
-    def fit_one(level: int) -> LepskiFit:
-        delta, lam = schedule_for(level)
-        return _fit_grid_point(data, kernel, scheme, base, level, delta, lam)
-
-    fits = run_tasks(fit_one, grid.values, threads)
-    _warn_failed(fits, "sparsity level")
-
-    s_hat = select_lepski_sparsity(fits, n=n, d=d, beta=beta, c_bar=c_bar)
-    if s_hat is None:
-        s_hat = int(grid.values[-1])
-        warnings.warn(
-            f"no feasible sparsity level on the grid; falling back to 2**m = {s_hat}",
-            stacklevel=2,
-        )
-        delta, lam = schedule_for(s_hat)
-        spec = SmoothedRiskSpec(
-            data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta), weights=scheme
-        )
-        path = path_following(spec, replace(base, lambda_tgt=lam))
-        theta = path.theta_final.copy()
-        theta.setflags(write=False)
-        fits = list(fits) + [
-            LepskiFit(grid_value=s_hat, delta=delta, lam=lam, theta=theta,
-                      status="ok", detail="fallback fit at the largest level")
-        ]
-    else:
-        theta = next(f.theta for f in fits if f.status == "ok" and f.grid_value == s_hat)
-    return int(s_hat), theta, list(fits)
+    return _lepski(
+        data, kernel, weights, path_cfg, threads, grid.values,
+        schedule=schedule,
+        label="sparsity level",
+        select=lambda fits: select_lepski_sparsity(fits, n=n, d=d, beta=beta, c_bar=c_bar),
+        fallback=(grid.values[-1],
+                  f"no feasible sparsity level on the grid; falling back to 2**m = {grid.values[-1]}",
+                  "fallback fit at the largest level"),
+    )

@@ -7,10 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from smooth_threshold import cli, tuning
 from smooth_threshold.cli import ColumnRoles, load_csv, main
 from smooth_threshold.errors import InputError
+from smooth_threshold.kernels import get_kernel
 from smooth_threshold.simulate import SimSpec, generate
-from smooth_threshold.tuning import TuningSchedule, target_lambda, theoretical_bandwidth
+from smooth_threshold.tuning import (TuningSchedule, cross_validate_lambda,
+                                     default_lambda_grid, target_lambda,
+                                     theoretical_bandwidth)
 
 
 def run_cli(argv, capsys):
@@ -252,6 +256,46 @@ class TestFit:
                    for line in out.splitlines())
 
 
+    @pytest.mark.parametrize("tune", [
+        ["cv", "--delta", "0.5", "--folds", "3"],
+        ["lepski-beta", "--s", "2", "--c-sel", "3.0"],
+        ["lepski-s", "--beta", "1.0", "--c-bar", "1.5"],
+    ], ids=["cv", "lepski-beta", "lepski-s"])
+    def test_solver_flags_reach_every_fit(self, sim_csv, capsys, monkeypatch,
+                                          tune):
+        configs = []
+
+        def recording(real):
+            def record(spec, cfg):
+                configs.append(cfg)
+                return real(spec, cfg)
+            return record
+
+        monkeypatch.setattr(tuning, "path_following",
+                            recording(tuning.path_following))
+        monkeypatch.setattr(cli, "path_following",
+                            recording(cli.path_following))
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune"] + tune
+                                 + ["--nu", "0.3", "--eta", "0.5",
+                                    "--radius", "8.0", "--stages", "4"],
+                                 capsys)
+        assert code == 0, err
+        assert len(configs) > 1
+        for cfg in configs:
+            assert (cfg.nu, cfg.eta, cfg.omega_radius, cfg.num_stages) \
+                == (0.3, 0.5, 8.0, 4)
+        echo = {key: doc_value(out, f"config {key}")
+                for key in ("lambda0", "stages", "phi", "nu", "eta",
+                            "eps_tgt", "radius")}
+        assert echo == {"lambda0": "none", "stages": "4", "phi": "none",
+                        "nu": "0.3", "eta": "0.5", "eps_tgt": "none",
+                        "radius": "8.0"}
+        if tune[0] == "lepski-beta":
+            assert doc_value(out, "config c_sel") == "3.0"
+        if tune[0] == "lepski-s":
+            assert doc_value(out, "config c_bar") == "1.5"
+
+
 class TestPath:
     def test_stage_table_schema_and_monotonicity(self, sim_csv, tmp_path,
                                                  capsys):
@@ -283,8 +327,9 @@ class TestPath:
 
 class TestCv:
     def test_curve_document(self, sim_csv, capsys):
-        code, out, err = run_cli(["cv", "--input", sim_csv, "--delta", "0.5",
-                                  "--folds", "4", "--seed", "3"], capsys)
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune", "cv",
+                                  "--delta", "0.5", "--folds", "4",
+                                  "--seed", "3"], capsys)
         assert code == 0, err
         rows = [l for l in out.splitlines() if l.startswith("row cv = ")]
         assert len(rows) == 20  # default geometric grid size
@@ -294,27 +339,41 @@ class TestCv:
         lam_1se = float(doc_value(out, "result lambda_1se"))
         assert lam_1se >= lam_min
 
+    def test_curve_rows_match_library(self, sim_csv, capsys):
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune", "cv",
+                                  "--delta", "0.5", "--folds", "4",
+                                  "--seed", "3"], capsys)
+        assert code == 0, err
+        data, _, _ = load_csv(sim_csv)
+        kernel = get_kernel("gaussian")
+        grid = default_lambda_grid(data, kernel, 0.5)
+        result = cross_validate_lambda(data, kernel, 0.5, 4, grid, 3)
+        rows = np.array([[float(v) for v in l[len("row cv = "):].split()]
+                         for l in out.splitlines() if l.startswith("row cv = ")])
+        assert np.array_equal(rows[:, 0], result.lambda_grid)
+        assert np.array_equal(rows[:, 1], result.mean_cv_loss)
+        assert np.array_equal(rows[:, 2], result.se_cv_loss)
+
     def test_env_threads_matches_flag(self, sim_csv, capsys, monkeypatch):
-        code, flag_out, _ = run_cli(["cv", "--input", sim_csv, "--delta",
-                                     "0.5", "--seed", "3", "--threads", "3"],
+        argv = ["fit", "--input", sim_csv, "--tune", "cv", "--delta", "0.5"]
+        code, flag_out, _ = run_cli(argv + ["--seed", "3", "--threads", "3"],
                                     capsys)
         assert code == 0
         monkeypatch.setenv("SMOOTH_THRESHOLD_THREADS", "3")
-        code, env_out, _ = run_cli(["cv", "--input", sim_csv, "--delta",
-                                    "0.5", "--seed", "3"], capsys)
+        code, env_out, _ = run_cli(argv + ["--seed", "3"], capsys)
         assert code == 0
         assert env_out == flag_out
         monkeypatch.setenv("SMOOTH_THRESHOLD_THREADS", "many")
-        code, _, err = run_cli(["cv", "--input", sim_csv, "--delta", "0.5"],
-                               capsys)
+        code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert "SMOOTH_THRESHOLD_THREADS" in json.loads(err)["message"]
 
 
 class TestAdapt:
     def test_adapt_beta_document(self, sim_csv, capsys):
-        code, out, err = run_cli(["adapt-beta", "--input", sim_csv,
-                                  "--s", "2", "--c-lambda", "0.5"], capsys)
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune",
+                                  "lepski-beta", "--s", "2",
+                                  "--c-lambda", "0.5"], capsys)
         assert code == 0, err
         delta_hat = float(doc_value(out, "result delta_hat"))
         assert 0 < delta_hat <= 1.0
@@ -322,8 +381,8 @@ class TestAdapt:
         assert len(fits) == 9  # dyadic grid 2**0 .. 2**-8 for n = 150
 
     def test_adapt_s_document(self, sim_csv, capsys):
-        code, out, err = run_cli(["adapt-s", "--input", sim_csv,
-                                  "--beta", "1.0"], capsys)
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune",
+                                  "lepski-s", "--beta", "1.0"], capsys)
         assert code == 0, err
         s_hat = int(doc_value(out, "result s_hat"))
         assert s_hat >= 1
@@ -331,8 +390,9 @@ class TestAdapt:
         assert len(fits) == 3  # levels 1, 2, 4 for d = 8
 
     def test_adapt_s_constant_precondition(self, sim_csv, capsys):
-        code, _, err = run_cli(["adapt-s", "--input", sim_csv, "--beta",
-                                "1.0", "--c-lambda", "0.7"], capsys)
+        code, _, err = run_cli(["fit", "--input", sim_csv, "--tune",
+                                "lepski-s", "--beta", "1.0",
+                                "--c-lambda", "0.7"], capsys)
         assert code == 2
         assert "must not exceed" in json.loads(err)["message"]
 

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smooth_threshold
 from smooth_threshold.errors import ConvergenceWarning, InputError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.optimizer import (PathConfig, path_following, project_ball,
@@ -222,6 +227,36 @@ def test_backtracking_keeps_trace_monotone_with_large_eta():
     path = path_following(spec, cfg)
     for rec in path.stages:
         assert np.all(np.diff(rec.objective_trace) <= 1e-12)
+
+
+_RISING_TRACE = """
+import numpy as np
+from smooth_threshold.errors import NumericError
+from smooth_threshold.kernels import SurrogateLoss, get_kernel
+from smooth_threshold.optimizer import proximal_gradient
+from smooth_threshold.risk import SmoothedRiskSpec
+from smooth_threshold.simulate import SimSpec, generate
+
+data, _ = generate(SimSpec(model="conditional_mean", n=200, d=8, s=2, seed=3))
+spec = SmoothedRiskSpec(data, SurrogateLoss(get_kernel("gaussian"), 0.2))
+try:
+    proximal_gradient(spec, np.zeros(8), 1e-3, 1e-9, eta=1e4,
+                      backtrack=False, max_iters=50)
+except NumericError as exc:
+    print("NumericError:", exc)
+"""
+
+
+def test_rising_trace_raises_under_python_O():
+    # without backtracking a huge step overshoots; the monotone-trace check
+    # must survive -O, which strips assert statements
+    src = pathlib.Path(smooth_threshold.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-W", "ignore", "-c",
+                          _RISING_TRACE], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("NumericError: objective trace"), out.stdout
 
 
 def test_path_is_deterministic():

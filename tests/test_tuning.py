@@ -442,6 +442,20 @@ class TestLepskiProcedures:
         assert sum(f.status == "failed" for f in fits) == 3
         assert fits[-1].status == "ok" and fits[-1].grid_value == 4
 
+    def test_failing_fallback_fit_raises(self, monkeypatch):
+        data = make_dataset(n=40, d=8, seed=6)
+
+        def failing(spec, cfg):
+            raise NumericError("synthetic failure")
+
+        monkeypatch.setattr(tuning, "path_following", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError, match="synthetic failure"):
+                lepski_bandwidth(data, GAUSS, s=2)
+            with pytest.raises(NumericError, match="synthetic failure"):
+                lepski_sparsity(data, GAUSS, beta=1.0)
+
     def test_partial_failure_warns_and_excludes(self, monkeypatch):
         data = make_dataset(n=24, d=3, signal=False)
         real = tuning.path_following
