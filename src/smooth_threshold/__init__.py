@@ -77,7 +77,6 @@ from .diagnostics import (
     restricted_curvature_probe,
     variance_probe,
 )
-from .cli import ColumnRoles, load_csv
 
 __version__ = "0.1.0"
 
@@ -103,3 +102,11 @@ __all__ = [
     "ColumnRoles", "load_csv",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # import cli on first use, so ``python -m smooth_threshold.cli`` runs it fresh
+    if name in ("ColumnRoles", "load_csv"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -318,6 +318,13 @@ def _cmd_fit(args) -> None:
     kernel = get_kernel(args.kernel)
     threads = _resolve_threads(args)
     cfg = _path_config(args)
+    used = {"fixed": ["delta", "lambda-tgt"], "theory": ["s", "beta"],
+            "cv": ["delta"], "lepski-beta": ["s"], "lepski-s": ["beta"]}[args.tune]
+    _require(args, used)
+    for name in ("delta", "lambda-tgt", "s", "beta"):
+        if name not in used and getattr(args, name.replace("-", "_")) is not None:
+            raise InputError(f"fit --tune {args.tune} does not use --{name}; "
+                             f"do not pass --{name}")
 
     echo = {"subcommand": "fit", "input": args.input,
             "response": args.response, "threshold": args.threshold,
@@ -331,17 +338,12 @@ def _cmd_fit(args) -> None:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.tune == "fixed":
-            _require(args, ["delta", "lambda-tgt"])
             echo.update(delta=args.delta, lambda_tgt=args.lambda_tgt)
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
                                     weights)
             path = path_following(spec, replace(cfg, lambda_tgt=args.lambda_tgt))
             extra = _fit_lines(path, scales)
         elif args.tune == "theory":
-            _require(args, ["s", "beta"])
-            if args.delta is not None:
-                raise InputError("--tune theory computes delta from "
-                                 "(s, beta); do not pass --delta")
             sched = TuningSchedule(n=data.n, d=data.d, s=args.s,
                                    beta=args.beta, c_delta=args.c_delta,
                                    c_lambda=args.c_lambda)
@@ -353,7 +355,6 @@ def _cmd_fit(args) -> None:
             path = path_following(spec, replace(cfg, lambda_tgt=lam))
             extra = [f"result delta = {_fmt(delta)}"] + _fit_lines(path, scales)
         elif args.tune == "cv":
-            _require(args, ["delta"])
             grid = default_lambda_grid(data, kernel, args.delta,
                                        weights=weights)
             result = cross_validate_lambda(data, kernel, args.delta,
@@ -373,7 +374,6 @@ def _cmd_fit(args) -> None:
                       f"result lambda_1se = {_fmt(result.lambda_1se)}"] \
                 + _fit_lines(path, scales)
         elif args.tune == "lepski-beta":
-            _require(args, ["s"])
             echo.update(s=args.s, c_sel=args.c_sel, c_lambda=args.c_lambda)
             delta_hat, theta, fits = lepski_bandwidth(
                 data, kernel, args.s, c_sel=args.c_sel, c_lambda=args.c_lambda,
@@ -382,7 +382,6 @@ def _cmd_fit(args) -> None:
                                   selected=f"result delta_hat = {_fmt(delta_hat)}",
                                   theta=theta)
         else:  # lepski-s
-            _require(args, ["beta"])
             echo.update(beta=args.beta, c_delta=args.c_delta,
                         c_lambda=args.c_lambda, c_bar=args.c_bar)
             s_hat, theta, fits = lepski_sparsity(

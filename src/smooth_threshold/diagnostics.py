@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernels import Kernel, SurrogateLoss
-from .risk import SmoothedRiskSpec, _tree_sum_rows, empirical_gradient, empirical_risk
+from .risk import (SmoothedRiskSpec, _check_theta, _margins, _row_sum,
+                   empirical_gradient, empirical_risk)
 from .simulate import SimSpec, derive_seed, generate
 
 __all__ = [
@@ -184,10 +185,10 @@ def population_gradient(sim: SimSpec, kernel: Kernel, delta_grid,
     while done < n_pop:
         rows = min(chunk_rows, n_pop - done)
         data, _ = generate(replace(sim, n=rows, seed=derive_seed(seed, index)))
-        u = data.y * (data.x - (data.z * theta).sum(axis=1))
+        u = _margins(data, theta)
         for a, delta in enumerate(grid):
             coeff = data.y * kernel.evaluate(u / delta) / delta
-            totals[a] += _tree_sum_rows(data.z * coeff[:, None])
+            totals[a] += _row_sum(coeff, data.z)
         done += rows
         index += 1
     return totals / n_pop
@@ -293,9 +294,7 @@ def bias_probe(sim: SimSpec, kernel: Kernel, delta_grid, theta=None,
     data, theta_star = generate(sim)
     if theta is None:
         theta = theta_star
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (sim.d,) or not np.all(np.isfinite(theta)):
-        raise InputError(f"theta must be a finite vector of length {sim.d}")
+    theta = _check_theta(theta, sim.d)
 
     if directions is None:
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, 1)))
@@ -308,16 +307,15 @@ def bias_probe(sim: SimSpec, kernel: Kernel, delta_grid, theta=None,
         if not np.all(np.isfinite(directions)):
             raise InputError("directions contain non-finite values")
 
-    shift = (data.z * theta).sum(axis=1) \
-        - (sim.mu * data.y + (data.z * theta_star).sum(axis=1))
+    shift = data.z @ theta - (sim.mu * data.y + data.z @ theta_star)
     dens0 = np.exp(-0.5 * np.square(shift / sigma)) \
         / (sigma * math.sqrt(2.0 * math.pi))
-    grad0 = _tree_sum_rows(data.z * (data.y * dens0)[:, None]) / data.n
+    grad0 = _row_sum(data.y * dens0, data.z) / data.n
 
     max_bias = np.empty(grid.size)
     for a, delta in enumerate(grid):
         dens = _smoothed_normal_density(kernel, float(delta), sigma, shift)
-        grad_delta = _tree_sum_rows(data.z * (data.y * dens)[:, None]) / data.n
+        grad_delta = _row_sum(data.y * dens, data.z) / data.n
         max_bias[a] = float(np.abs(directions @ (grad_delta - grad0)).max())
 
     values = {"delta": grid, "max_abs_bias": max_bias}

@@ -128,6 +128,10 @@ class PathConfig:
             raise InputError("max_inner_iters must be >= 1")
 
 
+# solver defaults for callers that set lambda_tgt per fit themselves
+_DEFAULT_CONFIG = PathConfig(lambda_tgt=1.0)
+
+
 @dataclass(frozen=True)
 class StageRecord:
     """Solution and trace of one penalty stage."""
@@ -167,9 +171,11 @@ class InnerResult:
 def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
                 g0=None) -> InnerResult:
     theta = np.array(theta0, dtype=float)
-    f = objective(spec, theta, lam)
+    # one margin evaluation per iterate serves its objective and its gradient
+    u = spec.margins(theta)
+    f = objective(spec, theta, lam, u=u)
     trace = [f]
-    g = empirical_gradient(spec, theta) if g0 is None else g0
+    g = empirical_gradient(spec, theta, u=u) if g0 is None else g0
     omega = _subopt_from_grad(g, theta, lam)
     step = eta
     status = "converged"
@@ -190,7 +196,8 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
             cand = project_ball(shrunk, radius)
             if math.isfinite(radius) and float(np.linalg.norm(shrunk)) > radius:
                 boundary_hit = True
-            f_cand = objective(spec, cand, lam)
+            u = spec.margins(cand)
+            f_cand = objective(spec, cand, lam, u=u)
             if not backtrack or f_cand <= f + _BACKTRACK_SLACK * max(1.0, abs(f)):
                 accepted = True
                 break
@@ -205,7 +212,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
         theta, f = cand, f_cand
         trace.append(f)
         iterations += 1
-        g = empirical_gradient(spec, theta)
+        g = empirical_gradient(spec, theta, u=u)
         omega = _subopt_from_grad(g, theta, lam)
 
     trace = np.asarray(trace)
@@ -233,7 +240,6 @@ def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
         raise InputError(f"penalty level must be a nonnegative real, got {lam}")
     if not eps >= 0:
         raise InputError(f"tolerance must be nonnegative, got {eps}")
-    theta0 = _check_theta(theta0, spec.data.d)
     return _inner_loop(spec, theta0, lam, eps, eta=eta, radius=radius,
                        max_iters=max_iters, backtrack=backtrack)
 
@@ -260,10 +266,10 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig) -> SolutionPath:
     Warm-start quality is checked between stages and reported in ``notes``
     when the carried iterate exceeds half the next penalty level.
     """
-    d = spec.data.d
-    zero = np.zeros(d)
+    zero = np.zeros(spec.data.d)
     notes = []
-    g0 = empirical_gradient(spec, zero)
+    u0 = spec.margins(zero)
+    g0 = empirical_gradient(spec, zero, u=u0)
     lambda0 = config.lambda0 if config.lambda0 is not None \
         else float(np.max(np.abs(g0)))
     eps_tgt = config.eps_tgt if config.eps_tgt is not None \
@@ -272,6 +278,14 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig) -> SolutionPath:
     common = dict(eta=config.eta, radius=config.omega_radius,
                   max_iters=config.max_inner_iters, backtrack=config.backtrack)
 
+    def record(t: int, lam: float, res: InnerResult) -> StageRecord:
+        if res.boundary_hit:
+            notes.append(f"stage {t}: iterate touched the feasible ball boundary")
+        return StageRecord(stage_index=t, lam=lam, iterations=res.iterations,
+                           exit_omega=res.exit_omega, theta=res.theta,
+                           objective_trace=res.objective_trace,
+                           nnz=int(np.count_nonzero(res.theta)), status=res.status)
+
     if lambda0 <= config.lambda_tgt:
         if lambda0 < config.lambda_tgt:
             notes.append(
@@ -279,13 +293,7 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig) -> SolutionPath:
                 f"penalty lambda0={lambda0:.6g}; running a single stage at lambda_tgt")
             warnings.warn(notes[-1], ConvergenceWarning, stacklevel=2)
         res = _inner_loop(spec, zero, config.lambda_tgt, eps_tgt, g0=g0, **common)
-        stages = [StageRecord(stage_index=0, lam=config.lambda_tgt,
-                              iterations=res.iterations, exit_omega=res.exit_omega,
-                              theta=res.theta, objective_trace=res.objective_trace,
-                              nnz=int(np.count_nonzero(res.theta)),
-                              status=res.status)]
-        if res.boundary_hit:
-            notes.append("stage 0: iterate touched the feasible ball boundary")
+        stages = [record(0, config.lambda_tgt, res)]
         echo = replace(config, lambda0=lambda0, eps_tgt=eps_tgt)
         return SolutionPath(stages=tuple(stages), theta_final=res.theta,
                             config_echo=echo, notes=tuple(notes))
@@ -294,7 +302,7 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig) -> SolutionPath:
     stages = [StageRecord(stage_index=0, lam=lambda0, iterations=0,
                           exit_omega=_subopt_from_grad(g0, zero, lambda0),
                           theta=zero.copy(), objective_trace=np.array(
-                              [objective(spec, zero, lambda0)]),
+                              [objective(spec, zero, lambda0, u=u0)]),
                           nnz=0, status="initial")]
     theta = zero
     grad = g0
@@ -305,19 +313,10 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig) -> SolutionPath:
                          f"lambda/2 = {0.5 * lam:.3e}")
         eps = config.nu * lam if t < num else eps_tgt
         res = _inner_loop(spec, theta, lam, eps, g0=grad, **common)
-        stages.append(StageRecord(stage_index=t, lam=lam,
-                                  iterations=res.iterations,
-                                  exit_omega=res.exit_omega, theta=res.theta,
-                                  objective_trace=res.objective_trace,
-                                  nnz=int(np.count_nonzero(res.theta)),
-                                  status=res.status))
-        if res.boundary_hit:
-            notes.append(f"stage {t}: iterate touched the feasible ball boundary")
+        stages.append(record(t, lam, res))
         theta, grad = res.theta, res.gradient
 
-    if config.phi is not None:
-        echo = replace(config, lambda0=lambda0, eps_tgt=eps_tgt)
-    else:
-        echo = replace(config, lambda0=lambda0, num_stages=num, eps_tgt=eps_tgt)
+    echo = replace(config, lambda0=lambda0, eps_tgt=eps_tgt,
+                   num_stages=None if config.phi is not None else num)
     return SolutionPath(stages=tuple(stages), theta_final=theta,
                         config_echo=echo, notes=tuple(notes))

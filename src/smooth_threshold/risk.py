@@ -6,8 +6,10 @@ margin of sample i is u_i = y_i (x_i - theta'z_i); classification risk is the
 weighted mean of a margin loss, here the kernel-smoothed step from
 :mod:`.kernels` or the exact 0-1 loss.
 
-All reductions over samples use a fixed-topology pairwise tree so results are
-bit-identical run to run and independent of any outer parallelism.
+Margins are the BLAS product ``z @ theta``; the gradient sums over samples in
+one fixed-order pass without BLAS, so results are bit-identical for any
+``threads`` and any BLAS thread count.  Risk, gradient and objective take
+``u = spec.margins(theta)`` from callers that have it (margins validated theta).
 """
 
 from __future__ import annotations
@@ -20,17 +22,14 @@ import numpy as np
 from .errors import InputError
 from .kernels import SurrogateLoss
 
-_TREE_BLOCK = 128
+
+def _row_sum(coeff: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # sum_i coeff_i z_i in einsum's own loop; BLAS's varies with its thread count
+    return np.einsum("i,ij->j", coeff, z)
 
 
-def _tree_sum_rows(a: np.ndarray) -> np.ndarray:
-    # pairwise reduction over axis 0 with a sequential base case, mirroring
-    # numpy's own pairwise summation; deterministic for a fixed length
-    n = a.shape[0]
-    if n <= _TREE_BLOCK:
-        return a.sum(axis=0)
-    half = n // 2
-    return _tree_sum_rows(a[:half]) + _tree_sum_rows(a[half:])
+def _margins(data: Dataset, theta: np.ndarray) -> np.ndarray:
+    return data.y * (data.x - data.z @ theta)
 
 
 def _frozen_array(a, dtype=float, ndim=None, name="array"):
@@ -171,8 +170,7 @@ class SmoothedRiskSpec:
         return w
 
     def margins(self, theta: np.ndarray) -> np.ndarray:
-        theta = _check_theta(theta, self.data.d)
-        return self.data.y * (self.data.x - (self.data.z * theta).sum(axis=1))
+        return _margins(self.data, _check_theta(theta, self.data.d))
 
 
 def _check_theta(theta, d: int) -> np.ndarray:
@@ -185,38 +183,37 @@ def _check_theta(theta, d: int) -> np.ndarray:
     return theta
 
 
-def empirical_risk(spec: SmoothedRiskSpec, theta) -> float:
+def empirical_risk(spec: SmoothedRiskSpec, theta, *, u=None) -> float:
     """Weighted mean of the smoothed margin loss at theta."""
-    u = spec.margins(theta)
+    u = spec.margins(theta) if u is None else u
     vals = spec.weight_vector * spec.loss.value(u)
     return float(np.sum(vals)) / spec.data.n
 
 
-def empirical_gradient(spec: SmoothedRiskSpec, theta) -> np.ndarray:
+def empirical_gradient(spec: SmoothedRiskSpec, theta, *, u=None) -> np.ndarray:
     """Gradient of ``empirical_risk`` in theta.
 
     The margin enters the loss as y(x - theta'z), so each sample contributes
     w y z K(u/delta)/delta; signs follow from the loss derivative -K(u/delta)/delta.
     """
-    u = spec.margins(theta)
+    u = spec.margins(theta) if u is None else u
     delta = spec.loss.bandwidth
     coeff = spec.weight_vector * spec.data.y \
         * spec.loss.kernel.evaluate(u / delta) / delta
-    return _tree_sum_rows(spec.data.z * coeff[:, None]) / spec.data.n
+    return _row_sum(coeff, spec.data.z) / spec.data.n
 
 
-def objective(spec: SmoothedRiskSpec, theta, lam: float) -> float:
+def objective(spec: SmoothedRiskSpec, theta, lam: float, *, u=None) -> float:
     """Penalized objective: empirical risk plus lam * l1 norm."""
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"penalty level must be a nonnegative real, got {lam}")
-    theta = _check_theta(theta, spec.data.d)
-    return empirical_risk(spec, theta) + lam * float(np.sum(np.abs(theta)))
+    u = spec.margins(theta) if u is None else u
+    return empirical_risk(spec, theta, u=u) + lam * float(np.sum(np.abs(theta)))
 
 
 def zero_one_risk(data: Dataset, theta, weights: WeightScheme | None = None) -> float:
     """Weighted misclassification risk; a zero margin counts as half an error."""
-    theta = _check_theta(theta, data.d)
-    u = data.y * (data.x - (data.z * theta).sum(axis=1))
+    u = _margins(data, _check_theta(theta, data.d))
     w = _scheme_or_unit(weights).resolve(data)
     vals = w * 0.5 * (1.0 - np.sign(u))
     return float(np.sum(vals)) / data.n

@@ -29,7 +29,7 @@ from scipy.special import ndtr
 from ._parallel import run_tasks
 from .errors import InputError, NumericError
 from .kernels import Kernel, SurrogateLoss
-from .optimizer import PathConfig, path_following
+from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import Dataset, SmoothedRiskSpec, WeightScheme
 from .tuning import (
     TuningSchedule,
@@ -393,7 +393,7 @@ def run_benchmark(
         delta_res = 1.0 if delta is None else float(delta)
         lambda_res = None if tune == "cv" else float(lambda_tgt)
 
-    base = path_cfg if path_cfg is not None else PathConfig(lambda_tgt=1.0)
+    base = path_cfg or _DEFAULT_CONFIG
 
     shared_lambda = None
     if tune == "cv" and reuse_tuning:

@@ -25,7 +25,7 @@ import numpy as np
 from ._parallel import run_tasks
 from .errors import InputError
 from .kernels import Kernel, SurrogateLoss
-from .optimizer import PathConfig, path_following
+from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import (
     Dataset,
     SmoothedRiskSpec,
@@ -302,7 +302,7 @@ def cross_validate_lambda(
         )
         splits.append((train, test))
 
-    base = path_cfg if path_cfg is not None else PathConfig(lambda_tgt=1.0)
+    base = path_cfg or _DEFAULT_CONFIG
 
     def run(task: Tuple[int, int]) -> float:
         i, k = task
@@ -421,7 +421,7 @@ def _lepski(
     selected, warn and fit ``fallback = (value, warning, detail)`` afresh;
     that fit is appended to the list, and its failure propagates.
     """
-    base = path_cfg if path_cfg is not None else PathConfig(lambda_tgt=1.0)
+    base = path_cfg or _DEFAULT_CONFIG
 
     def fit_one(value: float) -> LepskiFit:
         delta, lam = schedule(value)

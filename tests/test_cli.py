@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +299,25 @@ class TestFit:
         if tune[0] == "lepski-s":
             assert doc_value(out, "config c_bar") == "1.5"
 
+    @pytest.mark.parametrize("tune", [
+        ["fixed", "--delta", "0.5", "--lambda-tgt", "0.1"],
+        ["theory", "--s", "2", "--beta", "1.0"],
+        ["cv", "--delta", "0.5"],
+        ["lepski-beta", "--s", "2"],
+        ["lepski-s", "--beta", "1.0"],
+    ], ids=["fixed", "theory", "cv", "lepski-beta", "lepski-s"])
+    def test_rejects_flags_the_mode_ignores(self, sim_csv, capsys, tune):
+        values = {"--delta": "0.5", "--lambda-tgt": "0.1", "--s": "2",
+                  "--beta": "1.0"}
+        for flag in set(values) - set(tune):
+            code, out, err = run_cli(["fit", "--input", sim_csv, "--tune"]
+                                     + tune + [flag, values[flag]], capsys)
+            assert code == 2, flag
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert json.loads(err)["message"] == \
+                f"fit --tune {tune[0]} does not use {flag}; do not pass {flag}"
+
 
 class TestPath:
     def test_stage_table_schema_and_monotonicity(self, sim_csv, tmp_path,
@@ -522,3 +545,14 @@ class TestErrorRecords:
         record = json.loads(lines[0])
         assert record["error"] == "input"
         assert "missing.csv" in record["message"]
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "smooth_threshold.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

@@ -29,7 +29,7 @@ from smooth_threshold.risk import (
     Dataset,
     SmoothedRiskSpec,
     empirical_gradient,
-    _tree_sum_rows,
+    _row_sum,
 )
 from smooth_threshold.simulate import SimSpec, derive_seed, generate
 
@@ -198,7 +198,7 @@ class TestBiasProbe:
         rep = bias_probe(self.SIM, get_kernel("gaussian"), self.GRID,
                          directions=directions)
         data, _ = generate(self.SIM)
-        gbar = _tree_sum_rows(data.z * data.y[:, None]) / data.n
+        gbar = _row_sum(data.y, data.z) / data.n
         proj = np.abs(directions @ gbar).max()
         for delta, got in zip(self.GRID, rep.values["max_abs_bias"]):
             gap = abs(normal_pdf(2.0, math.hypot(delta, 1.0))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smooth_threshold
+from smooth_threshold import optimizer
 from smooth_threshold.errors import ConvergenceWarning, InputError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.optimizer import (PathConfig, path_following, project_ball,
@@ -227,6 +228,28 @@ def test_backtracking_keeps_trace_monotone_with_large_eta():
     path = path_following(spec, cfg)
     for rec in path.stages:
         assert np.all(np.diff(rec.objective_trace) <= 1e-12)
+
+
+def test_one_margin_evaluation_per_candidate(monkeypatch):
+    # a candidate's margins serve its objective and, once it is accepted,
+    # its gradient; the gradient does not evaluate them again
+    spec = random_spec(n=80, d=4, seed=19)
+    counts = {"margins": 0, "objective": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(SmoothedRiskSpec, "margins",
+                        counting("margins", SmoothedRiskSpec.margins))
+    monkeypatch.setattr(optimizer, "objective",
+                        counting("objective", optimizer.objective))
+    res = proximal_gradient(spec, np.zeros(4), 0.02, 1e-6, eta=50.0)
+    assert res.iterations > 0
+    # eta=50 forces step halvings, so some candidates are rejected
+    assert counts["margins"] == counts["objective"] > res.iterations + 1
 
 
 _RISING_TRACE = """

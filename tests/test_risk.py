@@ -207,3 +207,13 @@ def test_determinism_bitwise():
     g2 = empirical_gradient(spec, theta)
     assert np.array_equal(g1, g2)
     assert empirical_risk(spec, theta) == empirical_risk(spec, theta)
+
+
+def test_given_margins_match_recomputed_ones():
+    spec = random_spec(n=50, d=4, seed=3)
+    theta = np.array([0.3, 0.0, -0.2, 0.1])
+    u = spec.margins(theta)
+    assert empirical_risk(spec, theta, u=u) == empirical_risk(spec, theta)
+    assert np.array_equal(empirical_gradient(spec, theta, u=u),
+                          empirical_gradient(spec, theta))
+    assert objective(spec, theta, 0.1, u=u) == objective(spec, theta, 0.1)
