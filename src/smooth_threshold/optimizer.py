@@ -4,8 +4,8 @@ The penalized objective is f_lam(theta) = risk(theta) + lam * ||theta||_1,
 minimized over an l2 ball of radius ``omega_radius``.  A stage solves one
 penalty level with proximal gradient steps (gradient step, soft threshold,
 ball projection); the path starts at a penalty large enough that the zero
-vector is optimal and shrinks it geometrically, warm starting every stage at
-the previous solution.
+vector is optimal and walks a descending penalty ladder, geometric by
+default, warm starting every stage at the previous solution.
 
 Stage accuracy is measured by the subgradient optimality gap
 
@@ -164,15 +164,16 @@ class InnerResult:
     objective_trace: np.ndarray
     status: str
     gradient: np.ndarray
+    margins: np.ndarray
     eta_final: float
     boundary_hit: bool
 
 
 def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
-                g0=None) -> InnerResult:
+                g0=None, u0=None) -> InnerResult:
     theta = np.array(theta0, dtype=float)
     # one margin evaluation per iterate serves its objective and its gradient
-    u = spec.margins(theta)
+    u = spec.margins(theta) if u0 is None else u0
     f = objective(spec, theta, lam, u=u)
     trace = [f]
     g = empirical_gradient(spec, theta, u=u) if g0 is None else g0
@@ -196,8 +197,8 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
             cand = project_ball(shrunk, radius)
             if math.isfinite(radius) and float(np.linalg.norm(shrunk)) > radius:
                 boundary_hit = True
-            u = spec.margins(cand)
-            f_cand = objective(spec, cand, lam, u=u)
+            u_cand = spec.margins(cand)
+            f_cand = objective(spec, cand, lam, u=u_cand)
             if not backtrack or f_cand <= f + _BACKTRACK_SLACK * max(1.0, abs(f)):
                 accepted = True
                 break
@@ -209,7 +210,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
                 f"objective after {_MAX_HALVINGS} step halvings; stopping with "
                 f"omega={omega:.3e}", ConvergenceWarning, stacklevel=3)
             break
-        theta, f = cand, f_cand
+        theta, f, u = cand, f_cand, u_cand
         trace.append(f)
         iterations += 1
         g = empirical_gradient(spec, theta, u=u)
@@ -224,7 +225,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
             f"{float(rise.max()):.3e} over an accepted step")
     return InnerResult(theta=theta, iterations=iterations, exit_omega=omega,
                        objective_trace=trace, status=status, gradient=g,
-                       eta_final=step, boundary_hit=boundary_hit)
+                       margins=u, eta_final=step, boundary_hit=boundary_hit)
 
 
 def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
@@ -244,8 +245,8 @@ def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
                        max_iters=max_iters, backtrack=backtrack)
 
 
-def _stage_schedule(lambda0: float, cfg: PathConfig) -> tuple[list, float, int]:
-    """Penalty levels for stages 1..N (stage 0 is the zero solution at lambda0)."""
+def _stage_schedule(lambda0: float, cfg: PathConfig) -> list:
+    """Geometric penalty levels for stages 1..N (stage 0 is the zero solution at lambda0)."""
     ratio = cfg.lambda_tgt / lambda0
     if cfg.phi is not None:
         num = max(int(math.ceil(math.log(ratio) / math.log(cfg.phi))), 1)
@@ -255,68 +256,82 @@ def _stage_schedule(lambda0: float, cfg: PathConfig) -> tuple[list, float, int]:
         phi = ratio ** (1.0 / num)
     lams = [lambda0 * phi ** t for t in range(1, num)]
     lams.append(cfg.lambda_tgt)
-    return lams, phi, num
+    return lams
 
 
-def path_following(spec: SmoothedRiskSpec, config: PathConfig) -> SolutionPath:
-    """Solve the penalized problem along a geometric penalty schedule.
+def _check_ladder(lambdas) -> list:
+    lams = np.asarray(lambdas, dtype=float).ravel()
+    if lams.size == 0 or not np.all(np.isfinite(lams) & (lams > 0)) \
+            or np.any(np.diff(lams) >= 0):
+        raise InputError("penalty ladder must be a non-empty, strictly "
+                         "descending sequence of positive finite reals")
+    return [float(lam) for lam in lams]
 
-    Stage 0 is the exact zero solution at lambda0; intermediate stages run to
-    tolerance nu * lambda_t; the final stage runs at lambda_tgt to eps_tgt.
-    Warm-start quality is checked between stages and reported in ``notes``
-    when the carried iterate exceeds half the next penalty level.
+
+def path_following(spec: SmoothedRiskSpec, config: PathConfig,
+                   lambdas=None) -> SolutionPath:
+    """Solve the penalized problem along a descending penalty ladder.
+
+    Stage 0 is the exact zero solution at lambda0; each later stage is warm
+    started from the one before.  By default the ladder runs geometrically to
+    lambda_tgt, to tolerance nu * lambda_t and eps_tgt at the last stage.  An
+    explicit strictly descending ``lambdas`` replaces it and lambda_tgt; each
+    value is solved to the final-stage tolerance (eps_tgt if set, else
+    0.1 * nu * lambda).  Warm starts with gap above lambda/2 are noted.
     """
+    ladder = None if lambdas is None else _check_ladder(lambdas)
     zero = np.zeros(spec.data.d)
     notes = []
     u0 = spec.margins(zero)
     g0 = empirical_gradient(spec, zero, u=u0)
     lambda0 = config.lambda0 if config.lambda0 is not None \
         else float(np.max(np.abs(g0)))
-    eps_tgt = config.eps_tgt if config.eps_tgt is not None \
-        else 0.1 * config.nu * config.lambda_tgt
 
-    common = dict(eta=config.eta, radius=config.omega_radius,
-                  max_iters=config.max_inner_iters, backtrack=config.backtrack)
+    def final_eps(lam: float) -> float:
+        return config.eps_tgt if config.eps_tgt is not None \
+            else 0.1 * config.nu * lam
 
-    def record(t: int, lam: float, res: InnerResult) -> StageRecord:
-        if res.boundary_hit:
-            notes.append(f"stage {t}: iterate touched the feasible ball boundary")
-        return StageRecord(stage_index=t, lam=lam, iterations=res.iterations,
-                           exit_omega=res.exit_omega, theta=res.theta,
-                           objective_trace=res.objective_trace,
-                           nnz=int(np.count_nonzero(res.theta)), status=res.status)
-
-    if lambda0 <= config.lambda_tgt:
+    single = ladder is None and lambda0 <= config.lambda_tgt
+    if ladder is not None:
+        lams, epss = ladder, [final_eps(lam) for lam in ladder]
+        echo = replace(config, lambda_tgt=lams[-1], num_stages=len(lams), phi=None)
+    elif single:
         if lambda0 < config.lambda_tgt:
             notes.append(
                 f"lambda_tgt={config.lambda_tgt:.6g} exceeds the zero-solution "
                 f"penalty lambda0={lambda0:.6g}; running a single stage at lambda_tgt")
             warnings.warn(notes[-1], ConvergenceWarning, stacklevel=2)
-        res = _inner_loop(spec, zero, config.lambda_tgt, eps_tgt, g0=g0, **common)
-        stages = [record(0, config.lambda_tgt, res)]
-        echo = replace(config, lambda0=lambda0, eps_tgt=eps_tgt)
-        return SolutionPath(stages=tuple(stages), theta_final=res.theta,
-                            config_echo=echo, notes=tuple(notes))
+        lams, echo = [config.lambda_tgt], config
+    else:
+        lams = _stage_schedule(lambda0, config)
+        echo = replace(config, num_stages=None if config.phi is not None else len(lams))
+    if ladder is None:
+        epss = [config.nu * lam for lam in lams[:-1]] + [final_eps(lams[-1])]
 
-    lams, phi, num = _stage_schedule(lambda0, config)
-    stages = [StageRecord(stage_index=0, lam=lambda0, iterations=0,
-                          exit_omega=_subopt_from_grad(g0, zero, lambda0),
-                          theta=zero.copy(), objective_trace=np.array(
-                              [objective(spec, zero, lambda0, u=u0)]),
-                          nnz=0, status="initial")]
-    theta = zero
-    grad = g0
-    for t, lam in enumerate(lams, start=1):
+    stages = [] if single else [StageRecord(
+        stage_index=0, lam=lambda0, iterations=0,
+        exit_omega=_subopt_from_grad(g0, zero, lambda0), theta=zero.copy(),
+        objective_trace=np.array([objective(spec, zero, lambda0, u=u0)]),
+        nnz=0, status="initial")]
+    theta, grad, u = zero, g0, u0
+    for t, (lam, eps) in enumerate(zip(lams, epss), start=len(stages)):
         warm_omega = _subopt_from_grad(grad, theta, lam)
-        if warm_omega > 0.5 * lam + 1e-12:
+        if t > 0 and warm_omega > 0.5 * lam + 1e-12:
             notes.append(f"stage {t}: warm-start omega {warm_omega:.3e} exceeds "
                          f"lambda/2 = {0.5 * lam:.3e}")
-        eps = config.nu * lam if t < num else eps_tgt
-        res = _inner_loop(spec, theta, lam, eps, g0=grad, **common)
-        stages.append(record(t, lam, res))
-        theta, grad = res.theta, res.gradient
+        res = _inner_loop(spec, theta, lam, eps, eta=config.eta,
+                          radius=config.omega_radius,
+                          max_iters=config.max_inner_iters,
+                          backtrack=config.backtrack, g0=grad, u0=u)
+        if res.boundary_hit:
+            notes.append(f"stage {t}: iterate touched the feasible ball boundary")
+        stages.append(StageRecord(stage_index=t, lam=lam, iterations=res.iterations,
+                                  exit_omega=res.exit_omega, theta=res.theta,
+                                  objective_trace=res.objective_trace,
+                                  nnz=int(np.count_nonzero(res.theta)),
+                                  status=res.status))
+        theta, grad, u = res.theta, res.gradient, res.margins
 
-    echo = replace(config, lambda0=lambda0, eps_tgt=eps_tgt,
-                   num_stages=None if config.phi is not None else num)
+    echo = replace(echo, lambda0=lambda0, eps_tgt=epss[-1])
     return SolutionPath(stages=tuple(stages), theta_final=theta,
                         config_echo=echo, notes=tuple(notes))

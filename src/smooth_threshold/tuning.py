@@ -264,8 +264,10 @@ def cross_validate_lambda(
 ) -> CvResult:
     """K-fold cross-validation of lambda_tgt at a fixed bandwidth.
 
-    For each grid value a full path is fit on every training split and the
-    held-out weighted surrogate loss is averaged.  ``lambda_min`` minimizes
+    One path is fit per training split, walking the descending grid with
+    each grid value as one warm-started stage solved to the final-stage
+    tolerance; every stage is scored by the held-out weighted surrogate
+    loss, and the losses are averaged over folds.  ``lambda_min`` minimizes
     the mean curve; ``lambda_1se`` is the largest grid value whose mean is
     within one standard error of that minimum.  Per-sample weights are
     resolved once on the full dataset so both splits of a fold weight
@@ -304,19 +306,16 @@ def cross_validate_lambda(
 
     base = path_cfg or _DEFAULT_CONFIG
 
-    def run(task: Tuple[int, int]) -> float:
-        i, k = task
-        train, test = splits[k]
-        cfg = replace(base, lambda_tgt=float(grid_desc[i]))
-        path = path_following(train, cfg)
-        return empirical_risk(test, path.theta_final)
+    # one ladder stage per distinct grid value; rank maps the grid onto them
+    neg_ladder, rank = np.unique(-grid_desc, return_inverse=True)
 
-    tasks = [(i, k) for i in range(grid_desc.size) for k in range(folds)]
-    # The top of a sensible grid reaches the null model on purpose, so the
-    # fold fits' "lambda_tgt exceeds lambda0" notices are routine here.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*exceeds the zero-solution penalty.*")
-        losses = np.array(run_tasks(run, tasks, threads), dtype=float).reshape(grid_desc.size, folds)
+    def run(k: int) -> List[float]:
+        train, test = splits[k]
+        path = path_following(train, base, lambdas=-neg_ladder)
+        return [empirical_risk(test, stage.theta) for stage in path.stages[1:]]
+
+    # losses[i, k]: held-out loss of grid value i on fold k
+    losses = np.array(run_tasks(run, range(folds), threads), dtype=float).T[rank]
 
     mean = losses.mean(axis=1)
     se = losses.std(axis=1, ddof=1) / math.sqrt(folds)
@@ -431,7 +430,10 @@ def _lepski(
             return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
                              status="failed", detail=str(exc))
 
-    fits = run_tasks(fit_one, grid_values, threads)
+    # a schedule penalty above lambda0 is a routine null fit on these grids
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*exceeds the zero-solution penalty.*")
+        fits = run_tasks(fit_one, grid_values, threads)
     for fit in fits:
         if fit.status == "failed":
             warnings.warn(

@@ -270,9 +270,9 @@ class TestFit:
         configs = []
 
         def recording(real):
-            def record(spec, cfg):
+            def record(spec, cfg, **kw):
                 configs.append(cfg)
-                return real(spec, cfg)
+                return real(spec, cfg, **kw)
             return record
 
         monkeypatch.setattr(tuning, "path_following",

@@ -4,6 +4,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,3 +341,105 @@ def test_geometric_objective_decay_in_final_stage():
     ss_tot = np.sum((logg - logg.mean()) ** 2)
     assert 1 - ss_res / ss_tot >= 0.9
     assert slope < 0
+
+
+def test_stage_margins_carried_to_next_stage(monkeypatch):
+    # each stage starts from the margins of the previous stage's last accepted
+    # candidate, so margins are computed once per candidate plus once at zero
+    spec = random_spec(n=80, d=4, seed=19)
+    counts = {"margins": 0, "candidates": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(SmoothedRiskSpec, "margins",
+                        counting("margins", SmoothedRiskSpec.margins))
+    # the stage loop projects each candidate exactly once
+    monkeypatch.setattr(optimizer, "project_ball",
+                        counting("candidates", optimizer.project_ball))
+    path = path_following(spec, PathConfig(lambda_tgt=0.02, num_stages=6, eta=50.0))
+    assert len(path.stages) == 7
+    assert counts["candidates"] > sum(r.iterations for r in path.stages)
+    assert counts["margins"] == counts["candidates"] + 1
+
+
+def _geometric_path_oracle(spec, cfg):
+    """The geometric path rebuilt stage by stage from ``proximal_gradient``."""
+    zero = np.zeros(spec.data.d)
+    g0 = empirical_gradient(spec, zero)
+    lam0 = float(np.max(np.abs(g0)))
+    eps_tgt = 0.1 * cfg.nu * cfg.lambda_tgt
+    num = cfg.num_stages
+    phi = (cfg.lambda_tgt / lam0) ** (1.0 / num)
+    lams = [lam0 * phi ** t for t in range(1, num)] + [cfg.lambda_tgt]
+    stages = [(0, lam0, 0, _subopt_from_grad(g0, zero, lam0), zero,
+               np.array([objective(spec, zero, lam0)]), 0, "initial")]
+    theta = zero
+    for t, lam in enumerate(lams, start=1):
+        eps = cfg.nu * lam if t < num else eps_tgt
+        res = proximal_gradient(spec, theta, lam, eps, eta=cfg.eta,
+                                radius=cfg.omega_radius)
+        theta = res.theta
+        stages.append((t, lam, res.iterations, res.exit_omega, theta,
+                       res.objective_trace, int(np.count_nonzero(theta)),
+                       res.status))
+    return stages
+
+
+@pytest.mark.parametrize("eta", [1.0, 50.0])
+def test_default_ladder_stages_are_byte_identical(eta):
+    # without an explicit ladder the path is the geometric schedule, each
+    # stage warm-started from the last, exactly as independent stage solves
+    spec = random_spec(n=120, d=6, seed=31)
+    cfg = PathConfig(lambda_tgt=0.02, num_stages=8, eta=eta)
+    path = path_following(spec, cfg)
+    expect = _geometric_path_oracle(spec, cfg)
+    assert len(path.stages) == len(expect)
+    for rec, (t, lam, iters, omega, theta, trace, nnz, status) in zip(
+            path.stages, expect):
+        assert (rec.stage_index, rec.lam, rec.iterations, rec.exit_omega,
+                rec.nnz, rec.status) == (t, lam, iters, omega, nnz, status)
+        assert rec.theta.tobytes() == theta.tobytes()
+        assert rec.objective_trace.tobytes() == trace.tobytes()
+    assert path.theta_final.tobytes() == expect[-1][4].tobytes()
+
+
+def test_explicit_ladder_stages_and_echo():
+    spec = random_spec(n=120, d=6, seed=31)
+    lam0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(6)))))
+    ladder = [2.0 * lam0, lam0, 0.5 * lam0, 0.2 * lam0, 0.02]
+    cfg = PathConfig(lambda_tgt=1.0)  # lambda_tgt is unused with a ladder
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # values above lambda0 are routine
+        path = path_following(spec, cfg, lambdas=ladder)
+    assert [r.lam for r in path.stages] == [lam0] + ladder
+    assert [r.stage_index for r in path.stages] == list(range(6))
+    for rec in path.stages[1:3]:
+        # at or above lambda0 the zero vector is already stationary
+        assert rec.iterations == 0 and rec.nnz == 0 and rec.exit_omega == 0.0
+    for rec in path.stages[1:]:
+        assert rec.status == "converged"
+        assert rec.exit_omega <= 0.1 * cfg.nu * rec.lam
+        assert np.all(np.diff(rec.objective_trace) <= 1e-12)
+    assert path.stages[-1].nnz > 0
+    echo = path.config_echo
+    assert (echo.lambda_tgt, echo.num_stages, echo.phi) == (0.02, 5, None)
+    assert echo.lambda0 == lam0
+    assert echo.eps_tgt == 0.1 * cfg.nu * 0.02
+    # an explicit eps_tgt is the tolerance of every ladder stage
+    fixed = path_following(spec, replace(cfg, eps_tgt=1e-8), lambdas=ladder)
+    assert all(r.exit_omega <= 1e-8 for r in fixed.stages[1:])
+    assert fixed.config_echo.eps_tgt == 1e-8
+
+
+@pytest.mark.parametrize("ladder", [
+    [], [0.01, 0.1], [0.1, 0.1], [0.1, 0.0], [0.1, -0.05], [math.inf, 0.1],
+    [0.1, math.nan],
+], ids=["empty", "ascending", "repeated", "zero", "negative", "inf", "nan"])
+def test_invalid_ladder_rejected(ladder):
+    spec = random_spec(n=50, d=4, seed=13)
+    with pytest.raises(InputError, match="penalty ladder"):
+        path_following(spec, PathConfig(lambda_tgt=0.05), lambdas=ladder)

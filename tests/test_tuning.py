@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smooth_threshold.errors import InputError, NumericError
+from smooth_threshold.errors import ConvergenceWarning, InputError, NumericError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel, make_higher_order_gaussian
-from smooth_threshold.optimizer import PathConfig, path_following
-from smooth_threshold.risk import Dataset, SmoothedRiskSpec, WeightScheme, empirical_gradient
+from smooth_threshold.optimizer import PathConfig, path_following, suboptimality
+from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, WeightScheme,
+                                   empirical_gradient, empirical_risk)
 from smooth_threshold import tuning
 from smooth_threshold.tuning import (
     CvResult,
@@ -289,6 +290,49 @@ class TestCrossValidation:
         )
         assert set(np.flatnonzero(fit.theta_final)) == set(np.flatnonzero(theta_star))
 
+    def test_one_warm_started_path_per_fold(self, monkeypatch):
+        # each fold walks the whole descending grid in one path; every grid
+        # stage carries the final-stage certificate, recomputed here from
+        # outside the solver, and is scored on that fold's held-out split
+        data = make_dataset(n=80, d=5, seed=3)
+        grid = default_lambda_grid(data, GAUSS, 1.0, num=8)
+        folds = 4
+        calls = []
+        real = tuning.path_following
+
+        def recording(spec, cfg, **kw):
+            path = real(spec, cfg, **kw)
+            calls.append((spec, path))
+            return path
+
+        monkeypatch.setattr(tuning, "path_following", recording)
+        cv = cross_validate_lambda(data, GAUSS, 1.0, folds, grid, seed=2)
+        assert len(calls) == folds
+        losses = np.empty((grid.size, folds))
+        for k, (train, path) in enumerate(calls):
+            held_out = cv.fold_assignment == k
+            assert train.data.n == data.n - np.count_nonzero(held_out)
+            stages = path.stages[1:]
+            assert [stage.lam for stage in stages] == list(cv.lambda_grid)
+            for stage in stages:
+                assert stage.status == "converged"
+                assert suboptimality(train, stage.theta, stage.lam) <= 0.1 * 0.25 * stage.lam
+            test = SmoothedRiskSpec(
+                data=Dataset(x=data.x[held_out], y=data.y[held_out], z=data.z[held_out]),
+                loss=SurrogateLoss(kernel=GAUSS, bandwidth=1.0))
+            losses[:, k] = [empirical_risk(test, stage.theta) for stage in stages]
+        assert np.array_equal(cv.mean_cv_loss, losses.mean(axis=1))
+        assert any(stage.nnz > 0 for _, path in calls for stage in path.stages)
+
+    def test_repeated_grid_values_share_one_stage(self):
+        data = make_dataset(n=48, d=4, seed=12)
+        once = cross_validate_lambda(data, GAUSS, 1.0, 4, [0.15, 0.04, 0.01], seed=7)
+        twice = cross_validate_lambda(data, GAUSS, 1.0, 4, [0.04, 0.15, 0.04, 0.01], seed=7)
+        assert tuple(twice.lambda_grid) == (0.15, 0.04, 0.04, 0.01)
+        assert np.array_equal(twice.mean_cv_loss, once.mean_cv_loss[[0, 1, 1, 2]])
+        assert np.array_equal(twice.se_cv_loss, once.se_cv_loss[[0, 1, 1, 2]])
+        assert (twice.lambda_min, twice.lambda_1se) == (once.lambda_min, once.lambda_1se)
+
     def test_result_invariant_checked(self):
         ones = np.ones(2)
         with pytest.raises(InputError, match="lambda_1se"):
@@ -386,6 +430,28 @@ class TestLepskiProcedures:
         assert np.all(theta == 0.0)
         # d = 8 is a sandwich tie (4 <= 8 <= 8 and 8 <= 8 <= 16); smaller m wins
         assert [f.grid_value for f in fits] == [1, 2, 4]
+
+    def test_null_fits_above_lambda0_do_not_warn(self):
+        # on this fixture some bandwidths' schedule penalties exceed lambda0:
+        # routine null fits, whose notice the procedure does not raise
+        data = make_dataset(seed=0)
+
+        def spec_at(delta):
+            return SmoothedRiskSpec(data=data, loss=SurrogateLoss(kernel=GAUSS, bandwidth=delta))
+
+        over = [delta for delta in build_lepski_grid("bandwidth", data.n).values
+                if target_lambda(data.n, data.d, delta)
+                > np.max(np.abs(empirical_gradient(spec_at(delta), np.zeros(data.d))))]
+        assert over
+        lam = target_lambda(data.n, data.d, over[-1])
+        with pytest.warns(ConvergenceWarning, match="exceeds the zero-solution penalty"):
+            path_following(spec_at(over[-1]), PathConfig(lambda_tgt=lam))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, fits = lepski_bandwidth(data, GAUSS, s=2)
+        assert not [w for w in caught if "zero-solution penalty" in str(w.message)]
+        assert all(f.status == "ok" for f in fits)
+        assert all(not np.any(f.theta) for f in fits if f.grid_value in over)
 
     def test_fits_reused_not_recomputed(self, monkeypatch):
         data = make_dataset(n=40, d=4, seed=5)
