@@ -15,8 +15,9 @@ makes: CV folds and Lepski grid points included.
 Results and probe reports are single ``key = value`` text documents; tables
 (path, bench, toy-risks, simulate) are RFC-4180 CSV.  Floats are written with
 ``repr`` so a written dataset reloads bit-exactly.  Every run records a
-config-echo block with all resolved settings.  Module errors are reported as
-one machine-readable JSON line on stderr; exit status is 2 for input errors,
+config-echo block with all resolved settings.  Errors, among them bad
+command-line arguments and unwritable ``--out`` paths, are reported as one
+machine-readable JSON line on stderr; exit status is 2 for input errors,
 1 for numeric failures, and 0 otherwise.
 """
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -43,9 +43,7 @@ from .tuning import (TuningSchedule, cross_validate_lambda,
                      default_lambda_grid, lepski_bandwidth, lepski_sparsity,
                      target_lambda, theoretical_bandwidth)
 
-THREADS_ENV_VAR = "SMOOTH_THRESHOLD_THREADS"
-
-__all__ = ["ColumnRoles", "load_csv", "main", "THREADS_ENV_VAR"]
+__all__ = ["ColumnRoles", "load_csv", "main"]
 
 
 @dataclass(frozen=True)
@@ -206,22 +204,6 @@ def _load_input(args):
     return data, weights, notes, scales
 
 
-def _resolve_threads(args) -> int:
-    raw = args.threads
-    if raw is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is None:
-            return 1
-        try:
-            raw = int(env)
-        except ValueError:
-            raise InputError(f"{THREADS_ENV_VAR} must be an integer, "
-                             f"got {env!r}") from None
-    if raw < 1:
-        raise InputError(f"threads must be >= 1, got {raw}")
-    return raw
-
-
 def _path_config(args, lambda_tgt: float = 1.0) -> PathConfig:
     return PathConfig(lambda_tgt=lambda_tgt, lambda0=args.lambda0,
                       num_stages=args.stages, phi=args.phi, nu=args.nu,
@@ -239,12 +221,19 @@ def _config_lines(pairs: dict) -> list:
     return [f"config {key} = {_fmt(val)}" for key, val in pairs.items()]
 
 
+def _open_out(out, newline=None):
+    try:
+        return open(out, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
+
+
 def _write_doc(lines, out) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with _open_out(out) as handle:
             handle.write(text)
 
 
@@ -252,7 +241,7 @@ def _write_csv(out, header, rows) -> None:
     if out is None:
         raise InputError("this subcommand writes a CSV table; --out is "
                          "required")
-    with open(out, "w", encoding="utf-8", newline="") as handle:
+    with _open_out(out, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -316,7 +305,6 @@ def _warning_lines(caught) -> list:
 def _cmd_fit(args) -> None:
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
-    threads = _resolve_threads(args)
     cfg = _path_config(args)
     used = {"fixed": ["delta", "lambda-tgt"], "theory": ["s", "beta"],
             "cv": ["delta"], "lepski-beta": ["s"], "lepski-s": ["beta"]}[args.tune]
@@ -331,7 +319,7 @@ def _cmd_fit(args) -> None:
             "covariates": args.covariates or "rest",
             "weight": args.weight, "standardize": args.standardize,
             "kernel": args.kernel, "tune": args.tune, "seed": args.seed,
-            "threads": threads, **_solver_echo(args)}
+            **_solver_echo(args)}
     lines = ["document = smooth-threshold fit"]
     extra = []
 
@@ -359,8 +347,7 @@ def _cmd_fit(args) -> None:
                                        weights=weights)
             result = cross_validate_lambda(data, kernel, args.delta,
                                            args.folds, grid, args.seed,
-                                           weights=weights, path_cfg=cfg,
-                                           threads=threads)
+                                           weights=weights, path_cfg=cfg)
             echo.update(delta=args.delta, folds=args.folds,
                         lambda_grid=np.asarray(grid))
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
@@ -377,7 +364,7 @@ def _cmd_fit(args) -> None:
             echo.update(s=args.s, c_sel=args.c_sel, c_lambda=args.c_lambda)
             delta_hat, theta, fits = lepski_bandwidth(
                 data, kernel, args.s, c_sel=args.c_sel, c_lambda=args.c_lambda,
-                path_cfg=cfg, weights=weights, threads=threads)
+                path_cfg=cfg, weights=weights)
             extra = _lepski_lines(fits, scales,
                                   selected=f"result delta_hat = {_fmt(delta_hat)}",
                                   theta=theta)
@@ -387,7 +374,7 @@ def _cmd_fit(args) -> None:
             s_hat, theta, fits = lepski_sparsity(
                 data, kernel, args.beta, c_delta=args.c_delta,
                 c_lambda=args.c_lambda, c_bar=args.c_bar, path_cfg=cfg,
-                weights=weights, threads=threads)
+                weights=weights)
             extra = _lepski_lines(fits, scales,
                                   selected=f"result s_hat = {s_hat}",
                                   theta=theta)
@@ -480,14 +467,12 @@ def _cmd_bench(args) -> None:
                          f"got {args.tune!r}")
     sim = _sim_from_args(args, s=3 if args.s is None else args.s)
     kernel = get_kernel(args.kernel)
-    threads = _resolve_threads(args)
 
     result = run_benchmark(sim, kernel, tune=args.tune, delta=args.delta,
                            lambda_tgt=args.lambda_tgt, beta=args.beta,
                            c_delta=args.c_delta, c_lambda=args.c_lambda,
                            folds=args.folds, path_cfg=_path_config(args),
-                           repetitions=args.reps, seed=args.seed,
-                           threads=threads)
+                           repetitions=args.reps, seed=args.seed)
 
     header = ["repetition", "l1", "l2", "linf", "nnz", "runtime",
               "lambda_used", "delta_used", "messages"]
@@ -503,8 +488,7 @@ def _cmd_bench(args) -> None:
             "delta": args.delta, "lambda_tgt": args.lambda_tgt,
             **_solver_echo(args), "beta": args.beta, "c_delta": args.c_delta,
             "c_lambda": args.c_lambda, "folds": args.folds,
-            "reps": args.reps, "seed": args.seed, "threads": threads,
-            "out": args.out}
+            "reps": args.reps, "seed": args.seed, "out": args.out}
     doc = ["document = smooth-threshold bench"] + _config_lines(echo)
     for norm, stats in result.summary().items():
         doc.append(f"result {norm}_mean = {_fmt(stats['mean'])}")
@@ -671,16 +655,21 @@ def _add_sim_flags(parser) -> None:
 
 def _add_common_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default: "
-                             f"${THREADS_ENV_VAR} or 1)")
     parser.add_argument("--out", default=None,
                         help="output path (documents default to stdout; "
                              "CSV subcommands require it)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise InputError, so they follow the error contract;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="smooth-threshold",
         description="Sparse individualized thresholds by penalized "
                     "kernel-smoothed classification.")
@@ -762,8 +751,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _HANDLERS[args.subcommand](args)
     except InputError as exc:
         _emit_error("input", str(exc))

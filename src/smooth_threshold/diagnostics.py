@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernels import Kernel, SurrogateLoss
+from .kernels import Kernel, SurrogateLoss, _GAUSS_RANGE
 from .risk import (SmoothedRiskSpec, _check_theta, _margins, _row_sum,
                    empirical_gradient, empirical_risk)
 from .simulate import SimSpec, derive_seed, generate
@@ -31,7 +31,6 @@ __all__ = [
     "restricted_curvature_probe",
 ]
 
-_GAUSS_RANGE = 12.0
 _QUAD_NODES = 200
 
 

@@ -7,9 +7,9 @@ weighted mean of a margin loss, here the kernel-smoothed step from
 :mod:`.kernels` or the exact 0-1 loss.
 
 Margins are the BLAS product ``z @ theta``; the gradient sums over samples in
-one fixed-order pass without BLAS, so results are bit-identical for any
-``threads`` and any BLAS thread count.  Risk, gradient and objective take
-``u = spec.margins(theta)`` from callers that have it (margins validated theta).
+one fixed-order pass without BLAS, so results are bit-identical for any BLAS
+thread count.  Risk, gradient and objective take ``u = spec.margins(theta)``
+from callers that have it (margins validated theta).
 """
 
 from __future__ import annotations

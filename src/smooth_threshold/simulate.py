@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from ._parallel import run_tasks
 from .errors import InputError, NumericError
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
@@ -347,13 +346,10 @@ def run_benchmark(
     c_delta: float = 1.0,
     c_lambda: float = 1.0,
     folds: int = 5,
-    cv_grid: Optional[Sequence[float]] = None,
     path_cfg: Optional[PathConfig] = None,
     repetitions: int = 1,
     seed: int = 0,
-    reuse_tuning: bool = False,
     weights: Optional[WeightScheme] = None,
-    threads: int = 1,
 ) -> BenchmarkResult:
     """Repeat generate -> tune -> fit -> score with derived seeds.
 
@@ -361,16 +357,15 @@ def run_benchmark(
 
     * "fixed": both supplied by the caller (delta defaults to 1),
     * "cv": K-fold cross-validation of lambda at the fixed delta using the
-      one-standard-error rule; the grid defaults to a geometric sweep from
-      the gradient sup-norm at zero,
+      one-standard-error rule over a geometric sweep from the gradient
+      sup-norm at zero,
     * "theory": closed-form schedules from (s, beta) and the constants.
 
     Repetition i draws data with seed spawn_key (i, 0) and cross-validates
-    with spawn_key (i, 1) off the benchmark seed.  ``reuse_tuning`` is a
-    fast mode that cross-validates once on the first repetition's data and
-    reuses that lambda everywhere (default: re-tune per repetition).
-    Solver warnings never abort a repetition; structured notes land in the
-    row's ``messages``.  Runtime covers tuning plus fitting.
+    with spawn_key (i, 1) off the benchmark seed, so every repetition is
+    tuned on its own data.  Solver warnings never abort a repetition;
+    structured notes land in the row's ``messages``.  Runtime covers tuning
+    plus fitting.
     """
     if tune not in ("fixed", "cv", "theory"):
         raise InputError(f"tune must be one of ('fixed', 'cv', 'theory'), got {tune!r}")
@@ -395,34 +390,16 @@ def run_benchmark(
 
     base = path_cfg or _DEFAULT_CONFIG
 
-    shared_lambda = None
-    if tune == "cv" and reuse_tuning:
-        data0, _ = generate(replace(spec, seed=derive_seed(seed, 0, 0)))
-        grid0 = cv_grid if cv_grid is not None else default_lambda_grid(
-            data0, kernel, delta_res, weights=weights
-        )
-        cv0 = cross_validate_lambda(
-            data0, kernel, delta_res, folds, grid0, derive_seed(seed, 0, 1),
-            weights=weights, path_cfg=base,
-        )
-        shared_lambda = cv0.lambda_1se
-
     def one_rep(i: int) -> BenchmarkRow:
         data, theta_star = generate(replace(spec, seed=derive_seed(seed, i, 0)))
-        messages: Tuple[str, ...] = ()
         t0 = time.perf_counter()
         if tune == "cv":
-            if shared_lambda is not None:
-                lam = shared_lambda
-            else:
-                grid = cv_grid if cv_grid is not None else default_lambda_grid(
-                    data, kernel, delta_res, weights=weights
-                )
-                cv = cross_validate_lambda(
-                    data, kernel, delta_res, folds, grid, derive_seed(seed, i, 1),
-                    weights=weights, path_cfg=base,
-                )
-                lam = cv.lambda_1se
+            grid = default_lambda_grid(data, kernel, delta_res, weights=weights)
+            cv = cross_validate_lambda(
+                data, kernel, delta_res, folds, grid, derive_seed(seed, i, 1),
+                weights=weights, path_cfg=base,
+            )
+            lam = cv.lambda_1se
         else:
             lam = lambda_res
         fit_spec = SmoothedRiskSpec(
@@ -432,7 +409,6 @@ def run_benchmark(
         )
         path = path_following(fit_spec, replace(base, lambda_tgt=lam))
         runtime = time.perf_counter() - t0
-        messages += _path_messages(path)
         theta = path.theta_final
         return BenchmarkRow(
             repetition=i,
@@ -443,9 +419,8 @@ def run_benchmark(
             runtime=runtime,
             lambda_used=float(lam),
             delta_used=float(delta_res),
-            messages=messages,
+            messages=_path_messages(path),
         )
 
-    rows = run_tasks(one_rep, range(repetitions), threads)
-    rows = tuple(sorted(rows, key=lambda row: row.repetition))
+    rows = tuple(one_rep(i) for i in range(repetitions))
     return BenchmarkResult(rows=rows, tune=tune, kernel_name=kernel.name)

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._parallel import run_tasks
 from .errors import InputError
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
@@ -260,7 +259,6 @@ def cross_validate_lambda(
     seed: int,
     weights: Optional[WeightScheme] = None,
     path_cfg: Optional[PathConfig] = None,
-    threads: int = 1,
 ) -> CvResult:
     """K-fold cross-validation of lambda_tgt at a fixed bandwidth.
 
@@ -315,7 +313,7 @@ def cross_validate_lambda(
         return [empirical_risk(test, stage.theta) for stage in path.stages[1:]]
 
     # losses[i, k]: held-out loss of grid value i on fold k
-    losses = np.array(run_tasks(run, range(folds), threads), dtype=float).T[rank]
+    losses = np.array([run(k) for k in range(folds)], dtype=float).T[rank]
 
     mean = losses.mean(axis=1)
     se = losses.std(axis=1, ddof=1) / math.sqrt(folds)
@@ -408,7 +406,6 @@ def _lepski(
     kernel: Kernel,
     weights: Optional[WeightScheme],
     path_cfg: Optional[PathConfig],
-    threads: int,
     grid_values: Sequence[float],
     schedule: Callable[[float], Tuple[float, float]],
     label: str,
@@ -433,7 +430,7 @@ def _lepski(
     # a schedule penalty above lambda0 is a routine null fit on these grids
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*exceeds the zero-solution penalty.*")
-        fits = run_tasks(fit_one, grid_values, threads)
+        fits = [fit_one(value) for value in grid_values]
     for fit in fits:
         if fit.status == "failed":
             warnings.warn(
@@ -461,7 +458,6 @@ def lepski_bandwidth(
     c_lambda: float = 1.0,
     path_cfg: Optional[PathConfig] = None,
     weights: Optional[WeightScheme] = None,
-    threads: int = 1,
 ) -> Tuple[float, np.ndarray, List[LepskiFit]]:
     """Adaptive bandwidth selection over the dyadic grid {1, ..., 2**-m}.
 
@@ -486,8 +482,7 @@ def lepski_bandwidth(
 
     n, d = data.n, data.d
     return _lepski(
-        data, kernel, weights, path_cfg, threads,
-        build_lepski_grid("bandwidth", n).values,
+        data, kernel, weights, path_cfg, build_lepski_grid("bandwidth", n).values,
         schedule=lambda delta: (delta, target_lambda(n, d, delta, c_lambda)),
         label="bandwidth",
         select=lambda fits: select_lepski_bandwidth(fits, n=n, d=d, s=s, c_sel=c_sel),
@@ -506,7 +501,6 @@ def lepski_sparsity(
     c_bar: float = 2.0,
     path_cfg: Optional[PathConfig] = None,
     weights: Optional[WeightScheme] = None,
-    threads: int = 1,
 ) -> Tuple[int, np.ndarray, List[LepskiFit]]:
     """Adaptive sparsity selection over the dyadic grid {1, 2, ..., 2**m}.
 
@@ -554,7 +548,7 @@ def lepski_sparsity(
         return delta, target_lambda(n, d, delta, c_lambda)
 
     return _lepski(
-        data, kernel, weights, path_cfg, threads, grid.values,
+        data, kernel, weights, path_cfg, grid.values,
         schedule=schedule,
         label="sparsity level",
         select=lambda fits: select_lepski_sparsity(fits, n=n, d=d, beta=beta, c_bar=c_bar),

@@ -3,8 +3,8 @@
 The same script runs in two interpreters, one with OpenBLAS pinned to one
 thread and one with two, and must print the same bytes.  It hashes the
 margins and the risk gradient on a 2000 x 2500 draw, large enough for
-OpenBLAS to split a matrix-vector product across threads, and a small
-cross-validation run at ``threads=1`` and ``threads=2``.
+OpenBLAS to split a matrix-vector product across threads, and the curve
+and selection of a small cross-validation run.
 """
 
 import os
@@ -34,10 +34,9 @@ show("gradient", empirical_gradient(spec, theta))
 small, _ = generate(SimSpec(model="conditional_mean", n=600, d=200, s=4,
                             seed=6))
 grid = default_lambda_grid(small, kernel, 1.0, num=4, min_ratio=0.1)
-for threads in (1, 2):
-    cv = cross_validate_lambda(small, kernel, 1.0, 3, grid, 7, threads=threads)
-    show("cv_loss", cv.mean_cv_loss)
-    show("lambda_1se", np.array([cv.lambda_1se]))
+cv = cross_validate_lambda(small, kernel, 1.0, 3, grid, 7)
+show("cv_loss", cv.mean_cv_loss)
+show("lambda_1se", np.array([cv.lambda_1se]))
 """
 
 
@@ -54,7 +53,4 @@ def _run(blas_threads: str) -> str:
 def test_results_identical_for_one_and_two_blas_threads():
     one, two = _run("1"), _run("2")
     assert one == two
-    lines = one.splitlines()
-    assert len(lines) == 6
-    # threads=1 and threads=2 agree within each run as well
-    assert lines[2:4] == lines[4:6]
+    assert len(one.splitlines()) == 4

@@ -377,20 +377,6 @@ class TestCv:
         assert np.array_equal(rows[:, 1], result.mean_cv_loss)
         assert np.array_equal(rows[:, 2], result.se_cv_loss)
 
-    def test_env_threads_matches_flag(self, sim_csv, capsys, monkeypatch):
-        argv = ["fit", "--input", sim_csv, "--tune", "cv", "--delta", "0.5"]
-        code, flag_out, _ = run_cli(argv + ["--seed", "3", "--threads", "3"],
-                                    capsys)
-        assert code == 0
-        monkeypatch.setenv("SMOOTH_THRESHOLD_THREADS", "3")
-        code, env_out, _ = run_cli(argv + ["--seed", "3"], capsys)
-        assert code == 0
-        assert env_out == flag_out
-        monkeypatch.setenv("SMOOTH_THRESHOLD_THREADS", "many")
-        code, _, err = run_cli(argv, capsys)
-        assert code == 2
-        assert "SMOOTH_THRESHOLD_THREADS" in json.loads(err)["message"]
-
 
 class TestAdapt:
     def test_adapt_beta_document(self, sim_csv, capsys):
@@ -545,6 +531,42 @@ class TestErrorRecords:
         record = json.loads(lines[0])
         assert record["error"] == "input"
         assert "missing.csv" in record["message"]
+
+    @pytest.mark.parametrize("argv", [["fit", "--threads", "2"],
+                                      ["fit", "--folds", "x"],
+                                      ["nosuch"]],
+                             ids=["unknown-flag", "bad-value", "bad-subcommand"])
+    def test_bad_arguments_are_input_errors(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
+    def test_subcommand_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_unwritable_document_out(self, sim_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "fit.txt"
+        code, _, err = run_cli(["fit", "--input", sim_csv, "--delta", "0.5",
+                                "--lambda-tgt", "0.1", "--out", str(out)],
+                               capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "input"
+        assert record["message"].startswith(f"cannot write {out}: ")
+
+    def test_unwritable_csv_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        code, _, err = run_cli(["toy-risks", "--out", str(out)], capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "input"
+        assert record["message"].startswith(f"cannot write {out}: ")
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -263,18 +263,16 @@ class TestCrossValidation:
         with pytest.raises(InputError):
             cross_validate_lambda(data, GAUSS, 1.0, 3, [0.1], seed=-1)
 
-    def test_bit_reproducible_and_thread_invariant(self):
+    def test_bit_reproducible(self):
         data = make_dataset(n=48, d=4, seed=12)
         grid = [0.15, 0.08, 0.04, 0.02]
         a = cross_validate_lambda(data, GAUSS, 1.0, 4, grid, seed=7)
         b = cross_validate_lambda(data, GAUSS, 1.0, 4, grid, seed=7)
-        c = cross_validate_lambda(data, GAUSS, 1.0, 4, grid, seed=7, threads=3)
-        for other in (b, c):
-            assert np.array_equal(a.mean_cv_loss, other.mean_cv_loss)
-            assert np.array_equal(a.se_cv_loss, other.se_cv_loss)
-            assert np.array_equal(a.fold_assignment, other.fold_assignment)
-            assert a.lambda_min == other.lambda_min
-            assert a.lambda_1se == other.lambda_1se
+        assert np.array_equal(a.mean_cv_loss, b.mean_cv_loss)
+        assert np.array_equal(a.se_cv_loss, b.se_cv_loss)
+        assert np.array_equal(a.fold_assignment, b.fold_assignment)
+        assert a.lambda_min == b.lambda_min
+        assert a.lambda_1se == b.lambda_1se
 
     def test_conditional_mean_example(self):
         # n=400, d=50, s=5: the one-SE rule backs off from the minimizer and
@@ -558,16 +556,3 @@ class TestLepskiProcedures:
         )
         with pytest.raises(InputError, match="at least 2"):
             lepski_bandwidth(data, GAUSS, s=1)
-
-    def test_thread_invariance(self):
-        data = make_dataset(n=32, d=4, seed=15)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            d1, t1, f1 = lepski_bandwidth(data, GAUSS, s=2, threads=1)
-            d3, t3, f3 = lepski_bandwidth(data, GAUSS, s=2, threads=3)
-        assert d1 == d3
-        assert np.array_equal(t1, t3)
-        assert all(
-            a.status == b.status and (a.theta is None or np.array_equal(a.theta, b.theta))
-            for a, b in zip(f1, f3)
-        )
