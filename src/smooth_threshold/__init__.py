@@ -18,13 +18,11 @@ from .kernels import (
     get_kernel,
     kernel_moment,
     make_higher_order_gaussian,
-    surrogate_loss,
     verify_proper,
 )
 from .risk import (
     Dataset,
     SmoothedRiskSpec,
-    WeightScheme,
     class_weights,
     empirical_gradient,
     empirical_risk,
@@ -84,8 +82,8 @@ __all__ = [
     "ConvergenceWarning", "InputError", "NumericError",
     "BUILTIN_KERNELS", "Kernel", "KernelReport", "SurrogateLoss",
     "get_kernel", "kernel_moment", "make_higher_order_gaussian",
-    "surrogate_loss", "verify_proper",
-    "Dataset", "SmoothedRiskSpec", "WeightScheme", "class_weights",
+    "verify_proper",
+    "Dataset", "SmoothedRiskSpec", "class_weights",
     "empirical_gradient", "empirical_risk", "objective", "zero_one_risk",
     "PathConfig", "SolutionPath", "StageRecord", "path_following",
     "proximal_gradient", "prox_step", "project_ball", "soft_threshold",

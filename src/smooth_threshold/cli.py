@@ -37,7 +37,7 @@ from .diagnostics import (bias_probe, gradient_check,
 from .errors import InputError, NumericError
 from .kernels import BUILTIN_KERNELS, SurrogateLoss, get_kernel
 from .optimizer import PathConfig, path_following
-from .risk import Dataset, SmoothedRiskSpec, WeightScheme
+from .risk import Dataset, SmoothedRiskSpec
 from .simulate import SimSpec, generate, run_benchmark, toy_population_risks
 from .tuning import (TuningSchedule, cross_validate_lambda,
                      default_lambda_grid, lepski_bandwidth, lepski_sparsity,
@@ -76,11 +76,12 @@ def _fmt(value) -> str:
 def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
     """Read a header-first CSV into a Dataset.
 
-    Returns ``(dataset, weight_scheme_or_None, notes)``.  The response column
-    must be coded {-1,+1} or {0,1}; in the latter case 0 is mapped to -1 and
-    a note records the recoding.  Rows with a missing or non-numeric value in
-    any used column abort the load with their row numbers (1 = first data
-    row) listed.
+    Returns ``(dataset, weights, notes)``; ``weights`` is the weight column
+    as an array, or None when ``roles.weight`` is unset.  The response
+    column must be coded {-1,+1} or {0,1}; in the latter case 0 is mapped to
+    -1 and a note records the recoding.  Rows with a missing or non-numeric
+    value in any used column abort the load with their row numbers (1 =
+    first data row) listed.
     """
     roles = roles or ColumnRoles()
     try:
@@ -165,9 +166,7 @@ def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
                          f"{{-1,+1}} or {{0,1}}; saw {sorted(values)[:6]}")
 
     data = Dataset(x=parsed[:, 1], y=y, z=parsed[:, 2:2 + len(covariates)])
-    weights = None
-    if roles.weight is not None:
-        weights = WeightScheme.samples(parsed[:, -1])
+    weights = None if roles.weight is None else parsed[:, -1]
     return data, weights, notes
 
 
@@ -188,8 +187,6 @@ def _load_input(args):
         raise InputError(f"{args.subcommand} requires --input")
     data, weights, notes = load_csv(args.input, _roles_from_args(args),
                                     delimiter=args.delimiter)
-    if weights is None:
-        weights = WeightScheme.unit()
     scales = np.ones(data.d)
     if args.standardize:
         observed = data.z.std(axis=0)
@@ -462,9 +459,6 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    if args.tune not in ("fixed", "cv", "theory"):
-        raise InputError(f"bench supports --tune fixed, cv, or theory; "
-                         f"got {args.tune!r}")
     sim = _sim_from_args(args, s=3 if args.s is None else args.s)
     kernel = get_kernel(args.kernel)
 
@@ -482,10 +476,13 @@ def _cmd_bench(args) -> None:
             for row in result.rows]
     _write_csv(args.out, header, rows)
 
+    # echo the delta and lambda the repetitions ran with (theory computes both)
+    first = result.rows[0]
     echo = {"subcommand": "bench", "model": sim.model, "n": sim.n,
             "d": sim.d, "s": sim.s, "mu": sim.mu, "noise_sd": sim.noise_sd,
             "noise": sim.noise, "kernel": args.kernel, "tune": args.tune,
-            "delta": args.delta, "lambda_tgt": args.lambda_tgt,
+            "delta": first.delta_used,
+            "lambda_tgt": None if args.tune == "cv" else first.lambda_used,
             **_solver_echo(args), "beta": args.beta, "c_delta": args.c_delta,
             "c_lambda": args.c_lambda, "folds": args.folds,
             "reps": args.reps, "seed": args.seed, "out": args.out}
@@ -626,10 +623,8 @@ def _add_solver_flags(parser) -> None:
                         help="radius of the feasible l2 ball")
 
 
-def _add_tuning_flags(parser) -> None:
-    parser.add_argument("--tune", default="fixed",
-                        choices=("fixed", "cv", "theory", "lepski-beta",
-                                 "lepski-s"))
+def _add_tuning_flags(parser, modes) -> None:
+    parser.add_argument("--tune", default="fixed", choices=modes)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--s", type=int, default=None,
                         help="sparsity level for theory/lepski-beta tuning")
@@ -678,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="one tuned or fixed penalized fit")
     _add_data_flags(fit)
     _add_solver_flags(fit)
-    _add_tuning_flags(fit)
+    _add_tuning_flags(fit, ("fixed", "cv", "theory", "lepski-beta",
+                            "lepski-s"))
     fit.add_argument("--c-sel", dest="c_sel", type=float, default=2.0,
                      help="selection constant for --tune lepski-beta")
     fit.add_argument("--c-bar", dest="c_bar", type=float, default=2.0,
@@ -701,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="repeated generate/tune/fit table")
     _add_sim_flags(bench)
     _add_solver_flags(bench)
-    _add_tuning_flags(bench)
+    _add_tuning_flags(bench, ("fixed", "cv", "theory"))
     bench.add_argument("--reps", type=int, default=1)
     _add_common_flags(bench)
 

@@ -64,10 +64,6 @@ class Kernel:
     support_radius: float
     tail: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
-    @property
-    def has_closed_form_tail(self) -> bool:
-        return self.tail is not None
-
 
 @dataclass(frozen=True)
 class KernelReport:
@@ -150,11 +146,6 @@ class SurrogateLoss:
         if np.isscalar(u) or arr.ndim == 0:
             return float(out)
         return out
-
-
-def surrogate_loss(loss: SurrogateLoss, u):
-    """Functional form of ``SurrogateLoss.value``."""
-    return loss.value(u)
 
 
 def kernel_moment(kernel: Kernel, j: int) -> float:

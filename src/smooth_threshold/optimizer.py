@@ -87,9 +87,9 @@ class PathConfig:
     Exactly one of ``num_stages`` / ``phi`` drives the stage schedule; with
     both unset the path uses num_stages = 10.  ``lambda0 = None`` resolves to
     ||grad risk(0)||_inf, the smallest penalty whose solution is exactly 0.
-    ``eps_tgt = None`` resolves to 0.1 * nu * lambda_tgt.  ``backtrack`` halves
-    the step size whenever a step would increase the objective, preserving the
-    monotone stage trace at any eta.
+    ``eps_tgt = None`` resolves to 0.1 * nu * lambda_tgt.  The solver halves
+    the step whenever a step would increase the objective, so each stage's
+    trace is monotone at any ``eta``.
     """
 
     lambda_tgt: float
@@ -101,7 +101,6 @@ class PathConfig:
     eps_tgt: float | None = None
     omega_radius: float = 10.0
     max_inner_iters: int = 10000
-    backtrack: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.lambda_tgt) and self.lambda_tgt > 0):
@@ -169,7 +168,7 @@ class InnerResult:
     boundary_hit: bool
 
 
-def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
+def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
                 g0=None, u0=None) -> InnerResult:
     theta = np.array(theta0, dtype=float)
     # one margin evaluation per iterate serves its objective and its gradient
@@ -199,7 +198,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
                 boundary_hit = True
             u_cand = spec.margins(cand)
             f_cand = objective(spec, cand, lam, u=u_cand)
-            if not backtrack or f_cand <= f + _BACKTRACK_SLACK * max(1.0, abs(f)):
+            if f_cand <= f + _BACKTRACK_SLACK * max(1.0, abs(f)):
                 accepted = True
                 break
             step *= 0.5
@@ -230,7 +229,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters, backtrack,
 
 def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
                       *, eta: float = 1.0, radius: float = math.inf,
-                      max_iters: int = 10000, backtrack: bool = True) -> InnerResult:
+                      max_iters: int = 10000) -> InnerResult:
     """Run proximal gradient at a single penalty level until omega <= eps.
 
     Returns the first iterate whose own optimality gap meets ``eps`` (checked
@@ -242,7 +241,7 @@ def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
     if not eps >= 0:
         raise InputError(f"tolerance must be nonnegative, got {eps}")
     return _inner_loop(spec, theta0, lam, eps, eta=eta, radius=radius,
-                       max_iters=max_iters, backtrack=backtrack)
+                       max_iters=max_iters)
 
 
 def _stage_schedule(lambda0: float, cfg: PathConfig) -> list:
@@ -322,7 +321,7 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
         res = _inner_loop(spec, theta, lam, eps, eta=config.eta,
                           radius=config.omega_radius,
                           max_iters=config.max_inner_iters,
-                          backtrack=config.backtrack, g0=grad, u0=u)
+                          g0=grad, u0=u)
         if res.boundary_hit:
             notes.append(f"stage {t}: iterate touched the feasible ball boundary")
         stages.append(StageRecord(stage_index=t, lam=lam, iterations=res.iterations,

@@ -4,7 +4,9 @@ The estimand is a coefficient vector theta scoring covariates z against a
 scalar response threshold: a unit predicts +1 when x exceeds theta'z.  The
 margin of sample i is u_i = y_i (x_i - theta'z_i); classification risk is the
 weighted mean of a margin loss, here the kernel-smoothed step from
-:mod:`.kernels` or the exact 0-1 loss.
+:mod:`.kernels` or the exact 0-1 loss.  Weights are one read-only
+per-sample vector: unit when none is given, or for instance the inverse class
+probability vector from ``class_weights``.
 
 Margins are the BLAS product ``z @ theta``; the gradient sums over samples in
 one fixed-order pass without BLAS, so results are bit-identical for any BLAS
@@ -14,8 +16,7 @@ from callers that have it (margins validated theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,100 +75,43 @@ class Dataset:
         return self.z.shape[1]
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Label weighting rule: unit, inverse class probability, or explicit per sample.
-
-    ``class_weights`` stores resolved (w(+1), w(-1)) values for the inverse
-    scheme; when absent they are recomputed from whatever dataset the scheme
-    is resolved against.
-    """
-
-    kind: str = "unit"
-    per_sample: np.ndarray | None = field(default=None)
-    class_weights: tuple[float, float] | None = None
-
-    _KINDS = ("unit", "inverse_class_probability", "per_sample")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise InputError(f"unknown weight scheme {self.kind!r}")
-        if self.kind == "per_sample":
-            if self.per_sample is None:
-                raise InputError("per_sample scheme requires a weight vector")
-            w = _frozen_array(self.per_sample, ndim=1, name="weights")
-            if np.any(w < 0):
-                raise InputError("per-sample weights must be nonnegative")
-            object.__setattr__(self, "per_sample", w)
-
-    @staticmethod
-    def unit() -> "WeightScheme":
-        return WeightScheme(kind="unit")
-
-    @staticmethod
-    def inverse_class() -> "WeightScheme":
-        return WeightScheme(kind="inverse_class_probability")
-
-    @staticmethod
-    def samples(w) -> "WeightScheme":
-        return WeightScheme(kind="per_sample", per_sample=w)
-
-    def resolve(self, data: Dataset) -> np.ndarray:
-        """Per-sample weight vector for ``data``."""
-        if self.kind == "unit":
-            return np.ones(data.n)
-        if self.kind == "per_sample":
-            if self.per_sample.shape[0] != data.n:
-                raise InputError(f"weight vector length {self.per_sample.shape[0]} "
-                                 f"does not match n={data.n}")
-            return self.per_sample
-        if self.class_weights is not None:
-            w_plus, w_minus = self.class_weights
-        else:
-            w_plus, w_minus = _inverse_class_weights(data)
-        return np.where(data.y > 0, w_plus, w_minus)
+def _weight_vector(data: Dataset, weights) -> np.ndarray:
+    """Read-only per-sample weights for ``data``; ``None`` means unit weights."""
+    w = _frozen_array(np.ones(data.n) if weights is None else weights,
+                      ndim=1, name="weights")
+    if w.shape[0] != data.n:
+        raise InputError(f"weight vector length {w.shape[0]} "
+                         f"does not match n={data.n}")
+    if np.any(w < 0):
+        raise InputError("per-sample weights must be nonnegative")
+    return w
 
 
-def _scheme_or_unit(weights: WeightScheme | None) -> WeightScheme:
-    return WeightScheme.unit() if weights is None else weights
-
-
-def _inverse_class_weights(data: Dataset) -> tuple[float, float]:
+def class_weights(data: Dataset) -> np.ndarray:
+    """Inverse class probability weights w_i = n / #{j: y_j = y_i} for ``data``."""
     n_plus = int(np.count_nonzero(data.y > 0))
     n_minus = data.n - n_plus
     if n_plus == 0 or n_minus == 0:
         missing = "+1" if n_plus == 0 else "-1"
         raise InputError(f"class {missing} is absent; inverse-probability "
                          f"weights are undefined")
-    return data.n / n_plus, data.n / n_minus
-
-
-def class_weights(data: Dataset) -> WeightScheme:
-    """Inverse class probability scheme w(y) = n / #{i: y_i = y}, resolved on ``data``."""
-    return WeightScheme(kind="inverse_class_probability",
-                        class_weights=_inverse_class_weights(data))
+    return np.where(data.y > 0, data.n / n_plus, data.n / n_minus)
 
 
 @dataclass(frozen=True)
 class SmoothedRiskSpec:
-    """Bundle of data, smoothed loss, and weight scheme defining one risk function.
+    """Bundle of data, smoothed loss, and per-sample weights defining one risk function.
 
-    ``weights = None`` means unit weights.
+    ``weights`` is a length-n nonnegative vector, or ``None`` for unit
+    weights; it is validated here and stored as a read-only array.
     """
 
     data: Dataset
     loss: SurrogateLoss
-    weights: WeightScheme | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _scheme_or_unit(self.weights))
-
-    @cached_property
-    def weight_vector(self) -> np.ndarray:
-        w = self.weights.resolve(self.data)
-        if w.flags.owndata:
-            w.setflags(write=False)
-        return w
+        object.__setattr__(self, "weights", _weight_vector(self.data, self.weights))
 
     def margins(self, theta: np.ndarray) -> np.ndarray:
         return _margins(self.data, _check_theta(theta, self.data.d))
@@ -186,7 +130,7 @@ def _check_theta(theta, d: int) -> np.ndarray:
 def empirical_risk(spec: SmoothedRiskSpec, theta, *, u=None) -> float:
     """Weighted mean of the smoothed margin loss at theta."""
     u = spec.margins(theta) if u is None else u
-    vals = spec.weight_vector * spec.loss.value(u)
+    vals = spec.weights * spec.loss.value(u)
     return float(np.sum(vals)) / spec.data.n
 
 
@@ -198,7 +142,7 @@ def empirical_gradient(spec: SmoothedRiskSpec, theta, *, u=None) -> np.ndarray:
     """
     u = spec.margins(theta) if u is None else u
     delta = spec.loss.bandwidth
-    coeff = spec.weight_vector * spec.data.y \
+    coeff = spec.weights * spec.data.y \
         * spec.loss.kernel.evaluate(u / delta) / delta
     return _row_sum(coeff, spec.data.z) / spec.data.n
 
@@ -211,9 +155,8 @@ def objective(spec: SmoothedRiskSpec, theta, lam: float, *, u=None) -> float:
     return empirical_risk(spec, theta, u=u) + lam * float(np.sum(np.abs(theta)))
 
 
-def zero_one_risk(data: Dataset, theta, weights: WeightScheme | None = None) -> float:
+def zero_one_risk(data: Dataset, theta, weights=None) -> float:
     """Weighted misclassification risk; a zero margin counts as half an error."""
     u = _margins(data, _check_theta(theta, data.d))
-    w = _scheme_or_unit(weights).resolve(data)
-    vals = w * 0.5 * (1.0 - np.sign(u))
+    vals = _weight_vector(data, weights) * 0.5 * (1.0 - np.sign(u))
     return float(np.sum(vals)) / data.n

@@ -29,7 +29,7 @@ from scipy.special import ndtr
 from .errors import InputError, NumericError
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
-from .risk import Dataset, SmoothedRiskSpec, WeightScheme
+from .risk import Dataset, SmoothedRiskSpec
 from .tuning import (
     TuningSchedule,
     cross_validate_lambda,
@@ -349,7 +349,7 @@ def run_benchmark(
     path_cfg: Optional[PathConfig] = None,
     repetitions: int = 1,
     seed: int = 0,
-    weights: Optional[WeightScheme] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> BenchmarkResult:
     """Repeat generate -> tune -> fit -> score with derived seeds.
 
@@ -374,6 +374,10 @@ def run_benchmark(
     repetitions = int(repetitions)
     if tune == "fixed" and lambda_tgt is None:
         raise InputError("tune='fixed' requires lambda_tgt")
+    if tune != "fixed" and lambda_tgt is not None:
+        raise InputError(f"tune={tune!r} does not use lambda_tgt; do not supply one")
+    if tune != "theory" and beta is not None:
+        raise InputError(f"tune={tune!r} does not use beta; do not supply one")
     if tune == "theory":
         if beta is None:
             raise InputError("tune='theory' requires beta")

@@ -28,7 +28,6 @@ from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import (
     Dataset,
     SmoothedRiskSpec,
-    WeightScheme,
     empirical_gradient,
     empirical_risk,
 )
@@ -199,7 +198,7 @@ def default_lambda_grid(
     delta: float,
     num: int = 20,
     min_ratio: float = 0.01,
-    weights: Optional[WeightScheme] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Geometric penalty grid from lambda0 = ||grad R(0)||_inf down to
     ``min_ratio * lambda0``, descending, with ``num`` points.
@@ -257,7 +256,7 @@ def cross_validate_lambda(
     folds: int,
     grid: Sequence[float],
     seed: int,
-    weights: Optional[WeightScheme] = None,
+    weights: Optional[np.ndarray] = None,
     path_cfg: Optional[PathConfig] = None,
 ) -> CvResult:
     """K-fold cross-validation of lambda_tgt at a fixed bandwidth.
@@ -268,8 +267,7 @@ def cross_validate_lambda(
     loss, and the losses are averaged over folds.  ``lambda_min`` minimizes
     the mean curve; ``lambda_1se`` is the largest grid value whose mean is
     within one standard error of that minimum.  Per-sample weights are
-    resolved once on the full dataset so both splits of a fold weight
-    observations consistently.
+    validated once on the full dataset and sliced with the folds.
     """
     folds = _positive_int(folds, "folds")
     if folds < 2:
@@ -283,7 +281,7 @@ def cross_validate_lambda(
     grid_desc = np.sort(grid_arr)[::-1].copy()
 
     loss = SurrogateLoss(kernel=kernel, bandwidth=delta)
-    wfull = SmoothedRiskSpec(data=data, loss=loss, weights=weights).weight_vector
+    wfull = SmoothedRiskSpec(data=data, loss=loss, weights=weights).weights
     fold_id = _stratified_folds(data.y, folds, seed)
 
     splits = []
@@ -293,12 +291,12 @@ def cross_validate_lambda(
         train = SmoothedRiskSpec(
             data=Dataset(x=data.x[tr], y=data.y[tr], z=data.z[tr]),
             loss=loss,
-            weights=WeightScheme.samples(wfull[tr]),
+            weights=wfull[tr],
         )
         test = SmoothedRiskSpec(
             data=Dataset(x=data.x[te], y=data.y[te], z=data.z[te]),
             loss=loss,
-            weights=WeightScheme.samples(wfull[te]),
+            weights=wfull[te],
         )
         splits.append((train, test))
 
@@ -384,7 +382,7 @@ def select_lepski_sparsity(
 def _fit_grid_point(
     data: Dataset,
     kernel: Kernel,
-    weights: Optional[WeightScheme],
+    weights: Optional[np.ndarray],
     base_cfg: PathConfig,
     grid_value: float,
     delta: float,
@@ -404,7 +402,7 @@ def _fit_grid_point(
 def _lepski(
     data: Dataset,
     kernel: Kernel,
-    weights: Optional[WeightScheme],
+    weights: Optional[np.ndarray],
     path_cfg: Optional[PathConfig],
     grid_values: Sequence[float],
     schedule: Callable[[float], Tuple[float, float]],
@@ -457,7 +455,7 @@ def lepski_bandwidth(
     c_sel: float = 2.0,
     c_lambda: float = 1.0,
     path_cfg: Optional[PathConfig] = None,
-    weights: Optional[WeightScheme] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray, List[LepskiFit]]:
     """Adaptive bandwidth selection over the dyadic grid {1, ..., 2**-m}.
 
@@ -500,7 +498,7 @@ def lepski_sparsity(
     c_lambda: float = 1.0,
     c_bar: float = 2.0,
     path_cfg: Optional[PathConfig] = None,
-    weights: Optional[WeightScheme] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> Tuple[int, np.ndarray, List[LepskiFit]]:
     """Adaptive sparsity selection over the dyadic grid {1, 2, ..., 2**m}.
 

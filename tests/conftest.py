@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
-from smooth_threshold.risk import Dataset, SmoothedRiskSpec, WeightScheme
+from smooth_threshold.risk import Dataset, SmoothedRiskSpec
 
 
 def rng_for(seed):
@@ -22,8 +22,7 @@ def random_spec(n=40, d=3, seed=0, kernel="gaussian", delta=1.0, weights=None,
     y[y == 0] = 1.0
     data = Dataset(x=x, y=y, z=z)
     loss = SurrogateLoss(kernel=get_kernel(kernel), bandwidth=delta)
-    return SmoothedRiskSpec(data=data, loss=loss,
-                            weights=weights or WeightScheme.unit())
+    return SmoothedRiskSpec(data=data, loss=loss, weights=weights)
 
 
 @pytest.fixture

@@ -117,8 +117,7 @@ class TestLoadCsv:
         data, weights, _ = load_csv(str(path), roles)
         assert data.d == 2
         assert np.array_equal(data.z[:, 0], [0.9, 0.8])  # order as requested
-        assert weights.kind == "per_sample"
-        assert np.array_equal(weights.per_sample, [2.0, 1.0])
+        assert np.array_equal(weights, [2.0, 1.0])
 
     def test_weight_column_excluded_from_default_covariates(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -362,20 +361,32 @@ class TestCv:
         lam_1se = float(doc_value(out, "result lambda_1se"))
         assert lam_1se >= lam_min
 
-    def test_curve_rows_match_library(self, sim_csv, capsys):
-        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune", "cv",
-                                  "--delta", "0.5", "--folds", "4",
-                                  "--seed", "3"], capsys)
-        assert code == 0, err
-        data, _, _ = load_csv(sim_csv)
-        kernel = get_kernel("gaussian")
-        grid = default_lambda_grid(data, kernel, 0.5)
-        result = cross_validate_lambda(data, kernel, 0.5, 4, grid, 3)
-        rows = np.array([[float(v) for v in l[len("row cv = "):].split()]
-                         for l in out.splitlines() if l.startswith("row cv = ")])
-        assert np.array_equal(rows[:, 0], result.lambda_grid)
-        assert np.array_equal(rows[:, 1], result.mean_cv_loss)
-        assert np.array_equal(rows[:, 2], result.se_cv_loss)
+    def test_curve_rows_match_library(self, sim_csv, tmp_path, capsys):
+        # the simulated table plus a column of positive random weights
+        rows = list(csv.reader(open(sim_csv)))
+        w = np.random.Generator(np.random.Philox(key=5)).uniform(
+            0.2, 3.0, size=len(rows) - 1)
+        weighted_csv = str(tmp_path / "weighted.csv")
+        write_csv(weighted_csv, rows[0] + ["w"],
+                  [r + [repr(float(v))] for r, v in zip(rows[1:], w)])
+        for path, weight in ((sim_csv, None), (weighted_csv, "w")):
+            flags = [] if weight is None else ["--weight", weight]
+            code, out, err = run_cli(["fit", "--input", path, "--tune", "cv",
+                                      "--delta", "0.5", "--folds", "4",
+                                      "--seed", "3"] + flags, capsys)
+            assert code == 0, err
+            data, weights, _ = load_csv(path, ColumnRoles(weight=weight))
+            assert (weights is None) == (weight is None)
+            kernel = get_kernel("gaussian")
+            grid = default_lambda_grid(data, kernel, 0.5, weights=weights)
+            result = cross_validate_lambda(data, kernel, 0.5, 4, grid, 3,
+                                           weights=weights)
+            cv_rows = np.array([[float(v) for v in l[len("row cv = "):].split()]
+                                for l in out.splitlines()
+                                if l.startswith("row cv = ")])
+            assert np.array_equal(cv_rows[:, 0], result.lambda_grid)
+            assert np.array_equal(cv_rows[:, 1], result.mean_cv_loss)
+            assert np.array_equal(cv_rows[:, 2], result.se_cv_loss)
 
 
 class TestAdapt:
@@ -434,7 +445,30 @@ class TestBench:
         code, _, err = run_cli(["bench", "--tune", "lepski-beta", "--out",
                                 str(tmp_path / "x.csv")], capsys)
         assert code == 2
-        assert "fixed, cv, or theory" in json.loads(err)["message"]
+        assert "invalid choice" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("tune,flags", [
+        ("fixed", ["--lambda-tgt", "0.05"]),
+        ("cv", ["--folds", "3"]),
+        ("theory", ["--beta", "1.0"]),
+    ])
+    def test_config_echoes_settings_used(self, tmp_path, capsys, tune, flags):
+        # without --delta the repetitions run at delta = 1, and theory
+        # computes both delta and lambda; the echo reports what was used
+        out = tmp_path / "b.csv"
+        code, _, err = run_cli(["bench", "--model", "conditional_mean",
+                                "--n", "120", "--d", "6", "--s", "2",
+                                "--noise-sd", "1.0", "--tune", tune] + flags
+                               + ["--reps", "2", "--out", str(out)], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(open(out)))
+        run_doc = open(str(out) + ".run.txt").read()
+        assert {r["delta_used"] for r in rows} == {doc_value(run_doc, "config delta")}
+        lambda_echo = doc_value(run_doc, "config lambda_tgt")
+        if tune == "cv":
+            assert lambda_echo == "none"
+        else:
+            assert {r["lambda_used"] for r in rows} == {lambda_echo}
 
 
 class TestToyRisks:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from smooth_threshold.errors import InputError
 from smooth_threshold.kernels import (BUILTIN_KERNELS, Kernel, SurrogateLoss,
                                       eval_kernel, get_kernel, kernel_moment,
-                                      make_higher_order_gaussian, surrogate_loss,
-                                      verify_proper)
+                                      make_higher_order_gaussian, verify_proper)
 
 # Frozen oracles (computed independently from scipy primitives; see notes).
 PHI0 = 0.3989422804014327            # standard normal density at 0
@@ -161,7 +160,7 @@ def test_quadrature_tail_fallback_matches_exact_triangle():
 
     k = Kernel(name="triangle", evaluate=triangle, order=1, sup_bound=1.0,
                support_radius=1.0)
-    assert not k.has_closed_form_tail
+    assert k.tail is None
     loss = SurrogateLoss(kernel=k, bandwidth=1.0)
     # for a in [0, 1]: tail = (1 - a)^2 / 2
     assert loss.value(0.4) == pytest.approx(0.18, abs=1e-9)
@@ -196,11 +195,6 @@ def test_bandwidth_validation():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InputError):
             SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=bad)
-
-
-def test_surrogate_loss_function_form():
-    loss = SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=1.0)
-    assert surrogate_loss(loss, 1.0) == loss.value(1.0)
 
 
 @settings(max_examples=60, deadline=None)

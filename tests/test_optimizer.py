@@ -258,15 +258,16 @@ _RISING_TRACE = """
 import numpy as np
 from smooth_threshold.errors import NumericError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
+from smooth_threshold import optimizer
 from smooth_threshold.optimizer import proximal_gradient
 from smooth_threshold.risk import SmoothedRiskSpec
 from smooth_threshold.simulate import SimSpec, generate
 
 data, _ = generate(SimSpec(model="conditional_mean", n=200, d=8, s=2, seed=3))
 spec = SmoothedRiskSpec(data, SurrogateLoss(get_kernel("gaussian"), 0.2))
+optimizer._BACKTRACK_SLACK = float("inf")  # accept every step: no backtracking
 try:
-    proximal_gradient(spec, np.zeros(8), 1e-3, 1e-9, eta=1e4,
-                      backtrack=False, max_iters=50)
+    proximal_gradient(spec, np.zeros(8), 1e-3, 1e-9, eta=1e4, max_iters=50)
 except NumericError as exc:
     print("NumericError:", exc)
 """

@@ -3,8 +3,8 @@ import pytest
 
 from smooth_threshold.errors import InputError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
-from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, WeightScheme,
-                                   class_weights, empirical_gradient,
+from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, class_weights,
+                                   empirical_gradient,
                                    empirical_risk, objective, zero_one_risk)
 
 from conftest import random_spec
@@ -75,14 +75,11 @@ def test_dataset_is_immutable():
 
 def test_class_weights_balanced_and_imbalanced():
     data = Dataset(x=np.zeros(4), y=[1.0, -1.0, 1.0, -1.0], z=np.ones((4, 1)))
-    scheme = class_weights(data)
-    assert scheme.class_weights == (2.0, 2.0)
-    assert scheme.resolve(data) == pytest.approx(np.full(4, 2.0))
+    assert np.array_equal(class_weights(data), np.full(4, 2.0))
 
     data5 = Dataset(x=np.zeros(5), y=[1.0, 1.0, -1.0, -1.0, -1.0],
                     z=np.ones((5, 1)))
-    scheme5 = class_weights(data5)
-    assert scheme5.class_weights == pytest.approx((2.5, 5 / 3))
+    assert class_weights(data5) == pytest.approx([2.5, 2.5, 5 / 3, 5 / 3, 5 / 3])
 
     one_class = Dataset(x=np.zeros(3), y=[1.0, 1.0, 1.0], z=np.ones((3, 1)))
     with pytest.raises(InputError) as err:
@@ -90,26 +87,25 @@ def test_class_weights_balanced_and_imbalanced():
     assert "-1" in str(err.value)
 
 
-def test_weight_scheme_validation():
-    with pytest.raises(InputError):
-        WeightScheme(kind="bogus")
-    with pytest.raises(InputError):
-        WeightScheme.samples([-0.5, 1.0])
-    with pytest.raises(InputError):
-        WeightScheme(kind="per_sample")
+def test_weight_validation():
     data = Dataset(x=[0.0, 0.0], y=[1.0, -1.0], z=np.ones((2, 1)))
-    with pytest.raises(InputError):
-        WeightScheme.samples([1.0, 2.0, 3.0]).resolve(data)
+    loss = SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=1.0)
+    for bad, reason in [([-0.5, 1.0], "nonnegative"), ([1.0, 2.0, 3.0], "length"),
+                        ([[1.0, 2.0]], "dimension"), ([1.0, np.nan], "non-finite")]:
+        with pytest.raises(InputError, match=reason):
+            SmoothedRiskSpec(data=data, loss=loss, weights=bad)
+    spec = SmoothedRiskSpec(data=data, loss=loss, weights=[2.0, 0.5])
+    assert np.array_equal(spec.weights, [2.0, 0.5])
+    with pytest.raises(ValueError):
+        spec.weights[0] = 1.0  # stored read-only
 
 
 def test_weight_doubling_scales_risk_and_gradient_exactly():
     base = random_spec(n=60, d=4, seed=7)
     w = np.abs(np.random.Generator(np.random.Philox(key=11)).normal(
         size=60)) + 0.1
-    spec1 = SmoothedRiskSpec(data=base.data, loss=base.loss,
-                             weights=WeightScheme.samples(w))
-    spec2 = SmoothedRiskSpec(data=base.data, loss=base.loss,
-                             weights=WeightScheme.samples(2.0 * w))
+    spec1 = SmoothedRiskSpec(data=base.data, loss=base.loss, weights=w)
+    spec2 = SmoothedRiskSpec(data=base.data, loss=base.loss, weights=2.0 * w)
     theta = np.array([0.2, -0.1, 0.4, 0.0])
     # doubling is a power of two, so the scaling is exact in floating point
     assert empirical_risk(spec2, theta) == 2.0 * empirical_risk(spec1, theta)
@@ -149,7 +145,7 @@ def test_zero_one_risk_margins_and_ties():
 
 def test_zero_one_risk_weighted():
     data = Dataset(x=[1.0, -1.0, 5.0], y=[1.0, -1.0, 1.0], z=np.zeros((3, 1)))
-    w = WeightScheme.samples([3.0, 1.0, 1.0])
+    w = [3.0, 1.0, 1.0]
     # margins 1, 1, 5: no errors
     assert zero_one_risk(data, np.zeros(1), w) == 0.0
     flipped = Dataset(x=[-1.0, 1.0, 5.0], y=[1.0, -1.0, 1.0], z=np.zeros((3, 1)))

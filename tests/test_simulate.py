@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from smooth_threshold.errors import InputError, NumericError
 from smooth_threshold.kernels import get_kernel
 from smooth_threshold.optimizer import PathConfig
-from smooth_threshold.risk import WeightScheme, zero_one_risk
+from smooth_threshold.risk import zero_one_risk
 from smooth_threshold.simulate import (
     BenchmarkRow,
     SimSpec,
@@ -152,8 +152,8 @@ class TestGenerators:
             rng = rng_for(rep)
             direction = rng.standard_normal(6)
             direction /= np.linalg.norm(direction)
-            risk_star = zero_one_risk(data, theta_star, WeightScheme.unit())
-            risk_other = zero_one_risk(data, theta_star + direction, WeightScheme.unit())
+            risk_star = zero_one_risk(data, theta_star)
+            risk_other = zero_one_risk(data, theta_star + direction)
             wins += risk_star <= risk_other
         assert wins >= 11  # strict majority; in practice all 20
 
@@ -307,5 +307,12 @@ class TestBenchmark:
             run_benchmark(self.SPEC, GAUSS, tune="theory")
         with pytest.raises(InputError, match="computes delta"):
             run_benchmark(self.SPEC, GAUSS, tune="theory", beta=1.0, delta=0.5)
+        for tune, extra, unused in [
+                ("fixed", {"lambda_tgt": 0.05, "beta": 3.0}, "beta"),
+                ("cv", {"lambda_tgt": 5.0}, "lambda_tgt"),
+                ("cv", {"beta": 3.0}, "beta"),
+                ("theory", {"beta": 1.0, "lambda_tgt": 0.05}, "lambda_tgt")]:
+            with pytest.raises(InputError, match=f"does not use {unused}"):
+                run_benchmark(self.SPEC, GAUSS, tune=tune, **extra)
         with pytest.raises(InputError, match="repetitions"):
             run_benchmark(self.SPEC, GAUSS, tune="fixed", lambda_tgt=0.1, repetitions=0)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from smooth_threshold.errors import ConvergenceWarning, InputError, NumericError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel, make_higher_order_gaussian
 from smooth_threshold.optimizer import PathConfig, path_following, suboptimality
-from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, WeightScheme,
-                                   empirical_gradient, empirical_risk)
+from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, empirical_gradient,
+                                   empirical_risk)
 from smooth_threshold import tuning
 from smooth_threshold.tuning import (
     CvResult,
@@ -291,9 +291,9 @@ class TestCrossValidation:
     def test_one_warm_started_path_per_fold(self, monkeypatch):
         # each fold walks the whole descending grid in one path; every grid
         # stage carries the final-stage certificate, recomputed here from
-        # outside the solver, and is scored on that fold's held-out split
+        # outside the solver, and is scored on that fold's held-out split;
+        # run unweighted and with random weights, which each split slices
         data = make_dataset(n=80, d=5, seed=3)
-        grid = default_lambda_grid(data, GAUSS, 1.0, num=8)
         folds = 4
         calls = []
         real = tuning.path_following
@@ -304,23 +304,29 @@ class TestCrossValidation:
             return path
 
         monkeypatch.setattr(tuning, "path_following", recording)
-        cv = cross_validate_lambda(data, GAUSS, 1.0, folds, grid, seed=2)
-        assert len(calls) == folds
-        losses = np.empty((grid.size, folds))
-        for k, (train, path) in enumerate(calls):
-            held_out = cv.fold_assignment == k
-            assert train.data.n == data.n - np.count_nonzero(held_out)
-            stages = path.stages[1:]
-            assert [stage.lam for stage in stages] == list(cv.lambda_grid)
-            for stage in stages:
-                assert stage.status == "converged"
-                assert suboptimality(train, stage.theta, stage.lam) <= 0.1 * 0.25 * stage.lam
-            test = SmoothedRiskSpec(
-                data=Dataset(x=data.x[held_out], y=data.y[held_out], z=data.z[held_out]),
-                loss=SurrogateLoss(kernel=GAUSS, bandwidth=1.0))
-            losses[:, k] = [empirical_risk(test, stage.theta) for stage in stages]
-        assert np.array_equal(cv.mean_cv_loss, losses.mean(axis=1))
-        assert any(stage.nnz > 0 for _, path in calls for stage in path.stages)
+        for w in (None, rng_for(17).uniform(0.2, 3.0, size=data.n)):
+            calls.clear()
+            grid = default_lambda_grid(data, GAUSS, 1.0, num=8, weights=w)
+            cv = cross_validate_lambda(data, GAUSS, 1.0, folds, grid, seed=2, weights=w)
+            assert len(calls) == folds
+            w_full = np.ones(data.n) if w is None else w
+            losses = np.empty((grid.size, folds))
+            for k, (train, path) in enumerate(calls):
+                held_out = cv.fold_assignment == k
+                assert train.data.n == data.n - np.count_nonzero(held_out)
+                assert np.array_equal(train.weights, w_full[~held_out])
+                stages = path.stages[1:]
+                assert [stage.lam for stage in stages] == list(cv.lambda_grid)
+                for stage in stages:
+                    assert stage.status == "converged"
+                    assert suboptimality(train, stage.theta, stage.lam) <= 0.1 * 0.25 * stage.lam
+                test = SmoothedRiskSpec(
+                    data=Dataset(x=data.x[held_out], y=data.y[held_out], z=data.z[held_out]),
+                    loss=SurrogateLoss(kernel=GAUSS, bandwidth=1.0),
+                    weights=None if w is None else w[held_out])
+                losses[:, k] = [empirical_risk(test, stage.theta) for stage in stages]
+            assert np.array_equal(cv.mean_cv_loss, losses.mean(axis=1))
+            assert any(stage.nnz > 0 for _, path in calls for stage in path.stages)
 
     def test_repeated_grid_values_share_one_stage(self):
         data = make_dataset(n=48, d=4, seed=12)
