@@ -28,7 +28,10 @@ import csv
 import json
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -94,9 +97,15 @@ def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise InputError(f"{path} is empty: no header row") from None
-        rows = list(reader)
-    if not rows:
-        raise InputError(f"{path} has a header but no data rows")
+        first = next(reader, None)
+        if first is None:
+            raise InputError(f"{path} has a header but no data rows")
+        return _parse_rows(path, header, chain([first], reader), roles)
+
+
+def _parse_rows(path, header, rows, roles):
+    """Check ``header`` against ``roles``, then parse the used cells of
+    ``rows`` one row at a time into one flat float buffer."""
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise InputError(f"duplicate column names in {path}: {dupes}")
@@ -132,28 +141,25 @@ def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
     used = [roles.response, roles.threshold] + covariates
     if roles.weight is not None:
         used.append(roles.weight)
-    positions = [index[name] for name in used]
+    pick = itemgetter(*(index[name] for name in used))
 
-    parsed = np.empty((len(rows), len(used)))
+    flat = array("d")
     bad_rows = []
-    for r, row in enumerate(rows):
-        ok = len(row) == len(header)
-        if ok:
-            for c, pos in enumerate(positions):
-                cell = row[pos].strip()
-                try:
-                    parsed[r, c] = float(cell)
-                except ValueError:
-                    ok = False
-                    break
-        if not ok:
-            bad_rows.append(r + 1)
+    for r, row in enumerate(rows, start=1):
+        if len(row) == len(header):
+            try:
+                flat.extend([float(cell.strip()) for cell in pick(row)])
+                continue
+            except ValueError:
+                pass
+        bad_rows.append(r)
     if bad_rows:
         shown = bad_rows[:20]
         suffix = "" if len(bad_rows) <= 20 else f" (and {len(bad_rows) - 20} more)"
         raise InputError(f"rows with missing or non-numeric values in used "
                          f"columns: {shown}{suffix}")
 
+    parsed = np.frombuffer(flat).reshape(-1, len(used))
     y = parsed[:, 0]
     notes = []
     values = set(np.unique(y).tolist())
@@ -268,6 +274,23 @@ def _require(args, names) -> None:
                              else f"{args.subcommand} requires --{name}")
 
 
+# tuning constants and their defaults, resolved only in the modes that read them
+_CONSTANTS = {"folds": 5, "c-delta": 1.0, "c-lambda": 1.0, "c-sel": 2.0,
+              "c-bar": 2.0}
+
+
+def _check_mode_flags(args, optional, used) -> None:
+    """Reject the flags in ``optional`` that ``--tune`` does not use, and
+    give the tuning constants it uses their defaults when unset."""
+    for name in optional:
+        attr = name.replace("-", "_")
+        if name not in used and getattr(args, attr) is not None:
+            raise InputError(f"{args.subcommand} --tune {args.tune} does not "
+                             f"use --{name}; do not pass --{name}")
+        if name in used and name in _CONSTANTS and getattr(args, attr) is None:
+            setattr(args, attr, _CONSTANTS[name])
+
+
 def _delta_grid_from_arg(text: str) -> list:
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
@@ -303,13 +326,15 @@ def _cmd_fit(args) -> None:
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
     cfg = _path_config(args)
-    used = {"fixed": ["delta", "lambda-tgt"], "theory": ["s", "beta"],
-            "cv": ["delta"], "lepski-beta": ["s"], "lepski-s": ["beta"]}[args.tune]
-    _require(args, used)
-    for name in ("delta", "lambda-tgt", "s", "beta"):
-        if name not in used and getattr(args, name.replace("-", "_")) is not None:
-            raise InputError(f"fit --tune {args.tune} does not use --{name}; "
-                             f"do not pass --{name}")
+    required, constants = {
+        "fixed": (["delta", "lambda-tgt"], []),
+        "theory": (["s", "beta"], ["c-delta", "c-lambda"]),
+        "cv": (["delta"], ["folds"]),
+        "lepski-beta": (["s"], ["c-sel", "c-lambda"]),
+        "lepski-s": (["beta"], ["c-delta", "c-lambda", "c-bar"])}[args.tune]
+    _require(args, required)
+    _check_mode_flags(args, ["delta", "lambda-tgt", "s", "beta", *_CONSTANTS],
+                      required + constants)
 
     echo = {"subcommand": "fit", "input": args.input,
             "response": args.response, "threshold": args.threshold,
@@ -407,15 +432,16 @@ def _cmd_path(args) -> None:
         path = path_following(spec, _path_config(args, args.lambda_tgt))
 
     header = ["stage", "lambda", "iterations", "nnz", "objective",
-              "exit_omega", "status"] + [f"theta_{j + 1}"
-                                         for j in range(data.d)]
+              "exit_omega", "status", "step"] + [f"theta_{j + 1}"
+                                                 for j in range(data.d)]
     rows = []
     for stage in path.stages:
         theta = stage.theta / scales
         rows.append([stage.stage_index, repr(float(stage.lam)),
                      stage.iterations, stage.nnz,
                      repr(float(stage.objective_trace[-1])),
-                     repr(float(stage.exit_omega)), stage.status]
+                     repr(float(stage.exit_omega)), stage.status,
+                     repr(float(stage.step))]
                     + [repr(float(v)) for v in theta])
     _write_csv(args.out, header, rows)
 
@@ -461,11 +487,15 @@ def _cmd_simulate(args) -> None:
 def _cmd_bench(args) -> None:
     sim = _sim_from_args(args, s=3 if args.s is None else args.s)
     kernel = get_kernel(args.kernel)
+    used = {"fixed": [], "cv": ["folds"],
+            "theory": ["c-delta", "c-lambda"]}[args.tune]
+    _check_mode_flags(args, ["folds", "c-delta", "c-lambda"], used)
+    constants = {name.replace("-", "_"): getattr(args, name.replace("-", "_"))
+                 for name in used}
 
     result = run_benchmark(sim, kernel, tune=args.tune, delta=args.delta,
                            lambda_tgt=args.lambda_tgt, beta=args.beta,
-                           c_delta=args.c_delta, c_lambda=args.c_lambda,
-                           folds=args.folds, path_cfg=_path_config(args),
+                           **constants, path_cfg=_path_config(args),
                            repetitions=args.reps, seed=args.seed)
 
     header = ["repetition", "l1", "l2", "linf", "nnz", "runtime",
@@ -483,8 +513,7 @@ def _cmd_bench(args) -> None:
             "noise": sim.noise, "kernel": args.kernel, "tune": args.tune,
             "delta": first.delta_used,
             "lambda_tgt": None if args.tune == "cv" else first.lambda_used,
-            **_solver_echo(args), "beta": args.beta, "c_delta": args.c_delta,
-            "c_lambda": args.c_lambda, "folds": args.folds,
+            **_solver_echo(args), "beta": args.beta, **constants,
             "reps": args.reps, "seed": args.seed, "out": args.out}
     doc = ["document = smooth-threshold bench"] + _config_lines(echo)
     for norm, stats in result.summary().items():
@@ -625,14 +654,19 @@ def _add_solver_flags(parser) -> None:
 
 def _add_tuning_flags(parser, modes) -> None:
     parser.add_argument("--tune", default="fixed", choices=modes)
-    parser.add_argument("--folds", type=int, default=5)
+    parser.add_argument("--folds", type=int, default=None,
+                        help="cross-validation folds for cv tuning (default 5)")
     parser.add_argument("--s", type=int, default=None,
                         help="sparsity level for theory/lepski-beta tuning")
     parser.add_argument("--beta", type=float, default=None,
                         help="smoothness level for theory/lepski-s tuning")
-    parser.add_argument("--c-delta", dest="c_delta", type=float, default=1.0)
+    parser.add_argument("--c-delta", dest="c_delta", type=float, default=None,
+                        help="bandwidth constant for theory/lepski-s tuning "
+                             "(default 1.0)")
     parser.add_argument("--c-lambda", dest="c_lambda", type=float,
-                        default=1.0)
+                        default=None,
+                        help="penalty constant for theory/lepski tuning "
+                             "(default 1.0)")
 
 
 def _add_sim_flags(parser) -> None:
@@ -675,10 +709,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(fit)
     _add_tuning_flags(fit, ("fixed", "cv", "theory", "lepski-beta",
                             "lepski-s"))
-    fit.add_argument("--c-sel", dest="c_sel", type=float, default=2.0,
-                     help="selection constant for --tune lepski-beta")
-    fit.add_argument("--c-bar", dest="c_bar", type=float, default=2.0,
-                     help="selection constant for --tune lepski-s")
+    fit.add_argument("--c-sel", dest="c_sel", type=float, default=None,
+                     help="selection constant for --tune lepski-beta "
+                          "(default 2.0)")
+    fit.add_argument("--c-bar", dest="c_bar", type=float, default=None,
+                     help="selection constant for --tune lepski-s "
+                          "(default 2.0)")
     _add_common_flags(fit)
 
     path = sub.add_parser("path", help="per-stage solution path as CSV")

@@ -7,6 +7,15 @@ ball projection); the path starts at a penalty large enough that the zero
 vector is optimal and walks a descending penalty ladder, geometric by
 default, warm starting every stage at the previous solution.
 
+Step sizes follow Barzilai & Borwein (1988) inside a monotone backtracking,
+as SpaRSA (Wright, Nowak & Figueiredo 2009) does for l1 problems.  After
+each accepted step the next first trial step is BB1, s's / s'r, where s is
+the change in theta and r the change in the gradient, clipped to
+``_STEP_RANGE``; when s'r <= 0 the last accepted step is kept.  A trial step
+that would raise the objective is halved until it does not, so every stage's
+objective trace is monotone.  The step a stage ends with is the first trial
+step of the next stage; ``PathConfig.eta`` is the first stage's.
+
 Stage accuracy is measured by the subgradient optimality gap
 
     omega(theta) = min over xi in the l1 subdifferential at theta of
@@ -31,6 +40,8 @@ from .risk import SmoothedRiskSpec, empirical_gradient, objective, _check_theta
 _TRACE_TOL = 1e-12
 _BACKTRACK_SLACK = 1e-15
 _MAX_HALVINGS = 60
+# range of the Barzilai-Borwein first trial step
+_STEP_RANGE = (1e-10, 1024.0)
 
 
 def soft_threshold(v, tau: float) -> np.ndarray:
@@ -87,9 +98,11 @@ class PathConfig:
     Exactly one of ``num_stages`` / ``phi`` drives the stage schedule; with
     both unset the path uses num_stages = 10.  ``lambda0 = None`` resolves to
     ||grad risk(0)||_inf, the smallest penalty whose solution is exactly 0.
-    ``eps_tgt = None`` resolves to 0.1 * nu * lambda_tgt.  The solver halves
-    the step whenever a step would increase the objective, so each stage's
-    trace is monotone at any ``eta``.
+    ``eps_tgt = None`` resolves to 0.1 * nu * lambda_tgt.  ``eta`` is the
+    first trial step of the first stage; later trial steps are Barzilai-
+    Borwein steps, and each stage starts from the step the one before ended
+    with.  The solver halves the step whenever a step would increase the
+    objective, so each stage's trace is monotone at any ``eta``.
     """
 
     lambda_tgt: float
@@ -143,6 +156,7 @@ class StageRecord:
     objective_trace: np.ndarray
     nnz: int
     status: str  # "initial" | "converged" | "max_iter" | "stalled"
+    step: float  # first trial step carried into the next stage
 
 
 @dataclass(frozen=True)
@@ -209,11 +223,17 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
                 f"objective after {_MAX_HALVINGS} step halvings; stopping with "
                 f"omega={omega:.3e}", ConvergenceWarning, stacklevel=3)
             break
+        s, g_prev = cand - theta, g
         theta, f, u = cand, f_cand, u_cand
         trace.append(f)
         iterations += 1
         g = empirical_gradient(spec, theta, u=u)
         omega = _subopt_from_grad(g, theta, lam)
+        # BB1 first trial step s's / s'r, summed in einsum's fixed order
+        sr = float(np.einsum("i,i->", s, g - g_prev))
+        if sr > 0:
+            step = min(max(float(np.einsum("i,i->", s, s)) / sr,
+                           _STEP_RANGE[0]), _STEP_RANGE[1])
 
     trace = np.asarray(trace)
     # monotone stage contract: each accepted step may not increase the objective
@@ -235,6 +255,8 @@ def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
     Returns the first iterate whose own optimality gap meets ``eps`` (checked
     after each update, and before the first), so a warm start that already
     satisfies the tolerance is returned unchanged with 0 iterations.
+    ``eta`` is the first trial step; ``eta_final`` is the trial step the loop
+    would try next.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"penalty level must be a nonnegative real, got {lam}")
@@ -277,6 +299,8 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
     explicit strictly descending ``lambdas`` replaces it and lambda_tgt; each
     value is solved to the final-stage tolerance (eps_tgt if set, else
     0.1 * nu * lambda).  Warm starts with gap above lambda/2 are noted.
+    Stage 1 starts at step ``config.eta`` and every later stage at the step
+    the one before ended with, recorded as ``StageRecord.step``.
     """
     ladder = None if lambdas is None else _check_ladder(lambdas)
     zero = np.zeros(spec.data.d)
@@ -311,14 +335,14 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
         stage_index=0, lam=lambda0, iterations=0,
         exit_omega=_subopt_from_grad(g0, zero, lambda0), theta=zero.copy(),
         objective_trace=np.array([objective(spec, zero, lambda0, u=u0)]),
-        nnz=0, status="initial")]
-    theta, grad, u = zero, g0, u0
+        nnz=0, status="initial", step=config.eta)]
+    theta, grad, u, step = zero, g0, u0, config.eta
     for t, (lam, eps) in enumerate(zip(lams, epss), start=len(stages)):
         warm_omega = _subopt_from_grad(grad, theta, lam)
         if t > 0 and warm_omega > 0.5 * lam + 1e-12:
             notes.append(f"stage {t}: warm-start omega {warm_omega:.3e} exceeds "
                          f"lambda/2 = {0.5 * lam:.3e}")
-        res = _inner_loop(spec, theta, lam, eps, eta=config.eta,
+        res = _inner_loop(spec, theta, lam, eps, eta=step,
                           radius=config.omega_radius,
                           max_iters=config.max_inner_iters,
                           g0=grad, u0=u)
@@ -328,8 +352,8 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
                                   exit_omega=res.exit_omega, theta=res.theta,
                                   objective_trace=res.objective_trace,
                                   nnz=int(np.count_nonzero(res.theta)),
-                                  status=res.status))
-        theta, grad, u = res.theta, res.gradient, res.margins
+                                  status=res.status, step=res.eta_final))
+        theta, grad, u, step = res.theta, res.gradient, res.margins, res.eta_final
 
     echo = replace(echo, lambda0=lambda0, eps_tgt=epss[-1])
     return SolutionPath(stages=tuple(stages), theta_final=theta,

@@ -4,9 +4,9 @@ Every test here exercises one user-facing promise at its stated tolerance
 and prints a single PASS/FAIL line carrying the measured quantities, so
 ``pytest tests/test_acceptance.py -s`` reads as a checklist.  All
 configurations are frozen (derived seeds, fixed grids), which makes each
-measured number reproducible bit for bit.  The large high-dimensional
-benchmark takes about five minutes (279 s for its five repetitions on a
-2-core x86-64 machine) and is opt-in via ``pytest -m slow``.
+measured number reproducible bit for bit.  The high-dimensional benchmark
+(d=2500 > n) is the longest check: about 23 s for its five repetitions on a
+2-core x86-64 machine.
 """
 
 import csv
@@ -112,7 +112,6 @@ def test_moderate_dimension_benchmark_accuracy():
            f"mean linf = {linf:.4f} in [0.015, 0.045], {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_high_dimension_benchmark_accuracy():
     # Same protocol at d=2500, s=50; five repetitions.
     sim = SimSpec(model="conditional_mean", n=2000, d=2500, s=50, mu=2.0,
@@ -130,23 +129,29 @@ def test_high_dimension_benchmark_accuracy():
 def test_path_objective_monotone_with_linear_tail():
     # Each homotopy stage must never increase the objective, and the final
     # stage should converge linearly: log(f(theta_k) - f(theta_final)) is
-    # close to affine in k.
+    # close to affine in k.  At the default tolerance the final stage takes
+    # too few iterations to fit a line, so the tail is read off a path run
+    # to eps_tgt = 1e-9.
     data, _ = generate(BENCH_SIM)
     spec = SmoothedRiskSpec(data=data, loss=SurrogateLoss(GAUSS, 1.0))
     path = path_following(spec, PathConfig(lambda_tgt=0.01))
     worst_rise = max(float(np.max(np.diff(st.objective_trace), initial=-np.inf))
                      for st in path.stages)
-    trace = path.stages[-1].objective_trace
+    tight = path_following(spec, PathConfig(lambda_tgt=0.01, eps_tgt=1e-9))
+    trace = tight.stages[-1].objective_trace
     gap = trace - trace[-1]
     keep = np.flatnonzero(gap > max(1e-14, 1e-10 * abs(trace[-1])))
-    log_gap = np.log(gap[keep])
-    slope, intercept = np.polyfit(keep, log_gap, 1)
-    resid = log_gap - (slope * keep + intercept)
-    r2 = 1.0 - float(resid.var() / log_gap.var())
-    ok = worst_rise <= 1e-12 and r2 >= 0.9
+    r2 = float("nan")
+    if keep.size >= 4:
+        log_gap = np.log(gap[keep])
+        slope, intercept = np.polyfit(keep, log_gap, 1)
+        resid = log_gap - (slope * keep + intercept)
+        r2 = 1.0 - float(resid.var() / log_gap.var())
+    ok = worst_rise <= 1e-12 and keep.size >= 4 and r2 >= 0.9
     report("path monotonicity and linear convergence", ok,
            f"max objective rise = {worst_rise:.2e} (tol 1e-12), "
-           f"log-gap R^2 = {r2:.4f} (want >= 0.9) over {keep.size} iterations")
+           f"log-gap R^2 = {r2:.4f} (want >= 0.9) over {keep.size} "
+           f"iterations (want >= 4)")
 
 
 def test_analytic_gradient_matches_finite_differences():

@@ -103,6 +103,12 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="no data rows"):
             load_csv(str(headeronly))
 
+    def test_missing_data_rows_reported_before_column_checks(self, tmp_path):
+        headeronly = tmp_path / "h.csv"
+        headeronly.write_text("a,a\n")
+        with pytest.raises(InputError, match="no data rows"):
+            load_csv(str(headeronly))
+
     def test_non_binary_response_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
         write_csv(path, ["y", "x", "z1"], [[2, 0.5, 0.1], [-1, 0.2, 0.3]])
@@ -317,6 +323,39 @@ class TestFit:
             assert json.loads(err)["message"] == \
                 f"fit --tune {tune[0]} does not use {flag}; do not pass {flag}"
 
+    @pytest.mark.parametrize("tune,used", [
+        (["fixed", "--delta", "0.5", "--lambda-tgt", "0.1"], {}),
+        (["theory", "--s", "2", "--beta", "1.0"],
+         {"c_delta": "1.0", "c_lambda": "1.0"}),
+        (["cv", "--delta", "0.5"], {"folds": "5"}),
+        (["lepski-beta", "--s", "2"], {"c_sel": "2.0", "c_lambda": "1.0"}),
+        (["lepski-s", "--beta", "1.0"],
+         {"c_delta": "1.0", "c_lambda": "1.0", "c_bar": "2.0"}),
+    ], ids=["fixed", "theory", "cv", "lepski-beta", "lepski-s"])
+    def test_rejects_constants_the_mode_ignores(self, sim_csv, capsys, tune,
+                                                used):
+        # unset constants resolve to their defaults only where they are read
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune"] + tune,
+                                 capsys)
+        assert code == 0, err
+        constants = {"folds": "4", "c_delta": "1.0", "c_lambda": "1.0",
+                     "c_sel": "2.0", "c_bar": "2.0"}
+        for key in constants:
+            if key in used:
+                assert doc_value(out, f"config {key}") == used[key]
+            else:
+                assert f"config {key} = " not in out
+        for key, value in constants.items():
+            if key in used:
+                continue
+            flag = "--" + key.replace("_", "-")
+            code, out, err = run_cli(["fit", "--input", sim_csv, "--tune"]
+                                     + tune + [flag, value], capsys)
+            assert code == 2, flag
+            assert out == ""
+            assert json.loads(err)["message"] == \
+                f"fit --tune {tune[0]} does not use {flag}; do not pass {flag}"
+
 
 class TestPath:
     def test_stage_table_schema_and_monotonicity(self, sim_csv, tmp_path,
@@ -328,12 +367,14 @@ class TestPath:
         assert code == 0, err
         rows = list(csv.reader(open(out)))
         header = rows[0]
-        assert header[:7] == ["stage", "lambda", "iterations", "nnz",
-                              "objective", "exit_omega", "status"]
-        assert header[7:] == [f"theta_{j}" for j in range(1, 9)]
+        assert header[:8] == ["stage", "lambda", "iterations", "nnz",
+                              "objective", "exit_omega", "status", "step"]
+        assert header[8:] == [f"theta_{j}" for j in range(1, 9)]
         body = rows[1:]
         lams = [float(r[1]) for r in body]
         assert all(a > b for a, b in zip(lams, lams[1:]))
+        assert float(body[0][7]) == 1.0  # the --eta default, carried into stage 1
+        assert all(0 < float(r[7]) <= 1024 for r in body)
         nnz = [int(r[3]) for r in body]
         steps = [b >= a for a, b in zip(nnz, nnz[1:])]
         assert sum(steps) >= 0.9 * len(steps)
@@ -469,6 +510,32 @@ class TestBench:
             assert lambda_echo == "none"
         else:
             assert {r["lambda_used"] for r in rows} == {lambda_echo}
+
+    @pytest.mark.parametrize("tune,flags,used", [
+        ("fixed", ["--lambda-tgt", "0.05"], {}),
+        ("cv", [], {"folds": "5"}),
+        ("theory", ["--beta", "1.0"], {"c_delta": "1.0", "c_lambda": "1.0"}),
+    ], ids=["fixed", "cv", "theory"])
+    def test_rejects_constants_the_mode_ignores(self, tmp_path, capsys, tune,
+                                                flags, used):
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--model", "conditional_mean", "--n", "120",
+                "--d", "6", "--s", "2", "--noise-sd", "1.0", "--tune", tune,
+                "--reps", "1", "--out", str(out)] + flags
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        run_doc = open(str(out) + ".run.txt").read()
+        for key in ("folds", "c_delta", "c_lambda"):
+            if key in used:
+                assert doc_value(run_doc, f"config {key}") == used[key]
+            else:
+                assert f"config {key} = " not in run_doc
+                flag = "--" + key.replace("_", "-")
+                code, stdout, err = run_cli(argv + [flag, "3"], capsys)
+                assert code == 2, flag
+                assert stdout == ""
+                assert json.loads(err)["message"] == \
+                    f"bench --tune {tune} does not use {flag}; do not pass {flag}"
 
 
 class TestToyRisks:

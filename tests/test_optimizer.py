@@ -368,7 +368,8 @@ def test_stage_margins_carried_to_next_stage(monkeypatch):
 
 
 def _geometric_path_oracle(spec, cfg):
-    """The geometric path rebuilt stage by stage from ``proximal_gradient``."""
+    """The geometric path rebuilt stage by stage from ``proximal_gradient``,
+    each stage's first trial step being the step the stage before carried."""
     zero = np.zeros(spec.data.d)
     g0 = empirical_gradient(spec, zero)
     lam0 = float(np.max(np.abs(g0)))
@@ -377,16 +378,16 @@ def _geometric_path_oracle(spec, cfg):
     phi = (cfg.lambda_tgt / lam0) ** (1.0 / num)
     lams = [lam0 * phi ** t for t in range(1, num)] + [cfg.lambda_tgt]
     stages = [(0, lam0, 0, _subopt_from_grad(g0, zero, lam0), zero,
-               np.array([objective(spec, zero, lam0)]), 0, "initial")]
-    theta = zero
+               np.array([objective(spec, zero, lam0)]), 0, "initial", cfg.eta)]
+    theta, step = zero, cfg.eta
     for t, lam in enumerate(lams, start=1):
         eps = cfg.nu * lam if t < num else eps_tgt
-        res = proximal_gradient(spec, theta, lam, eps, eta=cfg.eta,
+        res = proximal_gradient(spec, theta, lam, eps, eta=step,
                                 radius=cfg.omega_radius)
-        theta = res.theta
+        theta, step = res.theta, res.eta_final
         stages.append((t, lam, res.iterations, res.exit_omega, theta,
                        res.objective_trace, int(np.count_nonzero(theta)),
-                       res.status))
+                       res.status, step))
     return stages
 
 
@@ -399,10 +400,11 @@ def test_default_ladder_stages_are_byte_identical(eta):
     path = path_following(spec, cfg)
     expect = _geometric_path_oracle(spec, cfg)
     assert len(path.stages) == len(expect)
-    for rec, (t, lam, iters, omega, theta, trace, nnz, status) in zip(
+    for rec, (t, lam, iters, omega, theta, trace, nnz, status, step) in zip(
             path.stages, expect):
         assert (rec.stage_index, rec.lam, rec.iterations, rec.exit_omega,
-                rec.nnz, rec.status) == (t, lam, iters, omega, nnz, status)
+                rec.nnz, rec.status, rec.step) == (t, lam, iters, omega, nnz,
+                                                    status, step)
         assert rec.theta.tobytes() == theta.tobytes()
         assert rec.objective_trace.tobytes() == trace.tobytes()
     assert path.theta_final.tobytes() == expect[-1][4].tobytes()
@@ -444,3 +446,74 @@ def test_invalid_ladder_rejected(ladder):
     spec = random_spec(n=50, d=4, seed=13)
     with pytest.raises(InputError, match="penalty ladder"):
         path_following(spec, PathConfig(lambda_tgt=0.05), lambdas=ladder)
+
+
+def test_step_kept_when_curvature_is_not_positive():
+    # all-zero covariates: the gradient never changes, so s'r = 0 and the
+    # Barzilai-Borwein step is undefined; the loop keeps the step it has
+    data = Dataset(x=[0.5, -0.3], y=[1.0, -1.0], z=np.zeros((2, 3)))
+    spec = SmoothedRiskSpec(data=data,
+                            loss=SurrogateLoss(kernel=get_kernel("gaussian"),
+                                               bandwidth=1.0))
+    for eta in (1.0, 0.25):
+        res = proximal_gradient(spec, np.array([0.95, -0.1, 0.4]), 0.3,
+                                eps=0.15, eta=eta)
+        assert res.iterations == math.ceil(0.95 / (0.3 * eta)) > 1
+        assert res.eta_final == eta
+
+
+def test_stage_starts_at_step_carried_from_previous_stage(monkeypatch):
+    spec = random_spec(n=120, d=6, seed=31)
+    real = optimizer._inner_loop
+    calls = []
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((kwargs["eta"], res.eta_final))
+        return res
+
+    monkeypatch.setattr(optimizer, "_inner_loop", spy)
+    cfg = PathConfig(lambda_tgt=0.02, num_stages=8, eta=0.5)
+    path = path_following(spec, cfg)
+    assert len(calls) == 8
+    assert calls[0][0] == 0.5
+    for (_, carried), (first, _) in zip(calls, calls[1:]):
+        assert first == carried
+    assert [rec.step for rec in path.stages] == [0.5] + [c[1] for c in calls]
+    # the step adapts: it does not stay at eta
+    assert any(c[1] != 0.5 for c in calls)
+
+
+def test_barzilai_borwein_step_is_clipped(monkeypatch):
+    spec = random_spec(n=120, d=6, seed=31)
+    zero = np.zeros(6)
+    lam = 0.02
+
+    def one_step():
+        with pytest.warns(ConvergenceWarning):
+            return proximal_gradient(spec, zero, lam, eps=1e-12, max_iters=1)
+
+    res = one_step()
+    assert res.iterations == 1
+    s = res.theta - zero
+    r = res.gradient - empirical_gradient(spec, zero)
+    assert s @ r > 0
+    bb = (s @ s) / (s @ r)
+    assert optimizer._STEP_RANGE == (1e-10, 1024.0)
+    assert res.eta_final == pytest.approx(bb, rel=1e-12)
+    monkeypatch.setattr(optimizer, "_STEP_RANGE", (1e-10, bb / 4))
+    assert one_step().eta_final == bb / 4
+    monkeypatch.setattr(optimizer, "_STEP_RANGE", (4 * bb, 8 * bb))
+    assert one_step().eta_final == 4 * bb
+
+
+# total iterations of PathConfig(lambda_tgt=0.005) on random_spec(n=200,
+# d=20, seed=5) with the fixed step eta=1 at every iteration of every stage
+_FIXED_STEP_ITERATIONS = 187
+
+
+def test_adaptive_step_needs_fewer_iterations_than_fixed_step():
+    spec = random_spec(n=200, d=20, seed=5)
+    path = path_following(spec, PathConfig(lambda_tgt=0.005))
+    assert path.stages[-1].status == "converged"
+    assert sum(rec.iterations for rec in path.stages) < _FIXED_STEP_ITERATIONS

@@ -287,7 +287,6 @@ class TestBenchmark:
         res = run_benchmark(self.SPEC, GAUSS, tune="cv", repetitions=2, seed=11, folds=4)
         assert len({r.lambda_used for r in res.rows}) == 2  # re-tuned per repetition
 
-    @pytest.mark.slow
     def test_logistic_noise_accuracy_band(self):
         # heavier-tailed noise roughly triples the error of the frozen
         # gaussian-noise run at the same size; the band brackets that level
