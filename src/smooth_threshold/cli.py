@@ -77,35 +77,80 @@ def _fmt(value) -> str:
 
 
 def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
-    """Read a header-first CSV into a Dataset.
+    """Read a header-first UTF-8 CSV into a Dataset.
 
     Returns ``(dataset, weights, notes)``; ``weights`` is the weight column
     as an array, or None when ``roles.weight`` is unset.  The response
     column must be coded {-1,+1} or {0,1}; in the latter case 0 is mapped to
     -1 and a note records the recoding.  Rows with a missing or non-numeric
-    value in any used column abort the load with their row numbers (1 =
-    first data row) listed.
+    value in any used column, blank lines among them, abort the load with
+    their row numbers (1 = first data row) listed.
+
+    A seekable file whose every cell is a plain number is parsed in one pass
+    of numpy's C text reader.  Any other file (quoted cells, blank lines,
+    ``1_000`` cells, text in unused columns, a pipe) is parsed row by row by
+    the ``csv`` module; both give the same arrays, notes and errors.
     """
     roles = roles or ColumnRoles()
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path} is empty: no header row") from None
-        first = next(reader, None)
-        if first is None:
-            raise InputError(f"{path} has a header but no data rows")
-        return _parse_rows(path, header, chain([first], reader), roles)
+    try:
+        with handle:
+            parsed, d = _read_columns(path, handle, roles, delimiter)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path} as UTF-8 (byte "
+                         f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    except csv.Error as exc:  # e.g. a stray quote runs past the field limit
+        raise InputError(f"cannot parse {path} as CSV: {exc}") from None
+
+    y = parsed[:, 0]
+    notes = []
+    values = set(np.unique(y).tolist())
+    if values <= {0.0, 1.0} and 0.0 in values:
+        y = np.where(y == 0.0, -1.0, 1.0)
+        notes.append(f"response column {roles.response!r} coded {{0,1}}: "
+                     f"0 mapped to -1")
+    elif not values <= {-1.0, 1.0}:
+        raise InputError(f"response column {roles.response!r} must be coded "
+                         f"{{-1,+1}} or {{0,1}}; saw {sorted(values)[:6]}")
+
+    data = Dataset(x=parsed[:, 1], y=y, z=parsed[:, 2:2 + d])
+    weights = None if roles.weight is None else parsed[:, -1]
+    return data, weights, notes
 
 
-def _parse_rows(path, header, rows, roles):
-    """Check ``header`` against ``roles``, then parse the used cells of
-    ``rows`` one row at a time into one flat float buffer."""
+def _read_columns(path, handle, roles, delimiter):
+    """The used columns ``[response, threshold, covariates..., weight]`` of
+    every data row as one float table, and the number of covariates."""
+    # readline, not iteration, so that tell() still works after the header
+    reader = csv.reader(iter(handle.readline, ""), delimiter=delimiter)
+    try:
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise InputError(f"{path} is empty: no header row") from None
+    start = handle.tell() if handle.seekable() else None
+    first = handle.readline()
+    if not first:
+        raise InputError(f"{path} has a header but no data rows")
+    columns, d = _used_columns(path, header, roles)
+
+    lines = chain([first], handle)
+    if start is not None:
+        table = _read_table(path, lines, len(header), reader.line_num,
+                            delimiter)
+        if table is not None:
+            return table[:, columns], d
+        handle.seek(start)
+        lines = handle
+    return _parse_rows(csv.reader(lines, delimiter=delimiter), len(header),
+                       columns), d
+
+
+def _used_columns(path, header, roles):
+    """Check ``header`` against ``roles``; return the header indices of the
+    used columns and the number of covariates."""
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise InputError(f"duplicate column names in {path}: {dupes}")
@@ -141,12 +186,54 @@ def _parse_rows(path, header, rows, roles):
     used = [roles.response, roles.threshold] + covariates
     if roles.weight is not None:
         used.append(roles.weight)
-    pick = itemgetter(*(index[name] for name in used))
+    return [index[name] for name in used], len(covariates)
 
+
+def _read_table(path, lines, width, header_lines, delimiter):
+    """Every cell of the data ``lines`` of ``path`` as an ``(n, width)``
+    float table read by numpy's C reader, or None when the row parser has to
+    read them: some cell is not a plain number, or numpy saw other rows than
+    ``csv`` would (it skips blank lines)."""
+    try:
+        with warnings.catch_warnings():
+            # a data section of blank lines only warns "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(lines, dtype=float, delimiter=delimiter,
+                               comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (_line_count(path) - header_lines, width):
+        return None
+    return table
+
+
+_CHUNK_BYTES = 1 << 20
+
+
+def _line_count(path) -> int:
+    """Lines of ``path`` as a text handle opened with ``newline=""`` yields
+    them (ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``), counted in
+    binary chunks."""
+    ends, tail = 0, b""
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(_CHUNK_BYTES), b""):
+            ends += chunk.count(b"\n")
+            if b"\r" in chunk:  # spares plain files two more scans
+                ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+            ends -= tail == b"\r" and chunk[:1] == b"\n"
+            tail = chunk[-1:]
+    return ends + (tail not in (b"", b"\n", b"\r"))
+
+
+def _parse_rows(rows, width, columns):
+    """Parse the ``columns`` cells of ``csv`` records ``rows`` one row at a
+    time into one flat float buffer; name every row that is not ``width``
+    cells long or has a non-numeric used cell."""
+    pick = itemgetter(*columns)
     flat = array("d")
     bad_rows = []
     for r, row in enumerate(rows, start=1):
-        if len(row) == len(header):
+        if len(row) == width:
             try:
                 flat.extend([float(cell.strip()) for cell in pick(row)])
                 continue
@@ -158,22 +245,7 @@ def _parse_rows(path, header, rows, roles):
         suffix = "" if len(bad_rows) <= 20 else f" (and {len(bad_rows) - 20} more)"
         raise InputError(f"rows with missing or non-numeric values in used "
                          f"columns: {shown}{suffix}")
-
-    parsed = np.frombuffer(flat).reshape(-1, len(used))
-    y = parsed[:, 0]
-    notes = []
-    values = set(np.unique(y).tolist())
-    if values <= {0.0, 1.0} and 0.0 in values:
-        y = np.where(y == 0.0, -1.0, 1.0)
-        notes.append(f"response column {roles.response!r} coded {{0,1}}: "
-                     f"0 mapped to -1")
-    elif not values <= {-1.0, 1.0}:
-        raise InputError(f"response column {roles.response!r} must be coded "
-                         f"{{-1,+1}} or {{0,1}}; saw {sorted(values)[:6]}")
-
-    data = Dataset(x=parsed[:, 1], y=y, z=parsed[:, 2:2 + len(covariates)])
-    weights = None if roles.weight is None else parsed[:, -1]
-    return data, weights, notes
+    return np.frombuffer(flat).reshape(-1, len(columns))
 
 
 def _roles_from_args(args) -> ColumnRoles:

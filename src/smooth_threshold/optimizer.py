@@ -305,7 +305,7 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
     ladder = None if lambdas is None else _check_ladder(lambdas)
     zero = np.zeros(spec.data.d)
     notes = []
-    u0 = spec.margins(zero)
+    u0 = spec.data.y * spec.data.x  # margins at theta = 0, without the z pass
     g0 = empirical_gradient(spec, zero, u=u0)
     lambda0 = config.lambda0 if config.lambda0 is not None \
         else float(np.max(np.abs(g0)))

@@ -346,7 +346,8 @@ def test_geometric_objective_decay_in_final_stage():
 
 def test_stage_margins_carried_to_next_stage(monkeypatch):
     # each stage starts from the margins of the previous stage's last accepted
-    # candidate, so margins are computed once per candidate plus once at zero
+    # candidate, and the margins at zero are y * x, so margins are computed
+    # exactly once per candidate
     spec = random_spec(n=80, d=4, seed=19)
     counts = {"margins": 0, "candidates": 0}
 
@@ -364,7 +365,15 @@ def test_stage_margins_carried_to_next_stage(monkeypatch):
     path = path_following(spec, PathConfig(lambda_tgt=0.02, num_stages=6, eta=50.0))
     assert len(path.stages) == 7
     assert counts["candidates"] > sum(r.iterations for r in path.stages)
-    assert counts["margins"] == counts["candidates"] + 1
+    assert counts["margins"] == counts["candidates"]
+
+
+@pytest.mark.parametrize("d", [64, 256, 2500])
+def test_margins_at_zero_are_y_times_x(d):
+    # path_following takes y * x as the margins at theta = 0, without a z pass
+    spec = random_spec(n=2000, d=d, seed=d)
+    zero = np.zeros(d)
+    assert (spec.data.y * spec.data.x).tobytes() == spec.margins(zero).tobytes()
 
 
 def _geometric_path_oracle(spec, cfg):
