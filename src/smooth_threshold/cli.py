@@ -42,9 +42,8 @@ from .kernels import BUILTIN_KERNELS, SurrogateLoss, get_kernel
 from .optimizer import PathConfig, path_following
 from .risk import Dataset, SmoothedRiskSpec
 from .simulate import SimSpec, generate, run_benchmark, toy_population_risks
-from .tuning import (TuningSchedule, cross_validate_lambda,
-                     default_lambda_grid, lepski_bandwidth, lepski_sparsity,
-                     target_lambda, theoretical_bandwidth)
+from .tuning import (TUNING_DEFAULTS, TUNING_MODES, lepski_bandwidth,
+                     lepski_sparsity, mode_parameters, tuned_penalty)
 
 __all__ = ["ColumnRoles", "load_csv", "main"]
 
@@ -312,10 +311,12 @@ def _write_doc(lines, out) -> None:
             handle.write(text)
 
 
+def _require_out(args, what: str = "a CSV table") -> None:
+    if args.out is None:
+        raise InputError(f"{args.subcommand} writes {what}; --out is required")
+
+
 def _write_csv(out, header, rows) -> None:
-    if out is None:
-        raise InputError("this subcommand writes a CSV table; --out is "
-                         "required")
     with _open_out(out, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -337,30 +338,25 @@ def _sim_from_args(args, s=None) -> SimSpec:
                    noise_sd=args.noise_sd, noise=args.noise, seed=args.seed)
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _require(args, names) -> None:
     for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise InputError(f"{args.subcommand} with --tune {args.tune} "
-                             f"requires --{name}"
-                             if getattr(args, "tune", None)
-                             else f"{args.subcommand} requires --{name}")
+        if getattr(args, name) is None:
+            raise InputError(f"{args.subcommand} requires {_flag(name)}")
 
 
-# tuning constants and their defaults, resolved only in the modes that read them
-_CONSTANTS = {"folds": 5, "c-delta": 1.0, "c-lambda": 1.0, "c-sel": 2.0,
-              "c-bar": 2.0}
-
-
-def _check_mode_flags(args, optional, used) -> None:
-    """Reject the flags in ``optional`` that ``--tune`` does not use, and
-    give the tuning constants it uses their defaults when unset."""
-    for name in optional:
-        attr = name.replace("-", "_")
-        if name not in used and getattr(args, attr) is not None:
-            raise InputError(f"{args.subcommand} --tune {args.tune} does not "
-                             f"use --{name}; do not pass --{name}")
-        if name in used and name in _CONSTANTS and getattr(args, attr) is None:
-            setattr(args, attr, _CONSTANTS[name])
+def _tuning_params(args, skip=(), defaults=None) -> dict:
+    """The parameters ``--tune`` reads (``tuning.mode_parameters``), checked
+    against the tuning flags of the subcommand other than ``skip``."""
+    names = dict.fromkeys(chain.from_iterable(TUNING_MODES.values()))
+    given = {name: getattr(args, name, None) for name in names
+             if name not in skip}
+    return mode_parameters(args.tune, given,
+                           f"{args.subcommand} --tune {args.tune}", _flag,
+                           defaults)
 
 
 def _delta_grid_from_arg(text: str) -> list:
@@ -395,89 +391,60 @@ def _warning_lines(caught) -> list:
 
 
 def _cmd_fit(args) -> None:
+    params = _tuning_params(args)
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
     cfg = _path_config(args)
-    required, constants = {
-        "fixed": (["delta", "lambda-tgt"], []),
-        "theory": (["s", "beta"], ["c-delta", "c-lambda"]),
-        "cv": (["delta"], ["folds"]),
-        "lepski-beta": (["s"], ["c-sel", "c-lambda"]),
-        "lepski-s": (["beta"], ["c-delta", "c-lambda", "c-bar"])}[args.tune]
-    _require(args, required)
-    _check_mode_flags(args, ["delta", "lambda-tgt", "s", "beta", *_CONSTANTS],
-                      required + constants)
 
     echo = {"subcommand": "fit", "input": args.input,
             "response": args.response, "threshold": args.threshold,
             "covariates": args.covariates or "rest",
             "weight": args.weight, "standardize": args.standardize,
             "kernel": args.kernel, "tune": args.tune, "seed": args.seed,
-            **_solver_echo(args)}
+            **_solver_echo(args), **params}
     lines = ["document = smooth-threshold fit"]
-    extra = []
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if args.tune == "fixed":
-            echo.update(delta=args.delta, lambda_tgt=args.lambda_tgt)
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                    weights)
-            path = path_following(spec, replace(cfg, lambda_tgt=args.lambda_tgt))
-            extra = _fit_lines(path, scales)
-        elif args.tune == "theory":
-            sched = TuningSchedule(n=data.n, d=data.d, s=args.s,
-                                   beta=args.beta, c_delta=args.c_delta,
-                                   c_lambda=args.c_lambda)
-            delta = theoretical_bandwidth(sched)
-            lam = target_lambda(data.n, data.d, delta, args.c_lambda)
-            echo.update(s=args.s, beta=args.beta, c_delta=args.c_delta,
-                        c_lambda=args.c_lambda, delta=delta, lambda_tgt=lam)
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
-            path = path_following(spec, replace(cfg, lambda_tgt=lam))
-            extra = [f"result delta = {_fmt(delta)}"] + _fit_lines(path, scales)
-        elif args.tune == "cv":
-            grid = default_lambda_grid(data, kernel, args.delta,
-                                       weights=weights)
-            result = cross_validate_lambda(data, kernel, args.delta,
-                                           args.folds, grid, args.seed,
-                                           weights=weights, path_cfg=cfg)
-            echo.update(delta=args.delta, folds=args.folds,
-                        lambda_grid=np.asarray(grid))
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                    weights)
-            path = path_following(spec, replace(cfg, lambda_tgt=result.lambda_1se))
-            extra = ["table cv: lambda mean_cv_loss se_cv_loss"]
-            for lam, mean, se in zip(result.lambda_grid, result.mean_cv_loss,
-                                     result.se_cv_loss):
-                extra.append(f"row cv = {_fmt(lam)} {_fmt(mean)} {_fmt(se)}")
-            extra += [f"result lambda_min = {_fmt(result.lambda_min)}",
-                      f"result lambda_1se = {_fmt(result.lambda_1se)}"] \
-                + _fit_lines(path, scales)
-        elif args.tune == "lepski-beta":
-            echo.update(s=args.s, c_sel=args.c_sel, c_lambda=args.c_lambda)
+        if args.tune == "lepski-beta":
             delta_hat, theta, fits = lepski_bandwidth(
-                data, kernel, args.s, c_sel=args.c_sel, c_lambda=args.c_lambda,
-                path_cfg=cfg, weights=weights)
+                data, kernel, **params, path_cfg=cfg, weights=weights)
             extra = _lepski_lines(fits, scales,
                                   selected=f"result delta_hat = {_fmt(delta_hat)}",
                                   theta=theta)
-        else:  # lepski-s
-            echo.update(beta=args.beta, c_delta=args.c_delta,
-                        c_lambda=args.c_lambda, c_bar=args.c_bar)
+        elif args.tune == "lepski-s":
             s_hat, theta, fits = lepski_sparsity(
-                data, kernel, args.beta, c_delta=args.c_delta,
-                c_lambda=args.c_lambda, c_bar=args.c_bar, path_cfg=cfg,
-                weights=weights)
+                data, kernel, **params, path_cfg=cfg, weights=weights)
             extra = _lepski_lines(fits, scales,
                                   selected=f"result s_hat = {s_hat}",
                                   theta=theta)
+        else:
+            delta, lam, cv = tuned_penalty(data, kernel, args.tune, params,
+                                           args.seed, weights, cfg)
+            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
+            path = path_following(spec, replace(cfg, lambda_tgt=lam))
+            extra = _fit_lines(path, scales)
+            if args.tune == "theory":
+                extra = [f"result delta = {_fmt(delta)}"] + extra
+            if cv is None:
+                echo.update(delta=delta, lambda_tgt=lam)
+            else:
+                echo["lambda_grid"] = cv.lambda_grid
+                extra = _cv_lines(cv) + extra
 
     lines += _config_lines(echo)
     lines += [f"note: {n}" for n in notes]
     lines += extra
     lines += _warning_lines(caught)
     _write_doc(lines, args.out)
+
+
+def _cv_lines(cv) -> list:
+    lines = ["table cv: lambda mean_cv_loss se_cv_loss"]
+    for lam, mean, se in zip(cv.lambda_grid, cv.mean_cv_loss, cv.se_cv_loss):
+        lines.append(f"row cv = {_fmt(lam)} {_fmt(mean)} {_fmt(se)}")
+    return lines + [f"result lambda_min = {_fmt(cv.lambda_min)}",
+                    f"result lambda_1se = {_fmt(cv.lambda_1se)}"]
 
 
 def _lepski_lines(fits, scales, selected: str, theta) -> list:
@@ -494,9 +461,10 @@ def _lepski_lines(fits, scales, selected: str, theta) -> list:
 
 
 def _cmd_path(args) -> None:
+    _require(args, ["delta", "lambda_tgt"])
+    _require_out(args)
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
-    _require(args, ["delta", "lambda-tgt"])
     spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta), weights)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -532,10 +500,9 @@ def _cmd_path(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    _require_out(args, "CSV files")
     sim = _sim_from_args(args)
     data, theta_star = generate(sim)
-    if args.out is None:
-        raise InputError("simulate writes CSV files; --out is required")
 
     header = ["y", "x"] + [f"z{j + 1}" for j in range(sim.d)]
     rows = [[repr(float(data.y[i])), repr(float(data.x[i]))]
@@ -557,17 +524,18 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_bench(args) -> None:
+    _require_out(args)
     sim = _sim_from_args(args, s=3 if args.s is None else args.s)
     kernel = get_kernel(args.kernel)
-    used = {"fixed": [], "cv": ["folds"],
-            "theory": ["c-delta", "c-lambda"]}[args.tune]
-    _check_mode_flags(args, ["folds", "c-delta", "c-lambda"], used)
-    constants = {name.replace("-", "_"): getattr(args, name.replace("-", "_"))
-                 for name in used}
+    # --s is the simulated sparsity, read by theory tuning as its s
+    params = _tuning_params(args, skip=("s",),
+                            defaults={"delta": 1.0, "s": sim.s})
+    params.pop("s", None)
+    constants = {name: value for name, value in params.items()
+                 if name in TUNING_DEFAULTS}
 
-    result = run_benchmark(sim, kernel, tune=args.tune, delta=args.delta,
-                           lambda_tgt=args.lambda_tgt, beta=args.beta,
-                           **constants, path_cfg=_path_config(args),
+    result = run_benchmark(sim, kernel, tune=args.tune, **params,
+                           path_cfg=_path_config(args),
                            repetitions=args.reps, seed=args.seed)
 
     header = ["repetition", "l1", "l2", "linf", "nnz", "runtime",
@@ -595,6 +563,7 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_toy_risks(args) -> None:
+    _require_out(args)
     if args.grid_step <= 0:
         raise InputError(f"--grid-step must be positive, got {args.grid_step}")
     if args.grid_stop < args.grid_start:
@@ -627,14 +596,13 @@ def _cmd_diagnose(args) -> None:
     notes = []
 
     if args.probe == "gradient":
-        data, weights, notes, _ = _load_input(args)
         _require(args, ["delta"])
+        step = 1e-5 if args.step is None else args.step
+        data, weights, notes, _ = _load_input(args)
         spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
                                 weights)
-        echo.update(input=args.input, delta=args.delta,
-                    step=args.step or 1e-5)
-        report = gradient_check(spec, np.zeros(data.d),
-                                step=args.step or 1e-5)
+        echo.update(input=args.input, delta=args.delta, step=step)
+        report = gradient_check(spec, np.zeros(data.d), step=step)
     elif args.probe == "variance":
         sim = _sim_from_args(args)
         grid = _delta_grid_from_arg(args.delta_grid)
@@ -654,26 +622,25 @@ def _cmd_diagnose(args) -> None:
                             num_directions=args.num_directions,
                             seed=args.seed)
     else:  # curvature
+        _require(args, ["delta"])
+        step = 1e-3 if args.step is None else args.step
         if args.input is not None:
             data, weights, notes, _ = _load_input(args)
-            _require(args, ["delta"])
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
                                     weights)
             echo.update(input=args.input, delta=args.delta)
         else:
             sim = _sim_from_args(args)
-            _require(args, ["delta"])
             data, _ = generate(sim)
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta))
             echo.update(model=sim.model, n=sim.n, d=sim.d, s=sim.s,
                         delta=args.delta)
         echo.update(support_size=args.support_size,
                     num_directions=args.num_directions,
-                    ball_radius=args.ball_radius, step=args.step or 1e-3)
+                    ball_radius=args.ball_radius, step=step)
         _, _, report = restricted_curvature_probe(
             spec, args.support_size, num_directions=args.num_directions,
-            ball_radius=args.ball_radius, seed=args.seed,
-            step=args.step or 1e-3)
+            ball_radius=args.ball_radius, seed=args.seed, step=step)
 
     lines = ["document = smooth-threshold diagnose"] + _config_lines(echo)
     lines += [f"note: {n}" for n in notes]
@@ -727,18 +694,19 @@ def _add_solver_flags(parser) -> None:
 def _add_tuning_flags(parser, modes) -> None:
     parser.add_argument("--tune", default="fixed", choices=modes)
     parser.add_argument("--folds", type=int, default=None,
-                        help="cross-validation folds for cv tuning (default 5)")
+                        help="cross-validation folds for cv tuning (default "
+                             f"{TUNING_DEFAULTS['folds']})")
     parser.add_argument("--s", type=int, default=None,
                         help="sparsity level for theory/lepski-beta tuning")
     parser.add_argument("--beta", type=float, default=None,
                         help="smoothness level for theory/lepski-s tuning")
     parser.add_argument("--c-delta", dest="c_delta", type=float, default=None,
                         help="bandwidth constant for theory/lepski-s tuning "
-                             "(default 1.0)")
+                             f"(default {TUNING_DEFAULTS['c_delta']})")
     parser.add_argument("--c-lambda", dest="c_lambda", type=float,
                         default=None,
                         help="penalty constant for theory/lepski tuning "
-                             "(default 1.0)")
+                             f"(default {TUNING_DEFAULTS['c_lambda']})")
 
 
 def _add_sim_flags(parser) -> None:
@@ -783,10 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "lepski-s"))
     fit.add_argument("--c-sel", dest="c_sel", type=float, default=None,
                      help="selection constant for --tune lepski-beta "
-                          "(default 2.0)")
+                          f"(default {TUNING_DEFAULTS['c_sel']})")
     fit.add_argument("--c-bar", dest="c_bar", type=float, default=None,
                      help="selection constant for --tune lepski-s "
-                          "(default 2.0)")
+                          f"(default {TUNING_DEFAULTS['c_bar']})")
     _add_common_flags(fit)
 
     path = sub.add_parser("path", help="per-stage solution path as CSV")

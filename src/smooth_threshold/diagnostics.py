@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _positive_int, _positive_real
 from .kernels import Kernel, SurrogateLoss, _GAUSS_RANGE
 from .risk import (SmoothedRiskSpec, _check_theta, _margins, _row_sum,
                    empirical_gradient, empirical_risk)
@@ -83,19 +83,6 @@ class ProbeReport:
         return out
 
 
-def _positive_float(val, name) -> float:
-    val = float(val)
-    if not (math.isfinite(val) and val > 0):
-        raise InputError(f"{name} must be positive and finite, got {val}")
-    return val
-
-
-def _positive_count(val, name) -> int:
-    if int(val) != val or val < 1:
-        raise InputError(f"{name} must be a positive integer, got {val}")
-    return int(val)
-
-
 def _delta_grid_array(delta_grid) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
     if grid.ndim != 1 or grid.size == 0:
@@ -115,8 +102,8 @@ def gradient_check(spec: SmoothedRiskSpec, theta, step: float = 1e-5,
     margin across the support edge are skipped: the loss has a kink there
     and a finite difference is meaningless.
     """
-    step = _positive_float(step, "step")
-    tolerance = _positive_float(tolerance, "tolerance")
+    step = _positive_real(step, "step")
+    tolerance = _positive_real(tolerance, "tolerance")
     theta = np.asarray(theta, dtype=float)
     grad = empirical_gradient(spec, theta)
     d = spec.data.d
@@ -172,11 +159,11 @@ def population_gradient(sim: SimSpec, kernel: Kernel, delta_grid,
     approximates the gradient at bandwidth ``delta_grid[a]``.
     """
     grid = _delta_grid_array(delta_grid)
-    n_pop = _positive_count(n_pop, "n_pop")
+    n_pop = _positive_int(n_pop, "n_pop")
     theta = sim.theta_star
     if chunk_rows is None:
         chunk_rows = max(1000, 4_000_000 // max(sim.d, 1))
-    chunk_rows = _positive_count(chunk_rows, "chunk_rows")
+    chunk_rows = _positive_int(chunk_rows, "chunk_rows")
 
     totals = np.zeros((grid.size, sim.d))
     done = 0
@@ -205,7 +192,7 @@ def variance_probe(sim: SimSpec, kernel: Kernel, delta_grid,
     n roughly multiplies them by sqrt(2) and 2.
     """
     grid = _delta_grid_array(delta_grid)
-    repetitions = _positive_count(repetitions, "repetitions")
+    repetitions = _positive_int(repetitions, "repetitions")
     pop = population_gradient(sim, kernel, grid, n_pop=n_pop,
                               seed=derive_seed(seed, 0))
 
@@ -287,7 +274,7 @@ def bias_probe(sim: SimSpec, kernel: Kernel, delta_grid, theta=None,
         raise InputError("bias_probe needs gaussian noise for the closed "
                          f"conditional form; got {sim.noise!r}")
     grid = _delta_grid_array(delta_grid)
-    num_directions = _positive_count(num_directions, "num_directions")
+    num_directions = _positive_int(num_directions, "num_directions")
     sigma = float(sim.noise_sd)
 
     data, theta_star = generate(sim)
@@ -356,18 +343,18 @@ def restricted_curvature_probe(spec, support_size: int,
     elif callable(spec):
         if dim is None:
             raise InputError("a callable risk requires the dim argument")
-        d = _positive_count(dim, "dim")
+        d = _positive_int(dim, "dim")
         risk = spec
         described = "user-supplied risk callable"
     else:
         raise InputError("spec must be a SmoothedRiskSpec or a callable")
 
-    support_size = _positive_count(support_size, "support_size")
+    support_size = _positive_int(support_size, "support_size")
     if support_size > d:
         raise InputError(f"support_size {support_size} exceeds dimension {d}")
-    num_directions = _positive_count(num_directions, "num_directions")
-    ball_radius = _positive_float(ball_radius, "ball_radius")
-    step = _positive_float(step, "step")
+    num_directions = _positive_int(num_directions, "num_directions")
+    ball_radius = _positive_real(ball_radius, "ball_radius")
+    step = _positive_real(step, "step")
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     curvature = np.empty(num_directions)

@@ -1,4 +1,7 @@
-"""Shared exception and warning types."""
+"""Shared exception and warning types, and the checks of single numbers
+that raise ``InputError``."""
+
+import math
 
 
 class InputError(ValueError):
@@ -11,3 +14,29 @@ class NumericError(RuntimeError):
 
 class ConvergenceWarning(UserWarning):
     """Emitted when an iterative routine stops on a budget rather than its tolerance."""
+
+
+def _positive_int(value, name: str) -> int:
+    if not float(value).is_integer() or int(value) < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _nonneg_int(value, name: str) -> int:
+    if not float(value).is_integer() or int(value) < 0:
+        raise InputError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def _positive_real(value, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise InputError(f"{name} must be a positive real, got {value!r}")
+    return value
+
+
+def _nonneg_real(value, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise InputError(f"{name} must be a nonnegative real, got {value!r}")
+    return value

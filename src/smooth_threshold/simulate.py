@@ -26,17 +26,11 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _positive_int
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import Dataset, SmoothedRiskSpec
-from .tuning import (
-    TuningSchedule,
-    cross_validate_lambda,
-    default_lambda_grid,
-    target_lambda,
-    theoretical_bandwidth,
-)
+from .tuning import mode_parameters, tuned_penalty
 
 __all__ = [
     "SimSpec",
@@ -83,10 +77,7 @@ class SimSpec:
         if self.model not in _MODELS:
             raise InputError(f"model must be one of {_MODELS}, got {self.model!r}")
         for name in ("n", "d", "s"):
-            val = getattr(self, name)
-            if not float(val).is_integer() or int(val) < 1:
-                raise InputError(f"{name} must be a positive integer, got {val!r}")
-            object.__setattr__(self, name, int(val))
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.s > self.d:
             raise InputError(f"s must not exceed d, got s={self.s}, d={self.d}")
         mu = float(self.mu)
@@ -343,9 +334,9 @@ def run_benchmark(
     delta: Optional[float] = None,
     lambda_tgt: Optional[float] = None,
     beta: Optional[float] = None,
-    c_delta: float = 1.0,
-    c_lambda: float = 1.0,
-    folds: int = 5,
+    c_delta: Optional[float] = None,
+    c_lambda: Optional[float] = None,
+    folds: Optional[int] = None,
     path_cfg: Optional[PathConfig] = None,
     repetitions: int = 1,
     seed: int = 0,
@@ -353,9 +344,11 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Repeat generate -> tune -> fit -> score with derived seeds.
 
-    ``tune`` selects how (delta, lambda_tgt) are found per repetition:
+    ``tune`` selects how ``tuning.tuned_penalty`` finds (delta, lambda_tgt)
+    per repetition, reading the parameters ``TUNING_MODES`` lists for it
+    (delta defaults to 1, s is ``spec.s``); any other must stay None:
 
-    * "fixed": both supplied by the caller (delta defaults to 1),
+    * "fixed": both supplied by the caller,
     * "cv": K-fold cross-validation of lambda at the fixed delta using the
       one-standard-error rule over a geometric sweep from the gradient
       sup-norm at zero,
@@ -369,46 +362,21 @@ def run_benchmark(
     """
     if tune not in ("fixed", "cv", "theory"):
         raise InputError(f"tune must be one of ('fixed', 'cv', 'theory'), got {tune!r}")
-    if not float(repetitions).is_integer() or int(repetitions) < 1:
-        raise InputError(f"repetitions must be a positive integer, got {repetitions!r}")
-    repetitions = int(repetitions)
-    if tune == "fixed" and lambda_tgt is None:
-        raise InputError("tune='fixed' requires lambda_tgt")
-    if tune != "fixed" and lambda_tgt is not None:
-        raise InputError(f"tune={tune!r} does not use lambda_tgt; do not supply one")
-    if tune != "theory" and beta is not None:
-        raise InputError(f"tune={tune!r} does not use beta; do not supply one")
-    if tune == "theory":
-        if beta is None:
-            raise InputError("tune='theory' requires beta")
-        if delta is not None:
-            raise InputError("tune='theory' computes delta; do not supply one")
-        sched = TuningSchedule(
-            n=spec.n, d=spec.d, s=spec.s, beta=float(beta), c_delta=c_delta, c_lambda=c_lambda
-        )
-        delta_res = theoretical_bandwidth(sched)
-        lambda_res = target_lambda(spec.n, spec.d, delta_res, c_lambda)
-    else:
-        delta_res = 1.0 if delta is None else float(delta)
-        lambda_res = None if tune == "cv" else float(lambda_tgt)
-
+    repetitions = _positive_int(repetitions, "repetitions")
+    given = {"delta": delta, "lambda_tgt": lambda_tgt, "beta": beta,
+             "c_delta": c_delta, "c_lambda": c_lambda, "folds": folds}
+    params = mode_parameters(tune, given, f"tune={tune!r}", str,
+                             defaults={"delta": 1.0, "s": spec.s})
     base = path_cfg or _DEFAULT_CONFIG
 
     def one_rep(i: int) -> BenchmarkRow:
         data, theta_star = generate(replace(spec, seed=derive_seed(seed, i, 0)))
         t0 = time.perf_counter()
-        if tune == "cv":
-            grid = default_lambda_grid(data, kernel, delta_res, weights=weights)
-            cv = cross_validate_lambda(
-                data, kernel, delta_res, folds, grid, derive_seed(seed, i, 1),
-                weights=weights, path_cfg=base,
-            )
-            lam = cv.lambda_1se
-        else:
-            lam = lambda_res
+        delta_used, lam, _ = tuned_penalty(data, kernel, tune, params,
+                                           derive_seed(seed, i, 1), weights, base)
         fit_spec = SmoothedRiskSpec(
             data=data,
-            loss=SurrogateLoss(kernel=kernel, bandwidth=delta_res),
+            loss=SurrogateLoss(kernel=kernel, bandwidth=delta_used),
             weights=weights,
         )
         path = path_following(fit_spec, replace(base, lambda_tgt=lam))
@@ -422,7 +390,7 @@ def run_benchmark(
             nnz=int(np.count_nonzero(theta)),
             runtime=runtime,
             lambda_used=float(lam),
-            delta_used=float(delta_res),
+            delta_used=delta_used,
             messages=_path_messages(path),
         )
 

@@ -10,6 +10,12 @@ Three routes to the pair (delta, lambda_tgt):
   delta when the smoothness is unknown, ``lepski_sparsity`` adapts the
   sparsity input when the support size is unknown.
 
+``TUNING_MODES`` names the parameters each ``--tune`` mode reads and
+``TUNING_DEFAULTS`` the defaults of the constants among them;
+``mode_parameters`` checks a caller's parameters against both, and
+``tuned_penalty`` turns them into (delta, lambda_tgt) for the modes that fit
+once (fixed, theory, cv).
+
 All logarithms are natural.  Every formula involving log d requires d >= 2.
 """
 
@@ -22,7 +28,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import (InputError, _nonneg_int, _nonneg_real, _positive_int,
+                     _positive_real)
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import (
@@ -46,19 +53,24 @@ __all__ = [
     "lepski_sparsity",
     "select_lepski_bandwidth",
     "select_lepski_sparsity",
+    "TUNING_MODES",
+    "TUNING_DEFAULTS",
+    "mode_parameters",
+    "tuned_penalty",
 ]
 
+# the parameters each tuning mode reads, in the order a config echo prints them
+TUNING_MODES = {
+    "fixed": ("delta", "lambda_tgt"),
+    "theory": ("s", "beta", "c_delta", "c_lambda"),
+    "cv": ("delta", "folds"),
+    "lepski-beta": ("s", "c_sel", "c_lambda"),
+    "lepski-s": ("beta", "c_delta", "c_lambda", "c_bar"),
+}
 
-def _positive_int(value, name: str) -> int:
-    if not float(value).is_integer() or int(value) < 1:
-        raise InputError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _nonneg_int(value, name: str) -> int:
-    if not float(value).is_integer() or int(value) < 0:
-        raise InputError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
+# defaults of the tuning constants, filled in only where a mode reads them
+TUNING_DEFAULTS = {"folds": 5, "c_delta": 1.0, "c_lambda": 1.0, "c_sel": 2.0,
+                   "c_bar": 2.0}
 
 
 def _readonly(values, dtype) -> np.ndarray:
@@ -81,17 +93,14 @@ class TuningSchedule:
     d: int
     s: int
     beta: float
-    c_delta: float = 1.0
-    c_lambda: float = 1.0
+    c_delta: float = TUNING_DEFAULTS["c_delta"]
+    c_lambda: float = TUNING_DEFAULTS["c_lambda"]
 
     def __post_init__(self):
         for name in ("n", "d", "s"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         for name in ("beta", "c_delta", "c_lambda"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val) or val <= 0.0:
-                raise InputError(f"{name} must be a positive real, got {val!r}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _positive_real(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -157,19 +166,48 @@ def theoretical_bandwidth(sched: TuningSchedule) -> float:
     return sched.c_delta * base ** (1.0 / (2.0 * sched.beta + 1.0))
 
 
-def target_lambda(n: int, d: int, delta: float, c_lambda: float = 1.0) -> float:
+def target_lambda(n: int, d: int, delta: float,
+                  c_lambda: float = TUNING_DEFAULTS["c_lambda"]) -> float:
     """Closed-form penalty target c_lambda * sqrt(log(d) / (n delta))."""
     n = _positive_int(n, "n")
     d = _positive_int(d, "d")
     if d < 2:
         raise InputError("d must be at least 2 so that log d is positive")
-    delta = float(delta)
-    if not math.isfinite(delta) or delta <= 0.0:
-        raise InputError(f"delta must be a positive real, got {delta!r}")
-    c_lambda = float(c_lambda)
-    if not math.isfinite(c_lambda) or c_lambda < 0.0:
-        raise InputError(f"c_lambda must be a nonnegative real, got {c_lambda!r}")
+    delta = _positive_real(delta, "delta")
+    c_lambda = _nonneg_real(c_lambda, "c_lambda")
     return c_lambda * math.sqrt(math.log(d) / (n * delta))
+
+
+def _theory_schedule(n: int, d: int, s: int, beta: float, c_delta: float,
+                     c_lambda: float) -> Tuple[float, float]:
+    """The closed-form (delta, lambda_tgt) for sparsity ``s``."""
+    delta = theoretical_bandwidth(TuningSchedule(
+        n=n, d=d, s=s, beta=beta, c_delta=c_delta, c_lambda=c_lambda))
+    return delta, target_lambda(n, d, delta, c_lambda)
+
+
+def mode_parameters(mode: str, given: dict, who: str, spell: Callable[[str], str],
+                    defaults: Optional[dict] = None) -> dict:
+    """The parameters tuning ``mode`` reads, in ``TUNING_MODES`` order.
+
+    ``given`` maps names to the caller's values, None for unset; an unset
+    parameter takes its value from ``defaults``, then ``TUNING_DEFAULTS``.
+    A missing parameter, or a set one that ``mode`` does not read, is an
+    error naming the caller as ``who`` and the parameter as ``spell(name)``.
+    """
+    if mode not in TUNING_MODES:
+        raise InputError(f"tune must be one of {tuple(TUNING_MODES)}, got {mode!r}")
+    fill = {**TUNING_DEFAULTS, **(defaults or {})}
+    params = {}
+    for name in TUNING_MODES[mode]:
+        value = fill.get(name) if given.get(name) is None else given[name]
+        if value is None:
+            raise InputError(f"{who} requires {spell(name)}")
+        params[name] = value
+    for name, value in given.items():
+        if value is not None and name not in params:
+            raise InputError(f"{who} does not use {spell(name)}; do not pass {spell(name)}")
+    return params
 
 
 def build_lepski_grid(kind: str, size: int) -> LepskiGrid:
@@ -328,6 +366,29 @@ def cross_validate_lambda(
     )
 
 
+def tuned_penalty(data: Dataset, kernel: Kernel, mode: str, params: dict, seed: int,
+                  weights: Optional[np.ndarray] = None, path_cfg: Optional[PathConfig] = None,
+                  ) -> Tuple[float, float, Optional[CvResult]]:
+    """``(delta, lambda_tgt, cv)`` of one fit tuned by ``mode`` with the
+    ``params`` of ``mode_parameters``: given ("fixed"), closed-form schedules
+    at the size of ``data`` ("theory"), or ``lambda_1se`` of cross-validation
+    at the given delta with folds keyed by ``seed`` ("cv", the one mode whose
+    ``cv`` is a ``CvResult`` and not None).
+    """
+    if mode == "fixed":
+        return float(params["delta"]), float(params["lambda_tgt"]), None
+    if mode == "theory":
+        return (*_theory_schedule(data.n, data.d, params["s"], params["beta"],
+                                  params["c_delta"], params["c_lambda"]), None)
+    if mode != "cv":
+        raise InputError(f"tuned_penalty takes fixed, theory or cv, got {mode!r}")
+    delta = float(params["delta"])
+    grid = default_lambda_grid(data, kernel, delta, weights=weights)
+    cv = cross_validate_lambda(data, kernel, delta, params["folds"], grid, seed,
+                               weights=weights, path_cfg=path_cfg)
+    return delta, cv.lambda_1se, cv
+
+
 def _select_lepski(
     fits: Sequence[LepskiFit], key: Callable[[float], float], bound: Callable[[float], float]
 ) -> Optional[LepskiFit]:
@@ -452,8 +513,8 @@ def lepski_bandwidth(
     data: Dataset,
     kernel: Kernel,
     s: int,
-    c_sel: float = 2.0,
-    c_lambda: float = 1.0,
+    c_sel: float = TUNING_DEFAULTS["c_sel"],
+    c_lambda: float = TUNING_DEFAULTS["c_lambda"],
     path_cfg: Optional[PathConfig] = None,
     weights: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray, List[LepskiFit]]:
@@ -469,12 +530,8 @@ def lepski_bandwidth(
     Returns ``(delta_hat, theta, per_delta_fits)``.
     """
     s = _positive_int(s, "s")
-    c_sel = float(c_sel)
-    if not math.isfinite(c_sel) or c_sel < 0.0:
-        raise InputError(f"c_sel must be a nonnegative real, got {c_sel!r}")
-    c_lambda = float(c_lambda)
-    if not math.isfinite(c_lambda) or c_lambda <= 0.0:
-        raise InputError(f"c_lambda must be a positive real, got {c_lambda!r}")
+    c_sel = _nonneg_real(c_sel, "c_sel")
+    c_lambda = _positive_real(c_lambda, "c_lambda")
     if data.d < 2:
         raise InputError("d must be at least 2 so that log d is positive")
 
@@ -494,9 +551,9 @@ def lepski_sparsity(
     data: Dataset,
     kernel: Kernel,
     beta: float,
-    c_delta: float = 1.0,
-    c_lambda: float = 1.0,
-    c_bar: float = 2.0,
+    c_delta: float = TUNING_DEFAULTS["c_delta"],
+    c_lambda: float = TUNING_DEFAULTS["c_lambda"],
+    c_bar: float = TUNING_DEFAULTS["c_bar"],
     path_cfg: Optional[PathConfig] = None,
     weights: Optional[np.ndarray] = None,
 ) -> Tuple[int, np.ndarray, List[LepskiFit]]:
@@ -511,18 +568,10 @@ def lepski_sparsity(
 
     Returns ``(s_hat, theta, per_s_fits)``.
     """
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise InputError(f"beta must be a positive real, got {beta!r}")
-    c_delta = float(c_delta)
-    if not math.isfinite(c_delta) or c_delta <= 0.0:
-        raise InputError(f"c_delta must be a positive real, got {c_delta!r}")
-    c_lambda = float(c_lambda)
-    if not math.isfinite(c_lambda) or c_lambda <= 0.0:
-        raise InputError(f"c_lambda must be a positive real, got {c_lambda!r}")
-    c_bar = float(c_bar)
-    if not math.isfinite(c_bar) or c_bar < 0.0:
-        raise InputError(f"c_bar must be a nonnegative real, got {c_bar!r}")
+    beta = _positive_real(beta, "beta")
+    c_delta = _positive_real(c_delta, "c_delta")
+    c_lambda = _positive_real(c_lambda, "c_lambda")
+    c_bar = _nonneg_real(c_bar, "c_bar")
     if c_delta ** (beta + 0.5) > c_lambda:
         raise InputError(
             "c_delta**(beta + 1/2) must not exceed c_lambda "
@@ -539,15 +588,9 @@ def lepski_sparsity(
 
     n, d = data.n, data.d
     grid = build_lepski_grid("sparsity", d)
-
-    def schedule(level: int) -> Tuple[float, float]:
-        sched = TuningSchedule(n=n, d=d, s=level, beta=beta, c_delta=c_delta, c_lambda=c_lambda)
-        delta = theoretical_bandwidth(sched)
-        return delta, target_lambda(n, d, delta, c_lambda)
-
     return _lepski(
         data, kernel, weights, path_cfg, grid.values,
-        schedule=schedule,
+        schedule=lambda level: _theory_schedule(n, d, level, beta, c_delta, c_lambda),
         label="sparsity level",
         select=lambda fits: select_lepski_sparsity(fits, n=n, d=d, beta=beta, c_bar=c_bar),
         fallback=(grid.values[-1],

@@ -538,6 +538,26 @@ class TestBench:
                     f"bench --tune {tune} does not use {flag}; do not pass {flag}"
 
 
+    @pytest.mark.parametrize("tune,flags,flag,value", [
+        ("theory", ["--beta", "1.0"], "--delta", "0.5"),
+        ("cv", [], "--lambda-tgt", "0.05"),
+        ("fixed", ["--lambda-tgt", "0.05"], "--beta", "1.0"),
+    ], ids=["delta-under-theory", "lambda-tgt-outside-fixed",
+            "beta-outside-theory"])
+    def test_rejects_flags_the_mode_ignores(self, tmp_path, capsys, tune,
+                                            flags, flag, value):
+        code, out, err = run_cli(["bench", "--n", "60", "--d", "4",
+                                  "--tune", tune, "--reps", "1", "--out",
+                                  str(tmp_path / "b.csv")] + flags
+                                 + [flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["message"] == \
+            f"bench --tune {tune} does not use {flag}; do not pass {flag}"
+        assert not (tmp_path / "b.csv").exists()
+
+
 class TestToyRisks:
     def test_hinge_derivative_matches_population_slope(self, tmp_path, capsys):
         out = tmp_path / "toy.csv"
@@ -617,6 +637,70 @@ class TestDiagnose:
                                 "--delta-grid", "a,b"], capsys)
         assert code == 2
         assert "comma-separated" in json.loads(err)["message"]
+
+
+    @pytest.mark.parametrize("probe", [
+        ["--probe", "gradient", "--input", "INPUT"],
+        ["--probe", "curvature", "--n", "60", "--d", "4", "--s", "2",
+         "--support-size", "2"],
+    ], ids=["gradient", "curvature"])
+    def test_zero_step_is_bad_input(self, sim_csv, capsys, probe):
+        argv = ["diagnose"] + [sim_csv if a == "INPUT" else a for a in probe]
+        code, out, err = run_cli(argv + ["--delta", "0.5", "--step", "0"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "input", "message": "step must be a positive real, got 0.0"}
+
+
+class TestFlagsCheckedBeforeWork:
+    """Missing and unused flags are refused before any data is read or
+    generated."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        monkeypatch.setattr(cli, "generate", refuse)
+        monkeypatch.setattr(cli, "run_benchmark", refuse)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--n", "10", "--d", "3", "--s", "1"],
+         "simulate writes CSV files; --out is required"),
+        (["fit", "--input", "in.csv", "--tune", "fixed", "--delta", "0.5"],
+         "fit --tune fixed requires --lambda-tgt"),
+        (["fit", "--input", "in.csv", "--tune", "cv", "--delta", "0.5",
+          "--s", "3"],
+         "fit --tune cv does not use --s; do not pass --s"),
+        (["fit", "--input", "in.csv", "--tune", "lepski-s", "--beta", "2",
+          "--c-sel", "1"],
+         "fit --tune lepski-s does not use --c-sel; do not pass --c-sel"),
+        (["path", "--input", "in.csv", "--delta", "0.5"],
+         "path requires --lambda-tgt"),
+        (["path", "--input", "in.csv", "--delta", "0.5", "--lambda-tgt",
+          "0.1"],
+         "path writes a CSV table; --out is required"),
+        (["bench", "--tune", "cv"],
+         "bench writes a CSV table; --out is required"),
+        (["bench", "--tune", "theory", "--out", "b.csv"],
+         "bench --tune theory requires --beta"),
+        (["diagnose", "--probe", "curvature"],
+         "diagnose requires --delta"),
+    ], ids=["simulate-out", "fit-missing", "fit-unused", "fit-unused-constant",
+            "path-missing", "path-out", "bench-out", "bench-missing",
+            "diagnose-missing"])
+    def test_refused_without_work(self, tmp_path, monkeypatch, capsys, argv,
+                                  message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "input", "message": message}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorRecords:

@@ -304,12 +304,15 @@ class TestBenchmark:
             run_benchmark(self.SPEC, GAUSS, tune="fixed")
         with pytest.raises(InputError, match="beta"):
             run_benchmark(self.SPEC, GAUSS, tune="theory")
-        with pytest.raises(InputError, match="computes delta"):
+        with pytest.raises(InputError, match="does not use delta"):
             run_benchmark(self.SPEC, GAUSS, tune="theory", beta=1.0, delta=0.5)
         for tune, extra, unused in [
                 ("fixed", {"lambda_tgt": 0.05, "beta": 3.0}, "beta"),
+                ("fixed", {"lambda_tgt": 0.05, "folds": 9}, "folds"),
                 ("cv", {"lambda_tgt": 5.0}, "lambda_tgt"),
                 ("cv", {"beta": 3.0}, "beta"),
+                ("cv", {"c_lambda": 5.0}, "c_lambda"),
+                ("cv", {"c_delta": 7.0}, "c_delta"),
                 ("theory", {"beta": 1.0, "lambda_tgt": 0.05}, "lambda_tgt")]:
             with pytest.raises(InputError, match=f"does not use {unused}"):
                 run_benchmark(self.SPEC, GAUSS, tune=tune, **extra)

@@ -5,6 +5,7 @@ independently written expressions (math.pow / explicit roots) and were
 cross-checked by hand.
 """
 
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -130,6 +131,61 @@ class TestSchedules:
             target_lambda(100, 10, 0.0)
         with pytest.raises(InputError):
             target_lambda(100, 10, 0.5, -1.0)
+
+
+class TestTuningModes:
+    def test_fills_defaults_in_table_order(self):
+        params = tuning.mode_parameters("lepski-s", {"beta": 2.0, "c_bar": 1.5},
+                                        "caller", str)
+        assert list(params) == list(tuning.TUNING_MODES["lepski-s"])
+        assert params == {"beta": 2.0, "c_delta": 1.0, "c_lambda": 1.0,
+                          "c_bar": 1.5}
+
+    def test_caller_defaults_precede_the_shared_ones(self):
+        params = tuning.mode_parameters("cv", {"delta": None, "folds": None},
+                                        "caller", str,
+                                        defaults={"delta": 1.0, "folds": 3})
+        assert params == {"delta": 1.0, "folds": 3}
+
+    def test_rejects_unused_and_names_missing(self):
+        spell = lambda name: "--" + name  # noqa: E731
+        with pytest.raises(InputError) as exc:
+            tuning.mode_parameters("cv", {"delta": 1.0, "c_sel": 2.0}, "who", spell)
+        assert str(exc.value) == "who does not use --c_sel; do not pass --c_sel"
+        with pytest.raises(InputError) as exc:
+            tuning.mode_parameters("theory", {"s": 3}, "who", spell)
+        assert str(exc.value) == "who requires --beta"
+        with pytest.raises(InputError, match="tune must be one of"):
+            tuning.mode_parameters("oracle", {}, "who", spell)
+
+    def test_tuned_penalty_fixed_and_theory(self):
+        data = make_dataset(n=80, d=6)
+        kernel = get_kernel("gaussian")
+        assert tuning.tuned_penalty(data, kernel, "fixed",
+                                    {"delta": 0.5, "lambda_tgt": 0.1}, 0) \
+            == (0.5, 0.1, None)
+        params = tuning.mode_parameters("theory", {"s": 2, "beta": 1.5}, "who", str)
+        delta, lam, cv = tuning.tuned_penalty(data, kernel, "theory", params, 0)
+        expected = theoretical_bandwidth(TuningSchedule(n=80, d=6, s=2, beta=1.5))
+        assert (delta, lam, cv) == (expected, target_lambda(80, 6, expected), None)
+        with pytest.raises(InputError):
+            tuning.tuned_penalty(data, kernel, "lepski-s", {"beta": 1.0}, 0)
+
+    def test_tuned_penalty_cv_takes_lambda_1se(self):
+        data = make_dataset(n=80, d=4)
+        kernel = get_kernel("gaussian")
+        delta, lam, cv = tuning.tuned_penalty(data, kernel, "cv",
+                                              {"delta": 1.0, "folds": 3}, 7)
+        grid = default_lambda_grid(data, kernel, 1.0)
+        direct = cross_validate_lambda(data, kernel, 1.0, 3, grid, 7)
+        assert (delta, lam) == (1.0, direct.lambda_1se)
+        assert np.array_equal(cv.mean_cv_loss, direct.mean_cv_loss)
+
+    def test_library_defaults_come_from_the_table(self):
+        for func in (lepski_bandwidth, lepski_sparsity, target_lambda):
+            for name, param in inspect.signature(func).parameters.items():
+                if name in tuning.TUNING_DEFAULTS:
+                    assert param.default == tuning.TUNING_DEFAULTS[name], name
 
 
 class TestLepskiGrid:
