@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, _positive_int, _positive_real
 from .kernels import Kernel, SurrogateLoss, _GAUSS_RANGE
-from .risk import (SmoothedRiskSpec, _check_theta, _margins, _row_sum,
+from .risk import (SmoothedRiskSpec, _check_theta, _col_sum, _margins, _row_sum,
                    empirical_gradient, empirical_risk)
 from .simulate import SimSpec, derive_seed, generate
 
@@ -293,7 +293,8 @@ def bias_probe(sim: SimSpec, kernel: Kernel, delta_grid, theta=None,
         if not np.all(np.isfinite(directions)):
             raise InputError("directions contain non-finite values")
 
-    shift = data.z @ theta - (sim.mu * data.y + data.z @ theta_star)
+    shift = _col_sum(data.z, theta) \
+        - (sim.mu * data.y + _col_sum(data.z, theta_star))
     dens0 = np.exp(-0.5 * np.square(shift / sigma)) \
         / (sigma * math.sqrt(2.0 * math.pi))
     grad0 = _row_sum(data.y * dens0, data.z) / data.n

@@ -207,9 +207,10 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             shrunk = soft_threshold(theta - step * g, lam * step)
-            cand = project_ball(shrunk, radius)
-            if math.isfinite(radius) and float(np.linalg.norm(shrunk)) > radius:
-                boundary_hit = True
+            # project_ball, with the norm it takes kept for the boundary check
+            norm = float(np.linalg.norm(shrunk))
+            cand = shrunk if norm <= radius else shrunk * (radius / norm)
+            boundary_hit = boundary_hit or norm > radius
             u_cand = spec.margins(cand)
             f_cand = objective(spec, cand, lam, u=u_cand)
             if f_cand <= f + _BACKTRACK_SLACK * max(1.0, abs(f)):

@@ -8,10 +8,17 @@ weighted mean of a margin loss, here the kernel-smoothed step from
 per-sample vector: unit when none is given, or for instance the inverse class
 probability vector from ``class_weights``.
 
-Margins are the BLAS product ``z @ theta``; the gradient sums over samples in
-one fixed-order pass without BLAS, so results are bit-identical for any BLAS
-thread count.  Risk, gradient and objective take ``u = spec.margins(theta)``
-from callers that have it (margins validated theta).
+Covariates are stored column-major, so each column of z is one contiguous
+run of memory.  Path-following keeps theta sparse, and the margins sum
+theta_j z_j over the support of theta only, one column after another; when
+the support exceeds a quarter of d they sum over every column, which skips
+no work but gathers none.  Both add the columns in the same order, and a
+zero coordinate adds an exact zero, so on two or more samples both give the
+same bits.  The gradient sums over samples down each column.  Neither calls
+BLAS, whose sums change in the last bits with its thread count, so results
+are bit-identical for any BLAS thread count.  Risk, gradient and objective
+take ``u = spec.margins(theta)`` from callers that have it (margins
+validated theta).
 """
 
 from __future__ import annotations
@@ -23,18 +30,31 @@ import numpy as np
 from .errors import InputError
 from .kernels import SurrogateLoss
 
+# largest share of d on which margins gather the support columns of theta
+_SPARSE_SHARE = 0.25
+
 
 def _row_sum(coeff: np.ndarray, z: np.ndarray) -> np.ndarray:
     # sum_i coeff_i z_i in einsum's own loop; BLAS's varies with its thread count
     return np.einsum("i,ij->j", coeff, z)
 
 
+def _col_sum(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # z @ theta as sum_j theta_j z_j in einsum's own loop, one column after
+    # another; with z column-major, row j of z.T is column j, contiguous
+    support = np.flatnonzero(theta)
+    cols = z.T
+    if support.size <= _SPARSE_SHARE * z.shape[1]:
+        cols, theta = cols[support], theta[support]
+    return np.einsum("ji,j->i", cols, theta)
+
+
 def _margins(data: Dataset, theta: np.ndarray) -> np.ndarray:
-    return data.y * (data.x - data.z @ theta)
+    return data.y * (data.x - _col_sum(data.z, theta))
 
 
-def _frozen_array(a, dtype=float, ndim=None, name="array"):
-    out = np.array(a, dtype=dtype, order="C")
+def _frozen_array(a, dtype=float, ndim=None, name="array", order="C"):
+    out = np.array(a, dtype=dtype, order=order)
     if ndim is not None and out.ndim != ndim:
         raise InputError(f"{name} must have {ndim} dimension(s), got {out.ndim}")
     if not np.all(np.isfinite(out)):
@@ -45,7 +65,13 @@ def _frozen_array(a, dtype=float, ndim=None, name="array"):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable sample container: responses x, labels y in {-1, +1}, covariates z."""
+    """Immutable sample container: responses x, labels y in {-1, +1}, covariates z.
+
+    Each array is one read-only copy of its input.  ``z`` is n x d and
+    column-major (Fortran order): the margins read only the columns on the
+    support of theta, and the gradient sums down each column, both in
+    contiguous memory.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -54,7 +80,8 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen_array(self.x, ndim=1, name="x"))
         object.__setattr__(self, "y", _frozen_array(self.y, ndim=1, name="y"))
-        object.__setattr__(self, "z", _frozen_array(self.z, ndim=2, name="z"))
+        object.__setattr__(self, "z", _frozen_array(self.z, ndim=2, name="z",
+                                                      order="F"))
         n = self.x.shape[0]
         if n == 0:
             raise InputError("dataset is empty")

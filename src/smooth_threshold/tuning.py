@@ -322,21 +322,11 @@ def cross_validate_lambda(
     wfull = SmoothedRiskSpec(data=data, loss=loss, weights=weights).weights
     fold_id = _stratified_folds(data.y, folds, seed)
 
-    splits = []
-    for k in range(folds):
-        te = fold_id == k
-        tr = ~te
-        train = SmoothedRiskSpec(
-            data=Dataset(x=data.x[tr], y=data.y[tr], z=data.z[tr]),
-            loss=loss,
-            weights=wfull[tr],
-        )
-        test = SmoothedRiskSpec(
-            data=Dataset(x=data.x[te], y=data.y[te], z=data.z[te]),
-            loss=loss,
-            weights=wfull[te],
-        )
-        splits.append((train, test))
+    def subset(rows: np.ndarray) -> SmoothedRiskSpec:
+        # rows gathered column by column keep z column-major; z[rows] would not
+        z = np.take(data.z.T, rows, axis=1).T
+        return SmoothedRiskSpec(data=Dataset(x=data.x[rows], y=data.y[rows], z=z),
+                                loss=loss, weights=wfull[rows])
 
     base = path_cfg or _DEFAULT_CONFIG
 
@@ -344,7 +334,9 @@ def cross_validate_lambda(
     neg_ladder, rank = np.unique(-grid_desc, return_inverse=True)
 
     def run(k: int) -> List[float]:
-        train, test = splits[k]
+        # split built here, so one split's copy of z is alive at a time
+        train = subset(np.flatnonzero(fold_id != k))
+        test = subset(np.flatnonzero(fold_id == k))
         path = path_following(train, base, lambdas=-neg_ladder)
         return [empirical_risk(test, stage.theta) for stage in path.stages[1:]]
 

@@ -4,7 +4,11 @@ The same script runs in two interpreters, one with OpenBLAS pinned to one
 thread and one with two, and must print the same bytes.  It hashes the
 margins and the risk gradient on a 2000 x 2500 draw, large enough for
 OpenBLAS to split a matrix-vector product across threads, and the curve
-and selection of a small cross-validation run.
+and selection of a small cross-validation run.  A second script hashes the
+margins and gradient of a 4003 x 1001 draw at a sparse and at a dense
+theta, and the smoothing-bias probe on the same draw: a BLAS product splits
+an odd row count unevenly between threads, which an even one like 2000 can
+hide.
 """
 
 import os
@@ -14,7 +18,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SCRIPT = """
+PREAMBLE = """
 import hashlib
 import numpy as np
 from smooth_threshold import (SimSpec, SmoothedRiskSpec, SurrogateLoss,
@@ -25,6 +29,9 @@ def show(name, a):
     print(name, hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
 
 kernel = get_kernel("gaussian")
+"""
+
+SCRIPT = PREAMBLE + """
 data, theta = generate(SimSpec(model="conditional_mean", n=2000, d=2500,
                                s=50, seed=5))
 spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, 1.0))
@@ -39,12 +46,27 @@ show("cv_loss", cv.mean_cv_loss)
 show("lambda_1se", np.array([cv.lambda_1se]))
 """
 
+ODD_N_SCRIPT = PREAMBLE + """
+from smooth_threshold.diagnostics import bias_probe
 
-def _run(blas_threads: str) -> str:
+data, sparse = generate(SimSpec(model="conditional_mean", n=4003, d=1001,
+                                s=50, seed=3))
+spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, 1.0))
+dense = np.sin(np.arange(1.0, 1002.0)) / np.sqrt(1001.0)
+for name, theta in (("sparse", sparse), ("dense", dense)):
+    show("margins_" + name, spec.margins(theta))
+    show("gradient_" + name, empirical_gradient(spec, theta))
+probe = bias_probe(SimSpec(model="conditional_mean", n=4003, d=1001, s=50,
+                           seed=3), kernel, [0.25, 0.5, 1.0])
+show("bias_probe", probe.values["max_abs_bias"])
+"""
+
+
+def _run(blas_threads: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -54,3 +76,9 @@ def test_results_identical_for_one_and_two_blas_threads():
     one, two = _run("1"), _run("2")
     assert one == two
     assert len(one.splitlines()) == 4
+
+
+def test_odd_n_margins_identical_for_one_and_two_blas_threads():
+    one, two = _run("1", ODD_N_SCRIPT), _run("2", ODD_N_SCRIPT)
+    assert one == two
+    assert len(one.splitlines()) == 5

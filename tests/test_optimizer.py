@@ -359,9 +359,9 @@ def test_stage_margins_carried_to_next_stage(monkeypatch):
 
     monkeypatch.setattr(SmoothedRiskSpec, "margins",
                         counting("margins", SmoothedRiskSpec.margins))
-    # the stage loop projects each candidate exactly once
-    monkeypatch.setattr(optimizer, "project_ball",
-                        counting("candidates", optimizer.project_ball))
+    # the stage loop shrinks each candidate exactly once
+    monkeypatch.setattr(optimizer, "soft_threshold",
+                        counting("candidates", optimizer.soft_threshold))
     path = path_following(spec, PathConfig(lambda_tgt=0.02, num_stages=6, eta=50.0))
     assert len(path.stages) == 7
     assert counts["candidates"] > sum(r.iterations for r in path.stages)

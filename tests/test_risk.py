@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smooth_threshold import risk, tuning
 from smooth_threshold.errors import InputError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, class_weights,
@@ -213,3 +214,73 @@ def test_given_margins_match_recomputed_ones():
     assert np.array_equal(empirical_gradient(spec, theta, u=u),
                           empirical_gradient(spec, theta))
     assert objective(spec, theta, 0.1, u=u) == objective(spec, theta, 0.1)
+
+
+def _theta_with_support(d, size, seed):
+    theta = np.zeros(d)
+    rng = np.random.default_rng(seed)
+    theta[rng.choice(d, size, replace=False)] = rng.normal(size=size)
+    return theta
+
+
+@pytest.mark.parametrize("size", [0, 3, 10, 11, 40])
+def test_margins_match_the_full_product(size):
+    # d=40: supports of 3 and 10 are gathered, 11 and 40 sum every column
+    spec = random_spec(n=501, d=40, seed=11)
+    data = spec.data
+    theta = _theta_with_support(data.d, size, seed=size)
+    u = spec.margins(theta)
+    if size == 0:
+        assert u.tobytes() == (data.y * data.x).tobytes()
+    full = data.y * (data.x - data.z @ theta)
+    scale = np.abs(data.x) + np.abs(data.z) @ np.abs(theta)
+    assert np.all(np.abs(u - full) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("size", [1, 3, 10, 11, 40])
+def test_gathered_and_full_margins_agree_bitwise(monkeypatch, size):
+    # a zero coordinate adds an exact zero, so the support size that picks
+    # the branch cannot change a result
+    spec = random_spec(n=501, d=40, seed=12)
+    theta = _theta_with_support(40, size, seed=size)
+    monkeypatch.setattr(risk, "_SPARSE_SHARE", 1.0)
+    gathered = spec.margins(theta)
+    monkeypatch.setattr(risk, "_SPARSE_SHARE", 0.0)
+    assert spec.margins(theta).tobytes() == gathered.tobytes()
+
+
+def test_covariates_are_one_read_only_column_major_copy():
+    z = np.arange(12.0).reshape(4, 3)
+    for given in (z, np.asfortranarray(z)):
+        data = Dataset(x=np.zeros(4), y=[1.0, -1.0, 1.0, -1.0], z=given)
+        assert data.z.flags.f_contiguous and not data.z.flags.writeable
+        assert given.flags.writeable and not np.shares_memory(data.z, given)
+        assert np.array_equal(data.z, z)
+
+
+def test_every_fold_keeps_covariates_column_major(monkeypatch):
+    spec = random_spec(n=120, d=5, seed=13)
+    seen = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def wrapped(fold_spec, *args, **kwargs):
+            seen.append(fold_spec.data.z)
+            return original(fold_spec, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    recording(tuning, "path_following")
+    recording(tuning, "empirical_risk")
+    cv = tuning.cross_validate_lambda(spec.data, get_kernel("gaussian"), 1.0,
+                                      3, [0.1, 0.05], seed=4)
+    # per fold: the training fit, then one held-out score per grid value
+    assert len(seen) == 9
+    for k in range(3):
+        train, *tests = seen[3 * k:3 * k + 3]
+        held_out = cv.fold_assignment == k
+        assert np.array_equal(train, spec.data.z[~held_out])
+        for z in tests:
+            assert np.array_equal(z, spec.data.z[held_out])
+    for z in seen:
+        assert z.flags.f_contiguous and not z.flags.writeable
