@@ -35,7 +35,6 @@ from .optimizer import (
     StageRecord,
     path_following,
     proximal_gradient,
-    prox_step,
     project_ball,
     soft_threshold,
     suboptimality,
@@ -86,7 +85,7 @@ __all__ = [
     "Dataset", "SmoothedRiskSpec", "class_weights",
     "empirical_gradient", "empirical_risk", "objective", "zero_one_risk",
     "PathConfig", "SolutionPath", "StageRecord", "path_following",
-    "proximal_gradient", "prox_step", "project_ball", "soft_threshold",
+    "proximal_gradient", "project_ball", "soft_threshold",
     "suboptimality",
     "CvResult", "LepskiFit", "LepskiGrid", "TuningSchedule",
     "build_lepski_grid", "cross_validate_lambda", "default_lambda_grid",

@@ -12,13 +12,24 @@ bandwidth or the sparsity level, with constants ``--c-sel`` / ``--c-bar``).
 One solver config, built from the solver flags, drives every fit a command
 makes: CV folds and Lepski grid points included.
 
+Which flags a run reads, and their defaults, comes from one table per axis:
+``_READS`` for each subcommand (with its data, solver, simulation and output
+flags), ``tuning.TUNING_MODES`` for each ``--tune`` mode,
+``simulate.SIM_MODELS`` for each ``--model`` and ``diagnostics.PROBES`` for
+each ``--probe``.  Each subcommand takes only flags that some run of it
+reads, and a flag not given stays unset.  ``errors.read_settings`` then
+fills in the defaults and refuses, as bad input and before any data are read
+or generated, a missing flag and a given one that the run does not read.
+
 Results and probe reports are single ``key = value`` text documents; tables
 (path, bench, toy-risks, simulate) are RFC-4180 CSV.  Floats are written with
 ``repr`` so a written dataset reloads bit-exactly.  Every run records a
-config-echo block with all resolved settings.  Errors, among them bad
-command-line arguments and unwritable ``--out`` paths, are reported as one
-machine-readable JSON line on stderr; exit status is 2 for input errors,
-1 for numeric failures, and 0 otherwise.
+config-echo block: exactly the settings it read, then the few it derived
+(fit's and bench's delta and lambda_tgt, the cv lambda_grid, simulate's
+theta_out, toy-risks' rows).  Errors, among them bad command-line arguments
+and unwritable ``--out`` paths, are reported as one machine-readable JSON
+line on stderr; exit status is 2 for input errors, 1 for numeric failures,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,15 +46,16 @@ from operator import itemgetter
 
 import numpy as np
 
-from .diagnostics import (bias_probe, gradient_check,
+from .diagnostics import (PROBE_DEFAULTS, PROBES, bias_probe, gradient_check,
                           restricted_curvature_probe, variance_probe)
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, read_settings
 from .kernels import BUILTIN_KERNELS, SurrogateLoss, get_kernel
 from .optimizer import PathConfig, path_following
 from .risk import Dataset, SmoothedRiskSpec
-from .simulate import SimSpec, generate, run_benchmark, toy_population_risks
+from .simulate import (BENCH_DEFAULTS, BENCH_MODES, SIM_DEFAULTS, SIM_MODELS,
+                       SimSpec, generate, run_benchmark, toy_population_risks)
 from .tuning import (TUNING_DEFAULTS, TUNING_MODES, lepski_bandwidth,
-                     lepski_sparsity, mode_parameters, tuned_penalty)
+                     lepski_sparsity, tuned_penalty)
 
 __all__ = ["ColumnRoles", "load_csv", "main"]
 
@@ -260,8 +272,6 @@ def _roles_from_args(args) -> ColumnRoles:
 
 def _load_input(args):
     """Dataset + weights + notes + inverse scale factors for the run."""
-    if args.input is None:
-        raise InputError(f"{args.subcommand} requires --input")
     data, weights, notes = load_csv(args.input, _roles_from_args(args),
                                     delimiter=args.delimiter)
     scales = np.ones(data.d)
@@ -285,12 +295,6 @@ def _path_config(args, lambda_tgt: float = 1.0) -> PathConfig:
                       omega_radius=args.radius)
 
 
-def _solver_echo(args) -> dict:
-    return {"lambda0": args.lambda0, "stages": args.stages, "phi": args.phi,
-            "nu": args.nu, "eta": args.eta, "eps_tgt": args.eps_tgt,
-            "radius": args.radius}
-
-
 def _config_lines(pairs: dict) -> list:
     return [f"config {key} = {_fmt(val)}" for key, val in pairs.items()]
 
@@ -311,11 +315,6 @@ def _write_doc(lines, out) -> None:
             handle.write(text)
 
 
-def _require_out(args, what: str = "a CSV table") -> None:
-    if args.out is None:
-        raise InputError(f"{args.subcommand} writes {what}; --out is required")
-
-
 def _write_csv(out, header, rows) -> None:
     with _open_out(out, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -332,31 +331,14 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.flush()
 
 
-def _sim_from_args(args, s=None) -> SimSpec:
-    return SimSpec(model=args.model, n=args.n, d=args.d,
-                   s=args.s if s is None else s, mu=args.mu,
-                   noise_sd=args.noise_sd, noise=args.noise, seed=args.seed)
+def _sim_from_args(args) -> SimSpec:
+    return SimSpec(model=args.model, n=args.n, d=args.d, s=args.s,
+                   seed=args.seed, **{name: getattr(args, name)
+                                      for name in SIM_MODELS[args.model]})
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
-
-
-def _require(args, names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise InputError(f"{args.subcommand} requires {_flag(name)}")
-
-
-def _tuning_params(args, skip=(), defaults=None) -> dict:
-    """The parameters ``--tune`` reads (``tuning.mode_parameters``), checked
-    against the tuning flags of the subcommand other than ``skip``."""
-    names = dict.fromkeys(chain.from_iterable(TUNING_MODES.values()))
-    given = {name: getattr(args, name, None) for name in names
-             if name not in skip}
-    return mode_parameters(args.tune, given,
-                           f"{args.subcommand} --tune {args.tune}", _flag,
-                           defaults)
 
 
 def _delta_grid_from_arg(text: str) -> list:
@@ -390,18 +372,11 @@ def _warning_lines(caught) -> list:
     return [f"warning: {w.message}" for w in caught]
 
 
-def _cmd_fit(args) -> None:
-    params = _tuning_params(args)
+def _cmd_fit(args, config) -> None:
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
     cfg = _path_config(args)
-
-    echo = {"subcommand": "fit", "input": args.input,
-            "response": args.response, "threshold": args.threshold,
-            "covariates": args.covariates or "rest",
-            "weight": args.weight, "standardize": args.standardize,
-            "kernel": args.kernel, "tune": args.tune, "seed": args.seed,
-            **_solver_echo(args), **params}
+    params = {name: getattr(args, name) for name in TUNING_MODES[args.tune]}
     lines = ["document = smooth-threshold fit"]
 
     with warnings.catch_warnings(record=True) as caught:
@@ -420,19 +395,19 @@ def _cmd_fit(args) -> None:
                                   theta=theta)
         else:
             delta, lam, cv = tuned_penalty(data, kernel, args.tune, params,
-                                           args.seed, weights, cfg)
+                                           config.get("seed"), weights, cfg)
             spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
             path = path_following(spec, replace(cfg, lambda_tgt=lam))
             extra = _fit_lines(path, scales)
             if args.tune == "theory":
                 extra = [f"result delta = {_fmt(delta)}"] + extra
             if cv is None:
-                echo.update(delta=delta, lambda_tgt=lam)
+                config.update(delta=delta, lambda_tgt=lam)
             else:
-                echo["lambda_grid"] = cv.lambda_grid
+                config["lambda_grid"] = cv.lambda_grid
                 extra = _cv_lines(cv) + extra
 
-    lines += _config_lines(echo)
+    lines += _config_lines(config)
     lines += [f"note: {n}" for n in notes]
     lines += extra
     lines += _warning_lines(caught)
@@ -460,9 +435,7 @@ def _lepski_lines(fits, scales, selected: str, theta) -> list:
     return lines
 
 
-def _cmd_path(args) -> None:
-    _require(args, ["delta", "lambda_tgt"])
-    _require_out(args)
+def _cmd_path(args, config) -> None:
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
     spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta), weights)
@@ -485,12 +458,7 @@ def _cmd_path(args) -> None:
                     + [repr(float(v)) for v in theta])
     _write_csv(args.out, header, rows)
 
-    echo = {"subcommand": "path", "input": args.input,
-            "kernel": args.kernel, "delta": args.delta,
-            "lambda_tgt": args.lambda_tgt, **_solver_echo(args),
-            "standardize": args.standardize, "seed": args.seed,
-            "out": args.out}
-    doc = ["document = smooth-threshold path"] + _config_lines(echo)
+    doc = ["document = smooth-threshold path"] + _config_lines(config)
     doc += [f"note: {n}" for n in notes]
     doc += [f"note: {n}" for n in path.notes]
     doc += _warning_lines(caught)
@@ -499,8 +467,7 @@ def _cmd_path(args) -> None:
     _write_doc(doc, _run_doc_path(args.out))
 
 
-def _cmd_simulate(args) -> None:
-    _require_out(args, "CSV files")
+def _cmd_simulate(args, config) -> None:
     sim = _sim_from_args(args)
     data, theta_star = generate(sim)
 
@@ -510,32 +477,19 @@ def _cmd_simulate(args) -> None:
             for i in range(sim.n)]
     _write_csv(args.out, header, rows)
 
-    theta_out = args.theta_out or args.out + ".theta.csv"
-    _write_csv(theta_out, ["coordinate", "value"],
+    config["theta_out"] = args.theta_out or args.out + ".theta.csv"
+    _write_csv(config["theta_out"], ["coordinate", "value"],
                [[j + 1, repr(float(v))] for j, v in enumerate(theta_star)])
 
-    echo = {"subcommand": "simulate", "model": sim.model, "n": sim.n,
-            "d": sim.d, "s": sim.s, "mu": sim.mu, "noise_sd": sim.noise_sd,
-            "noise": sim.noise, "seed": sim.seed, "out": args.out,
-            "theta_out": theta_out}
-    doc = ["document = smooth-threshold simulate"] + _config_lines(echo)
+    doc = ["document = smooth-threshold simulate"] + _config_lines(config)
     doc.append(f"result rows = {sim.n}")
     _write_doc(doc, _run_doc_path(args.out))
 
 
-def _cmd_bench(args) -> None:
-    _require_out(args)
-    sim = _sim_from_args(args, s=3 if args.s is None else args.s)
-    kernel = get_kernel(args.kernel)
-    # --s is the simulated sparsity, read by theory tuning as its s
-    params = _tuning_params(args, skip=("s",),
-                            defaults={"delta": 1.0, "s": sim.s})
-    params.pop("s", None)
-    constants = {name: value for name, value in params.items()
-                 if name in TUNING_DEFAULTS}
-
-    result = run_benchmark(sim, kernel, tune=args.tune, **params,
-                           path_cfg=_path_config(args),
+def _cmd_bench(args, config) -> None:
+    params = {name: getattr(args, name) for name in _BENCH_MODES[args.tune]}
+    result = run_benchmark(_sim_from_args(args), get_kernel(args.kernel),
+                           tune=args.tune, **params, path_cfg=_path_config(args),
                            repetitions=args.reps, seed=args.seed)
 
     header = ["repetition", "l1", "l2", "linf", "nnz", "runtime",
@@ -546,24 +500,18 @@ def _cmd_bench(args) -> None:
             for row in result.rows]
     _write_csv(args.out, header, rows)
 
-    # echo the delta and lambda the repetitions ran with (theory computes both)
+    # the delta and lambda the repetitions ran with (theory computes both)
     first = result.rows[0]
-    echo = {"subcommand": "bench", "model": sim.model, "n": sim.n,
-            "d": sim.d, "s": sim.s, "mu": sim.mu, "noise_sd": sim.noise_sd,
-            "noise": sim.noise, "kernel": args.kernel, "tune": args.tune,
-            "delta": first.delta_used,
-            "lambda_tgt": None if args.tune == "cv" else first.lambda_used,
-            **_solver_echo(args), "beta": args.beta, **constants,
-            "reps": args.reps, "seed": args.seed, "out": args.out}
-    doc = ["document = smooth-threshold bench"] + _config_lines(echo)
+    config.update(delta=first.delta_used,
+                  lambda_tgt=None if args.tune == "cv" else first.lambda_used)
+    doc = ["document = smooth-threshold bench"] + _config_lines(config)
     for norm, stats in result.summary().items():
         doc.append(f"result {norm}_mean = {_fmt(stats['mean'])}")
         doc.append(f"result {norm}_sd = {_fmt(stats['sd'])}")
     _write_doc(doc, _run_doc_path(args.out))
 
 
-def _cmd_toy_risks(args) -> None:
-    _require_out(args)
+def _cmd_toy_risks(args, config) -> None:
     if args.grid_step <= 0:
         raise InputError(f"--grid-step must be positive, got {args.grid_step}")
     if args.grid_stop < args.grid_start:
@@ -582,151 +530,193 @@ def _cmd_toy_risks(args) -> None:
             for i in range(count)]
     _write_csv(args.out, header, rows)
 
-    echo = {"subcommand": "toy-risks", "grid_start": args.grid_start,
-            "grid_stop": args.grid_stop, "grid_step": args.grid_step,
-            "rows": count, "out": args.out}
+    config["rows"] = count
     _write_doc(["document = smooth-threshold toy-risks"]
-               + _config_lines(echo), _run_doc_path(args.out))
+               + _config_lines(config), _run_doc_path(args.out))
 
 
-def _cmd_diagnose(args) -> None:
+def _cmd_diagnose(args, config) -> None:
     kernel = get_kernel(args.kernel)
-    echo = {"subcommand": "diagnose", "probe": args.probe,
-            "kernel": args.kernel, "seed": args.seed}
     notes = []
-
-    if args.probe == "gradient":
-        _require(args, ["delta"])
-        step = 1e-5 if args.step is None else args.step
-        data, weights, notes, _ = _load_input(args)
-        spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                weights)
-        echo.update(input=args.input, delta=args.delta, step=step)
-        report = gradient_check(spec, np.zeros(data.d), step=step)
-    elif args.probe == "variance":
-        sim = _sim_from_args(args)
+    if "delta_grid" in config:
         grid = _delta_grid_from_arg(args.delta_grid)
-        echo.update(model=sim.model, n=sim.n, d=sim.d, s=sim.s,
-                    delta_grid=np.asarray(grid),
-                    repetitions=args.repetitions, n_pop=args.n_pop)
-        report = variance_probe(sim, kernel, grid,
+        config["delta_grid"] = np.asarray(grid)
+    if args.probe == "variance":
+        report = variance_probe(_sim_from_args(args), kernel, grid,
                                 repetitions=args.repetitions,
                                 seed=args.seed, n_pop=args.n_pop)
     elif args.probe == "bias":
-        sim = _sim_from_args(args)
-        grid = _delta_grid_from_arg(args.delta_grid)
-        echo.update(model=sim.model, n=sim.n, d=sim.d, s=sim.s,
-                    delta_grid=np.asarray(grid),
-                    num_directions=args.num_directions)
-        report = bias_probe(sim, kernel, grid,
+        report = bias_probe(_sim_from_args(args), kernel, grid,
                             num_directions=args.num_directions,
                             seed=args.seed)
-    else:  # curvature
-        _require(args, ["delta"])
-        step = 1e-3 if args.step is None else args.step
-        if args.input is not None:
+    else:
+        if "input" in config:
             data, weights, notes, _ = _load_input(args)
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta),
-                                    weights)
-            echo.update(input=args.input, delta=args.delta)
         else:
-            sim = _sim_from_args(args)
-            data, _ = generate(sim)
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta))
-            echo.update(model=sim.model, n=sim.n, d=sim.d, s=sim.s,
-                        delta=args.delta)
-        echo.update(support_size=args.support_size,
-                    num_directions=args.num_directions,
-                    ball_radius=args.ball_radius, step=step)
-        _, _, report = restricted_curvature_probe(
-            spec, args.support_size, num_directions=args.num_directions,
-            ball_radius=args.ball_radius, seed=args.seed, step=step)
+            data, weights = generate(_sim_from_args(args))[0], None
+        spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta), weights)
+        if args.probe == "gradient":
+            report = gradient_check(spec, np.zeros(data.d), step=args.step)
+        else:
+            _, _, report = restricted_curvature_probe(
+                spec, args.support_size, num_directions=args.num_directions,
+                ball_radius=args.ball_radius, seed=args.seed, step=args.step)
 
-    lines = ["document = smooth-threshold diagnose"] + _config_lines(echo)
+    lines = ["document = smooth-threshold diagnose"] + _config_lines(config)
     lines += [f"note: {n}" for n in notes]
     lines += report.lines()
     _write_doc(lines, args.out)
 
 
-def _add_data_flags(parser) -> None:
-    parser.add_argument("--input", default=None,
-                        help="input CSV with a header row")
-    parser.add_argument("--response", default="y",
-                        help="response column name (values in {-1,+1} or {0,1})")
-    parser.add_argument("--threshold", default="x",
-                        help="threshold-variable column name")
-    parser.add_argument("--covariates", default=None,
-                        help="comma-separated covariate columns "
-                             "(default: every remaining column)")
-    parser.add_argument("--weight", default=None,
-                        help="optional per-sample weight column")
-    parser.add_argument("--delimiter", default=",",
-                        help="CSV delimiter (default comma)")
-    parser.add_argument("--standardize", action="store_true",
+# the flags that describe a CSV dataset and the solver; "input" and "model"
+# stand for a CSV and a simulated dataset, each with its describing flags
+_DATA = ("input", "response", "threshold", "covariates", "weight",
+         "delimiter", "standardize")
+_SOLVER = ("lambda0", "stages", "phi", "nu", "eta", "eps_tgt", "radius")
+_GROUPS = {"input": _DATA[1:], "model": ("n", "d", "s")}
+
+# fit's cross-validation draws its folds from --seed
+_FIT_MODES = {mode: TUNING_MODES[mode] + ("seed",) * (mode == "cv")
+              for mode in ("fixed", "cv", "theory", "lepski-beta", "lepski-s")}
+# bench's theory tuning reads the simulated sparsity --s as its s
+_BENCH_MODES = {mode: tuple(name for name in TUNING_MODES[mode] if name != "s")
+                for mode in BENCH_MODES}
+
+# what each subcommand reads, in config-echo order: "tune", "model" and
+# "probe" add what their value reads, "input" and "model" their groups
+_READS = {
+    "fit": ("input", "kernel", "tune", *_SOLVER, "out"),
+    "path": ("input", "kernel", "delta", "lambda_tgt", *_SOLVER, "out"),
+    "simulate": ("model", "seed", "out", "theta_out"),
+    "bench": ("model", "kernel", "tune", *_SOLVER, "reps", "seed", "out"),
+    "toy-risks": ("grid_start", "grid_stop", "grid_step", "out"),
+    "diagnose": ("probe", "kernel", "out"),
+}
+_MODES = {"fit": _FIT_MODES, "bench": _BENCH_MODES}
+
+# defaults of the flags outside the tables of tuning, models and probes; a
+# flag read without a default must be given
+_DEFAULTS = {
+    "response": "y", "threshold": "x", "covariates": None, "weight": None,
+    "delimiter": ",", "standardize": False, "kernel": "gaussian",
+    "lambda0": None, "stages": None, "phi": None, "nu": 0.25, "eta": 1.0,
+    "eps_tgt": None, "radius": 10.0, "tune": "fixed",
+    "model": "binary_response", "n": 200, "d": 10, **SIM_DEFAULTS,
+    "theta_out": None, "reps": 1, "seed": 0, "out": None,
+    "grid_start": 0.0, "grid_stop": 2.0, "grid_step": 0.01,
+}
+# subcommands that write tables, and what they write
+_WRITES = {"path": "a CSV table", "simulate": "CSV files",
+           "bench": "a CSV table", "toy-risks": "a CSV table"}
+
+
+def _axes(sub: str) -> dict:
+    """The flags of ``sub`` whose value adds flags, with their tables."""
+    return {"tune": _MODES.get(sub), "model": SIM_MODELS, "probe": PROBES}
+
+
+def _reads(sub: str, given: dict | None = None):
+    """The name of the run of ``sub`` with the flags ``given``, the flags it
+    reads in config-echo order, and their defaults.  With ``given`` None,
+    the names are every flag that some run of ``sub`` reads."""
+    axes = _axes(sub)
+    who, names = [sub], []
+    defaults = {**_DEFAULTS, **TUNING_DEFAULTS,
+                **(BENCH_DEFAULTS if sub == "bench" else {})}
+
+    def walk(parts):
+        if given is not None and {"input", "model"} <= set(parts):
+            # a probe reading either dataset takes the CSV when one is given
+            parts = [p for p in parts
+                     if p != ("model" if "input" in given else "input")]
+        for name in parts:
+            if name in names:
+                continue
+            names.append(name)
+            walk(_GROUPS.get(name, ()))
+            if name == "model":
+                defaults["s"] = 3  # simulated sparsity; tuning's s has none
+            if name not in axes:
+                continue
+            values = (axes[name] if given is None
+                      else [given.get(name, defaults.get(name))])
+            for value in values:
+                if given is not None:
+                    who.append(f"{_flag(name)} {value}")
+                if name == "probe":
+                    defaults.update(PROBE_DEFAULTS[value])
+                walk(axes[name][value])
+
+    walk(_READS[sub])
+    return " ".join(who), names, defaults
+
+
+# argparse keywords of every flag
+_FLAGS = {
+    "input": dict(help="input CSV with a header row"),
+    "response": dict(help="response column name (values in {-1,+1} or {0,1})"),
+    "threshold": dict(help="threshold-variable column name"),
+    "covariates": dict(help="comma-separated covariate columns "
+                            "(default: every remaining column)"),
+    "weight": dict(help="optional per-sample weight column"),
+    "delimiter": dict(help="CSV delimiter (default comma)"),
+    "standardize": dict(action="store_true",
                         help="scale covariates to unit standard deviation; "
-                             "theta is reported on the original scale")
+                             "theta is reported on the original scale"),
+    "kernel": dict(choices=BUILTIN_KERNELS),
+    "tune": dict(),
+    "delta": dict(type=float, help="smoothing bandwidth"),
+    "lambda_tgt": dict(type=float, help="target penalty level"),
+    "lambda0": dict(type=float, help="starting penalty (default: gradient "
+                                     "sup-norm at zero)"),
+    "stages": dict(type=int, help="number of penalty stages"),
+    "phi": dict(type=float, help="per-stage penalty decay in (0,1)"),
+    "nu": dict(type=float, help="stage tolerance multiplier"),
+    "eta": dict(type=float, help="initial proximal step size"),
+    "eps_tgt": dict(type=float, help="final stage tolerance"),
+    "radius": dict(type=float, help="radius of the feasible l2 ball"),
+    "folds": dict(type=int, help="cross-validation folds for cv tuning"),
+    "s": dict(type=int, help="sparsity level (simulated, or for "
+                             "theory/lepski-beta tuning)"),
+    "beta": dict(type=float, help="smoothness level for theory/lepski-s tuning"),
+    "c_delta": dict(type=float, help="bandwidth constant for theory/lepski-s tuning"),
+    "c_lambda": dict(type=float, help="penalty constant for theory/lepski tuning"),
+    "c_sel": dict(type=float, help="selection constant for --tune lepski-beta"),
+    "c_bar": dict(type=float, help="selection constant for --tune lepski-s"),
+    "model": dict(),
+    "n": dict(type=int),
+    "d": dict(type=int),
+    "mu": dict(type=float),
+    "noise_sd": dict(type=float),
+    "noise": dict(choices=("gaussian", "logistic")),
+    "theta_out": dict(help="path for the true coefficient table "
+                           "(default: OUT.theta.csv)"),
+    "reps": dict(type=int),
+    "seed": dict(type=int),
+    "out": dict(help="output path (documents default to stdout; "
+                     "CSV subcommands require it)"),
+    "grid_start": dict(type=float),
+    "grid_stop": dict(type=float),
+    "grid_step": dict(type=float),
+    "probe": dict(required=True),
+    "delta_grid": dict(),
+    "repetitions": dict(type=int),
+    "n_pop": dict(type=int),
+    "num_directions": dict(type=int),
+    "support_size": dict(type=int),
+    "ball_radius": dict(type=float),
+    "step": dict(type=float, help="probe step size"),
+}
 
-
-def _add_solver_flags(parser) -> None:
-    parser.add_argument("--kernel", default="gaussian",
-                        choices=BUILTIN_KERNELS)
-    parser.add_argument("--delta", type=float, default=None,
-                        help="smoothing bandwidth")
-    parser.add_argument("--lambda-tgt", dest="lambda_tgt", type=float,
-                        default=None, help="target penalty level")
-    parser.add_argument("--lambda0", type=float, default=None,
-                        help="starting penalty (default: gradient sup-norm "
-                             "at zero)")
-    parser.add_argument("--stages", type=int, default=None,
-                        help="number of penalty stages")
-    parser.add_argument("--phi", type=float, default=None,
-                        help="per-stage penalty decay in (0,1)")
-    parser.add_argument("--nu", type=float, default=0.25,
-                        help="stage tolerance multiplier")
-    parser.add_argument("--eta", type=float, default=1.0,
-                        help="initial proximal step size")
-    parser.add_argument("--eps-tgt", dest="eps_tgt", type=float, default=None,
-                        help="final stage tolerance")
-    parser.add_argument("--radius", type=float, default=10.0,
-                        help="radius of the feasible l2 ball")
-
-
-def _add_tuning_flags(parser, modes) -> None:
-    parser.add_argument("--tune", default="fixed", choices=modes)
-    parser.add_argument("--folds", type=int, default=None,
-                        help="cross-validation folds for cv tuning (default "
-                             f"{TUNING_DEFAULTS['folds']})")
-    parser.add_argument("--s", type=int, default=None,
-                        help="sparsity level for theory/lepski-beta tuning")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="smoothness level for theory/lepski-s tuning")
-    parser.add_argument("--c-delta", dest="c_delta", type=float, default=None,
-                        help="bandwidth constant for theory/lepski-s tuning "
-                             f"(default {TUNING_DEFAULTS['c_delta']})")
-    parser.add_argument("--c-lambda", dest="c_lambda", type=float,
-                        default=None,
-                        help="penalty constant for theory/lepski tuning "
-                             f"(default {TUNING_DEFAULTS['c_lambda']})")
-
-
-def _add_sim_flags(parser) -> None:
-    parser.add_argument("--model", default="binary_response",
-                        choices=("binary_response", "conditional_mean",
-                                 "one_bit_noiseless"))
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--d", type=int, default=10)
-    parser.add_argument("--mu", type=float, default=2.0)
-    parser.add_argument("--noise-sd", dest="noise_sd", type=float,
-                        default=0.1)
-    parser.add_argument("--noise", default="gaussian",
-                        choices=("gaussian", "logistic"))
-
-
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None,
-                        help="output path (documents default to stdout; "
-                             "CSV subcommands require it)")
+# each subcommand's handler and help line
+_SUBCOMMANDS = {
+    "fit": (_cmd_fit, "one tuned or fixed penalized fit"),
+    "path": (_cmd_path, "per-stage solution path as CSV"),
+    "simulate": (_cmd_simulate, "write a synthetic dataset as CSV"),
+    "bench": (_cmd_bench, "repeated generate/tune/fit table"),
+    "toy-risks": (_cmd_toy_risks, "closed-form scalar risk curves as CSV"),
+    "diagnose": (_cmd_diagnose, "numerical probe reports"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -738,94 +728,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes the flags some run of it reads; a flag not
+    given is left unset, so its default comes from the tables."""
     top = _Parser(
         prog="smooth-threshold",
         description="Sparse individualized thresholds by penalized "
                     "kernel-smoothed classification.")
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    fit = sub.add_parser("fit", help="one tuned or fixed penalized fit")
-    _add_data_flags(fit)
-    _add_solver_flags(fit)
-    _add_tuning_flags(fit, ("fixed", "cv", "theory", "lepski-beta",
-                            "lepski-s"))
-    fit.add_argument("--c-sel", dest="c_sel", type=float, default=None,
-                     help="selection constant for --tune lepski-beta "
-                          f"(default {TUNING_DEFAULTS['c_sel']})")
-    fit.add_argument("--c-bar", dest="c_bar", type=float, default=None,
-                     help="selection constant for --tune lepski-s "
-                          f"(default {TUNING_DEFAULTS['c_bar']})")
-    _add_common_flags(fit)
-
-    path = sub.add_parser("path", help="per-stage solution path as CSV")
-    _add_data_flags(path)
-    _add_solver_flags(path)
-    _add_common_flags(path)
-
-    sim = sub.add_parser("simulate", help="write a synthetic dataset as CSV")
-    _add_sim_flags(sim)
-    sim.add_argument("--s", type=int, default=3)
-    sim.add_argument("--theta-out", dest="theta_out", default=None,
-                     help="path for the true coefficient table "
-                          "(default: OUT.theta.csv)")
-    _add_common_flags(sim)
-
-    bench = sub.add_parser("bench", help="repeated generate/tune/fit table")
-    _add_sim_flags(bench)
-    _add_solver_flags(bench)
-    _add_tuning_flags(bench, ("fixed", "cv", "theory"))
-    bench.add_argument("--reps", type=int, default=1)
-    _add_common_flags(bench)
-
-    toy = sub.add_parser("toy-risks",
-                         help="closed-form scalar risk curves as CSV")
-    toy.add_argument("--grid-start", dest="grid_start", type=float,
-                     default=0.0)
-    toy.add_argument("--grid-stop", dest="grid_stop", type=float, default=2.0)
-    toy.add_argument("--grid-step", dest="grid_step", type=float,
-                     default=0.01)
-    _add_common_flags(toy)
-
-    diag = sub.add_parser("diagnose", help="numerical probe reports")
-    _add_data_flags(diag)
-    _add_sim_flags(diag)
-    diag.add_argument("--probe", required=True,
-                      choices=("gradient", "variance", "bias", "curvature"))
-    diag.add_argument("--kernel", default="gaussian", choices=BUILTIN_KERNELS)
-    diag.add_argument("--delta", type=float, default=None)
-    diag.add_argument("--delta-grid", dest="delta_grid",
-                      default="0.5,0.25,0.125")
-    diag.add_argument("--s", type=int, default=3)
-    diag.add_argument("--repetitions", type=int, default=20)
-    diag.add_argument("--n-pop", dest="n_pop", type=int, default=1_000_000)
-    diag.add_argument("--num-directions", dest="num_directions", type=int,
-                      default=20)
-    diag.add_argument("--support-size", dest="support_size", type=int,
-                      default=5)
-    diag.add_argument("--ball-radius", dest="ball_radius", type=float,
-                      default=1.0)
-    diag.add_argument("--step", type=float, default=None,
-                      help="probe step size (default: 1e-5 gradient, "
-                           "1e-3 curvature)")
-    _add_common_flags(diag)
-
+    for name, (_, help_text) in _SUBCOMMANDS.items():
+        parser = sub.add_parser(name, help=help_text,
+                                argument_default=argparse.SUPPRESS)
+        axes = _axes(name)
+        for flag in _reads(name)[1]:
+            choices = {"choices": tuple(axes[flag])} if flag in axes else {}
+            parser.add_argument(_flag(flag), **_FLAGS[flag], **choices)
     return top
-
-
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "path": _cmd_path,
-    "simulate": _cmd_simulate,
-    "bench": _cmd_bench,
-    "toy-risks": _cmd_toy_risks,
-    "diagnose": _cmd_diagnose,
-}
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        _HANDLERS[args.subcommand](args)
+        given = vars(build_parser().parse_args(argv))
+        sub = given.pop("subcommand")
+        who, names, defaults = _reads(sub, given)
+        settings = read_settings(names, given, who, _flag, defaults)
+        if sub in _WRITES and settings["out"] is None:
+            raise InputError(f"{sub} writes {_WRITES[sub]}; --out is required")
+        config = {"subcommand": sub, **settings}
+        if "covariates" in config:  # unset: every column no role claims
+            config["covariates"] = config["covariates"] or "rest"
+        _SUBCOMMANDS[sub][0](argparse.Namespace(**settings), config)
     except InputError as exc:
         _emit_error("input", str(exc))
         return 2

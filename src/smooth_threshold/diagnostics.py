@@ -6,7 +6,8 @@ variability of the empirical gradient around its population value, the
 smoothing bias of the gradient for the shifted-measurement model, and
 second-difference curvature over sparse directions.  Probes are deterministic
 given their seeds; reports hold only finite values so they can be printed and
-diffed verbatim.
+diffed verbatim.  ``PROBES`` and ``PROBE_DEFAULTS`` name what each probe
+reads on the command line.
 """
 
 from __future__ import annotations
@@ -29,7 +30,29 @@ __all__ = [
     "variance_probe",
     "bias_probe",
     "restricted_curvature_probe",
+    "PROBES",
+    "PROBE_DEFAULTS",
 ]
+
+# the parameters each probe reads on the command line, in config-echo order:
+# "input" stands for a CSV dataset and "model" for a simulated one, each with
+# the flags that describe it; a probe reading both takes the CSV when given
+PROBES = {
+    "gradient": ("input", "delta", "step"),
+    "variance": ("model", "delta_grid", "repetitions", "n_pop", "seed"),
+    "bias": ("model", "delta_grid", "num_directions", "seed"),
+    "curvature": ("input", "model", "delta", "support_size", "num_directions",
+                  "ball_radius", "step", "seed"),
+}
+# their command-line defaults; a parameter without one must be given
+PROBE_DEFAULTS = {
+    "gradient": {"step": 1e-5},
+    "variance": {"delta_grid": "0.5,0.25,0.125", "repetitions": 20,
+                 "n_pop": 1_000_000},
+    "bias": {"delta_grid": "0.5,0.25,0.125", "num_directions": 20},
+    "curvature": {"support_size": 5, "num_directions": 20, "ball_radius": 1.0,
+                  "step": 1e-3},
+}
 
 _QUAD_NODES = 200
 
@@ -270,9 +293,6 @@ def bias_probe(sim: SimSpec, kernel: Kernel, delta_grid, theta=None,
     if sim.model != "conditional_mean":
         raise InputError("bias_probe requires the conditional_mean model; "
                          f"got {sim.model!r}")
-    if sim.noise != "gaussian":
-        raise InputError("bias_probe needs gaussian noise for the closed "
-                         f"conditional form; got {sim.noise!r}")
     grid = _delta_grid_array(delta_grid)
     num_directions = _positive_int(num_directions, "num_directions")
     sigma = float(sim.noise_sd)

@@ -1,5 +1,5 @@
-"""Shared exception and warning types, and the checks of single numbers
-that raise ``InputError``."""
+"""Shared exception and warning types, the checks of single numbers that
+raise ``InputError``, and the check of the settings a run reads."""
 
 import math
 
@@ -40,3 +40,25 @@ def _nonneg_real(value, name: str) -> float:
     if not math.isfinite(value) or value < 0.0:
         raise InputError(f"{name} must be a nonnegative real, got {value!r}")
     return value
+
+
+def read_settings(names, given: dict, who: str, spell, defaults: dict) -> dict:
+    """The settings a run reads: each of ``names`` in order, from ``given``
+    where it is set there (not None), else from ``defaults``.
+
+    A name in neither is missing; a set entry of ``given`` outside ``names``
+    is not read.  Either is an ``InputError`` naming the run as ``who`` and
+    the parameter as ``spell(name)``.
+    """
+    settings = {}
+    for name in names:
+        if given.get(name) is not None:
+            settings[name] = given[name]
+        elif name in defaults:
+            settings[name] = defaults[name]
+        else:
+            raise InputError(f"{who} requires {spell(name)}")
+    for name, value in given.items():
+        if value is not None and name not in settings:
+            raise InputError(f"{who} does not use {spell(name)}; do not pass {spell(name)}")
+    return settings

@@ -82,17 +82,6 @@ class KernelReport:
         return out
 
 
-def eval_kernel(kernel: Kernel, t):
-    """Evaluate K at scalar or array t.  Non-finite input is an input error."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InputError("kernel argument must be finite")
-    out = kernel.evaluate(arr)
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
-
-
 def _tail_by_quadrature(kernel: Kernel, a: float) -> float:
     r = kernel.support_radius
     if math.isfinite(r):

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceWarning, InputError, NumericError
-from .risk import SmoothedRiskSpec, empirical_gradient, objective, _check_theta
+from .risk import (SmoothedRiskSpec, empirical_gradient, objective, _check_theta,
+                   _l2_norm)
 
 _TRACE_TOL = 1e-12
 _BACKTRACK_SLACK = 1e-15
@@ -59,7 +60,7 @@ def project_ball(v, radius: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if math.isinf(radius):
         return v.copy()
-    norm = float(np.linalg.norm(v))
+    norm = _l2_norm(v)
     if norm <= radius:
         return v.copy()
     return v * (radius / norm)
@@ -79,16 +80,6 @@ def suboptimality(spec: SmoothedRiskSpec, theta, lam: float) -> float:
         raise InputError(f"penalty level must be a nonnegative real, got {lam}")
     theta = _check_theta(theta, spec.data.d)
     return _subopt_from_grad(empirical_gradient(spec, theta), theta, lam)
-
-
-def prox_step(spec: SmoothedRiskSpec, theta, lam: float, eta: float,
-              radius: float = math.inf) -> np.ndarray:
-    """One proximal gradient update of theta at step size eta."""
-    if not (np.isfinite(eta) and eta > 0):
-        raise InputError(f"step size must be a positive real, got {eta}")
-    theta = _check_theta(theta, spec.data.d)
-    g = empirical_gradient(spec, theta)
-    return project_ball(soft_threshold(theta - eta * g, lam * eta), radius)
 
 
 @dataclass(frozen=True)
@@ -208,7 +199,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
         for _ in range(_MAX_HALVINGS + 1):
             shrunk = soft_threshold(theta - step * g, lam * step)
             # project_ball, with the norm it takes kept for the boundary check
-            norm = float(np.linalg.norm(shrunk))
+            norm = _l2_norm(shrunk)
             cand = shrunk if norm <= radius else shrunk * (radius / norm)
             boundary_hit = boundary_hit or norm > radius
             u_cand = spec.margins(cand)

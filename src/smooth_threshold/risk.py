@@ -14,8 +14,8 @@ theta_j z_j over the support of theta only, one column after another; when
 the support exceeds a quarter of d they sum over every column, which skips
 no work but gathers none.  Both add the columns in the same order, and a
 zero coordinate adds an exact zero, so on two or more samples both give the
-same bits.  The gradient sums over samples down each column.  Neither calls
-BLAS, whose sums change in the last bits with its thread count, so results
+same bits.  The gradient sums over samples down each column.  Neither,
+nor the l2 norm of the ball projection and the Lepski rules, calls BLAS, whose sums change in the last bits with its thread count, so results
 are bit-identical for any BLAS thread count.  Risk, gradient and objective
 take ``u = spec.margins(theta)`` from callers that have it (margins
 validated theta).
@@ -23,6 +23,7 @@ validated theta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,12 @@ def _col_sum(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     if support.size <= _SPARSE_SHARE * z.shape[1]:
         cols, theta = cols[support], theta[support]
     return np.einsum("ji,j->i", cols, theta)
+
+
+def _l2_norm(v: np.ndarray) -> float:
+    # sqrt(v'v) in einsum's own loop; numpy.linalg.norm's BLAS dot varies
+    # with its thread count
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 def _margins(data: Dataset, theta: np.ndarray) -> np.ndarray:

@@ -45,9 +45,23 @@ __all__ = [
     "top_support",
     "derive_seed",
     "run_benchmark",
+    "SIM_MODELS",
+    "SIM_DEFAULTS",
+    "BENCH_MODES",
+    "BENCH_DEFAULTS",
 ]
 
-_MODELS = ("binary_response", "conditional_mean", "one_bit_noiseless")
+# the noise parameters each model's generator reads, besides n, d, s and seed
+SIM_MODELS = {
+    "binary_response": ("noise_sd", "noise"),
+    "conditional_mean": ("mu", "noise_sd"),
+    "one_bit_noiseless": (),
+}
+SIM_DEFAULTS = {"mu": 2.0, "noise_sd": 0.1, "noise": "gaussian"}
+# the tuning modes of run_benchmark, and the bandwidth of fixed and cv tuning
+# when none is given
+BENCH_MODES = ("fixed", "cv", "theory")
+BENCH_DEFAULTS = {"delta": 1.0}
 _NOISES = ("gaussian", "logistic")
 
 
@@ -56,26 +70,28 @@ class SimSpec:
     """Full description of one synthetic dataset.
 
     ``theta_star`` defaults to the first ``s`` coordinates equal and
-    positive, normalized to unit Euclidean norm.  ``noise`` selects the
-    binary-response noise law: "gaussian" draws noise_sd * N(0,1),
-    "logistic" draws noise_sd times a standard logistic variate (so
-    noise_sd=1 gives the standard logistic distribution).  ``noise_sd``
-    is ignored by one_bit_noiseless.
+    positive, normalized to unit Euclidean norm.  ``SIM_MODELS`` names the
+    parameters among ``mu``, ``noise_sd`` and ``noise`` that each model
+    reads.  ``noise`` selects the binary-response noise law: "gaussian"
+    draws noise_sd * N(0,1), "logistic" draws noise_sd times a standard
+    logistic variate (so noise_sd=1 gives the standard logistic
+    distribution); the other models refuse "logistic", since they draw
+    Gaussian noise or none.
     """
 
     model: str
     n: int
     d: int
     s: int
-    mu: float = 2.0
-    noise_sd: float = 0.1
-    noise: str = "gaussian"
+    mu: float = SIM_DEFAULTS["mu"]
+    noise_sd: float = SIM_DEFAULTS["noise_sd"]
+    noise: str = SIM_DEFAULTS["noise"]
     theta_star: Optional[np.ndarray] = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise InputError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in SIM_MODELS:
+            raise InputError(f"model must be one of {tuple(SIM_MODELS)}, got {self.model!r}")
         for name in ("n", "d", "s"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.s > self.d:
@@ -90,6 +106,8 @@ class SimSpec:
         object.__setattr__(self, "noise_sd", sd)
         if self.noise not in _NOISES:
             raise InputError(f"noise must be one of {_NOISES}, got {self.noise!r}")
+        if self.noise != "gaussian" and "noise" not in SIM_MODELS[self.model]:
+            raise InputError(f"model {self.model!r} does not draw {self.noise} noise")
         seed = self.seed
         if not float(seed).is_integer() or int(seed) < 0 or int(seed) >= 2 ** 64:
             raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
@@ -360,13 +378,13 @@ def run_benchmark(
     structured notes land in the row's ``messages``.  Runtime covers tuning
     plus fitting.
     """
-    if tune not in ("fixed", "cv", "theory"):
-        raise InputError(f"tune must be one of ('fixed', 'cv', 'theory'), got {tune!r}")
+    if tune not in BENCH_MODES:
+        raise InputError(f"tune must be one of {BENCH_MODES}, got {tune!r}")
     repetitions = _positive_int(repetitions, "repetitions")
     given = {"delta": delta, "lambda_tgt": lambda_tgt, "beta": beta,
              "c_delta": c_delta, "c_lambda": c_lambda, "folds": folds}
     params = mode_parameters(tune, given, f"tune={tune!r}", str,
-                             defaults={"delta": 1.0, "s": spec.s})
+                             defaults={**BENCH_DEFAULTS, "s": spec.s})
     base = path_cfg or _DEFAULT_CONFIG
 
     def one_rep(i: int) -> BenchmarkRow:

@@ -29,12 +29,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (InputError, _nonneg_int, _nonneg_real, _positive_int,
-                     _positive_real)
+                     _positive_real, read_settings)
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import (
     Dataset,
     SmoothedRiskSpec,
+    _l2_norm,
     empirical_gradient,
     empirical_risk,
 )
@@ -188,26 +189,14 @@ def _theory_schedule(n: int, d: int, s: int, beta: float, c_delta: float,
 
 def mode_parameters(mode: str, given: dict, who: str, spell: Callable[[str], str],
                     defaults: Optional[dict] = None) -> dict:
-    """The parameters tuning ``mode`` reads, in ``TUNING_MODES`` order.
-
-    ``given`` maps names to the caller's values, None for unset; an unset
-    parameter takes its value from ``defaults``, then ``TUNING_DEFAULTS``.
-    A missing parameter, or a set one that ``mode`` does not read, is an
-    error naming the caller as ``who`` and the parameter as ``spell(name)``.
+    """The parameters tuning ``mode`` reads, in ``TUNING_MODES`` order,
+    checked by ``errors.read_settings``: an unset one takes its value from
+    ``defaults``, then ``TUNING_DEFAULTS``.
     """
     if mode not in TUNING_MODES:
         raise InputError(f"tune must be one of {tuple(TUNING_MODES)}, got {mode!r}")
-    fill = {**TUNING_DEFAULTS, **(defaults or {})}
-    params = {}
-    for name in TUNING_MODES[mode]:
-        value = fill.get(name) if given.get(name) is None else given[name]
-        if value is None:
-            raise InputError(f"{who} requires {spell(name)}")
-        params[name] = value
-    for name, value in given.items():
-        if value is not None and name not in params:
-            raise InputError(f"{who} does not use {spell(name)}; do not pass {spell(name)}")
-    return params
+    return read_settings(TUNING_MODES[mode], given, who, spell,
+                         {**TUNING_DEFAULTS, **(defaults or {})})
 
 
 def build_lepski_grid(kind: str, size: int) -> LepskiGrid:
@@ -391,7 +380,7 @@ def _select_lepski(
     ok = [f for f in fits if f.status == "ok"]
     for cand in sorted(ok, key=lambda f: key(f.grid_value)):
         if not any(
-            float(np.linalg.norm(cand.theta - other.theta)) > bound(other.grid_value)
+            _l2_norm(cand.theta - other.theta) > bound(other.grid_value)
             for other in ok
             if key(other.grid_value) >= key(cand.grid_value)
         ):

@@ -8,7 +8,8 @@ and selection of a small cross-validation run.  A second script hashes the
 margins and gradient of a 4003 x 1001 draw at a sparse and at a dense
 theta, and the smoothing-bias probe on the same draw: a BLAS product splits
 an odd row count unevenly between threads, which an even one like 2000 can
-hide.
+hide.  A third hashes the ball projection of a 100,000-coordinate vector,
+whose l2 norm a BLAS dot product rounds differently on two threads.
 """
 
 import os
@@ -61,6 +62,13 @@ probe = bias_probe(SimSpec(model="conditional_mean", n=4003, d=1001, s=50,
 show("bias_probe", probe.values["max_abs_bias"])
 """
 
+NORM_SCRIPT = PREAMBLE + """
+from smooth_threshold import project_ball
+
+v = np.random.Generator(np.random.Philox(key=11)).standard_normal(100_000)
+show("project_ball", project_ball(v, 1.0))
+"""
+
 
 def _run(blas_threads: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
@@ -82,3 +90,9 @@ def test_odd_n_margins_identical_for_one_and_two_blas_threads():
     one, two = _run("1", ODD_N_SCRIPT), _run("2", ODD_N_SCRIPT)
     assert one == two
     assert len(one.splitlines()) == 5
+
+
+def test_ball_projection_identical_for_one_and_two_blas_threads():
+    one, two = _run("1", NORM_SCRIPT), _run("2", NORM_SCRIPT)
+    assert one == two
+    assert len(one.splitlines()) == 1

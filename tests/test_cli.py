@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,10 @@ import pytest
 
 from smooth_threshold import cli, tuning
 from smooth_threshold.cli import ColumnRoles, load_csv, main
+from smooth_threshold.diagnostics import PROBES
 from smooth_threshold.errors import InputError
 from smooth_threshold.kernels import get_kernel
-from smooth_threshold.simulate import SimSpec, generate
+from smooth_threshold.simulate import SIM_MODELS, SimSpec, generate
 from smooth_threshold.tuning import (TuningSchedule, cross_validate_lambda,
                                      default_lambda_grid, target_lambda,
                                      theoretical_bandwidth)
@@ -44,6 +46,45 @@ def write_csv(path, header, rows):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def argv_of(sub, given):
+    argv = [sub]
+    for name, value in given.items():
+        argv += [flag(name)] + ([] if value is None else [str(value)])
+    return argv
+
+
+# every kind of run, from the tables: a subcommand with the values of its
+# --tune, --model and --probe, and --input for a probe that takes a CSV
+RUNS = ([("fit", {"tune": t}) for t in cli._MODES["fit"]]
+        + [("path", {})]
+        + [("simulate", {"model": m}) for m in SIM_MODELS]
+        + [("bench", {"model": m, "tune": t}) for m in SIM_MODELS
+           for t in cli._MODES["bench"]]
+        + [("toy-risks", {})]
+        + [("diagnose", {"probe": p, **source}) for p, reads in PROBES.items()
+           for source in ([{"input": "in.csv"}] if "input" in reads else [])
+           + ([{"model": m} for m in SIM_MODELS] if "model" in reads else [])])
+RUN_IDS = ["-".join([sub, *map(str, axes.values())]) for sub, axes in RUNS]
+
+# a valid value of every flag (None: a switch)
+VALUES = {
+    "input": "in.csv", "response": "y", "threshold": "x", "covariates": "z1",
+    "weight": "w", "delimiter": ";", "standardize": None, "kernel": "gaussian",
+    "delta": 0.5, "lambda_tgt": 0.1, "lambda0": 1.0, "stages": 3, "phi": 0.5,
+    "nu": 0.25, "eta": 1.0, "eps_tgt": 0.001, "radius": 10.0, "folds": 3,
+    "s": 2, "beta": 1.0, "c_delta": 1.0, "c_lambda": 1.0, "c_sel": 2.0,
+    "c_bar": 2.0, "model": "conditional_mean", "n": 60, "d": 4, "mu": 2.0, "noise_sd": 0.5,
+    "noise": "gaussian", "theta_out": "t.csv", "reps": 1, "seed": 3,
+    "out": "o.csv", "grid_start": 0.0, "grid_stop": 1.0, "grid_step": 0.1,
+    "delta_grid": "0.5,0.25", "repetitions": 2, "n_pop": 2000,
+    "num_directions": 3, "support_size": 2, "ball_radius": 1.0, "step": 0.001,
+}
 
 
 @pytest.fixture
@@ -535,7 +576,7 @@ class TestBench:
                 assert code == 2, flag
                 assert stdout == ""
                 assert json.loads(err)["message"] == \
-                    f"bench --tune {tune} does not use {flag}; do not pass {flag}"
+                    f"bench --model conditional_mean --tune {tune} does not use {flag}; do not pass {flag}"
 
 
     @pytest.mark.parametrize("tune,flags,flag,value", [
@@ -554,7 +595,7 @@ class TestBench:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["message"] == \
-            f"bench --tune {tune} does not use {flag}; do not pass {flag}"
+            f"bench --model binary_response --tune {tune} does not use {flag}; do not pass {flag}"
         assert not (tmp_path / "b.csv").exists()
 
 
@@ -687,12 +728,32 @@ class TestFlagsCheckedBeforeWork:
         (["bench", "--tune", "cv"],
          "bench writes a CSV table; --out is required"),
         (["bench", "--tune", "theory", "--out", "b.csv"],
-         "bench --tune theory requires --beta"),
+         "bench --model binary_response --tune theory requires --beta"),
         (["diagnose", "--probe", "curvature"],
-         "diagnose requires --delta"),
+         "diagnose --probe curvature --model binary_response requires --delta"),
+        ("diagnose --probe bias --model conditional_mean --n 100 --d 4 --s 2 "
+         "--num-directions 3 --delta 0.5 --step 7 --support-size 9 "
+         "--input nosuch.csv".split(),
+         "diagnose --probe bias --model conditional_mean does not use "
+         "--delta; do not pass --delta"),
+        ("fit --input data.csv --tune theory --s 3 --beta 2 --seed 99".split(),
+         "fit --tune theory does not use --seed; do not pass --seed"),
+        ("path --input data.csv --delta 0.5 --lambda-tgt 0.1 --out p.csv "
+         "--seed 77".split(),
+         "smooth-threshold: unrecognized arguments: --seed 77"),
+        ("toy-risks --seed 5".split(),
+         "smooth-threshold: unrecognized arguments: --seed 5"),
+        ("diagnose --probe variance --standardize --response q".split(),
+         "diagnose --probe variance --model binary_response does not use "
+         "--standardize; do not pass --standardize"),
+        ("simulate --model conditional_mean --noise logistic".split(),
+         "simulate --model conditional_mean does not use --noise; do not "
+         "pass --noise"),
     ], ids=["simulate-out", "fit-missing", "fit-unused", "fit-unused-constant",
             "path-missing", "path-out", "bench-out", "bench-missing",
-            "diagnose-missing"])
+            "diagnose-missing", "diagnose-bias-unused", "fit-theory-seed",
+            "path-seed", "toy-risks-seed", "diagnose-variance-data-flags",
+            "simulate-noise"])
     def test_refused_without_work(self, tmp_path, monkeypatch, capsys, argv,
                                   message):
         monkeypatch.chdir(tmp_path)
@@ -701,6 +762,64 @@ class TestFlagsCheckedBeforeWork:
         assert out == ""
         assert json.loads(err) == {"error": "input", "message": message}
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sub,axes", RUNS, ids=RUN_IDS)
+    def test_every_unread_flag_refused(self, tmp_path, monkeypatch, capsys,
+                                       sub, axes):
+        # every flag the subcommand takes outside this run's read set
+        monkeypatch.chdir(tmp_path)
+        who, names, defaults = cli._reads(sub, axes)
+        given = {**axes, **{name: VALUES[name] for name in names
+                            if name not in defaults and name not in axes}}
+        for name in cli._reads(sub)[1]:
+            if name in names or (name == "input" and "probe" in axes):
+                continue  # read, or picks the probe's CSV run
+            code, out, err = run_cli(argv_of(sub, {**given, name: VALUES[name]}),
+                                     capsys)
+            assert code == 2, name
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0]) == {
+                "error": "input",
+                "message": f"{who} does not use {flag(name)}; do not pass "
+                           f"{flag(name)}"}
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestConfigEcho:
+    """A document's config block lists exactly the settings its run read,
+    then the ones the run derived."""
+
+    @pytest.mark.parametrize("sub,axes", [
+        (sub, axes) for sub, axes in RUNS
+        if axes.get("probe") != "bias" or axes["model"] == "conditional_mean"
+    ], ids=[i for i, (sub, axes) in zip(RUN_IDS, RUNS)
+            if axes.get("probe") != "bias" or axes["model"] == "conditional_mean"])
+    def test_config_keys_are_the_settings_read(self, sim_csv, tmp_path, capsys,
+                                               sub, axes):
+        _, names, defaults = cli._reads(sub, axes)
+        fast = ("n", "d", "reps", "repetitions", "n_pop", "num_directions",
+                "support_size")
+        given = {**axes, **{name: VALUES[name] for name in names
+                            if name not in axes
+                            and (name not in defaults or name in fast)}}
+        if "input" in names:
+            given["input"] = sim_csv
+        out = tmp_path / "out.csv"
+        if sub in cli._WRITES:
+            given["out"] = str(out)
+        code, stdout, err = run_cli(argv_of(sub, given), capsys)
+        assert code == 0, err
+        doc = open(str(out) + ".run.txt").read() if sub in cli._WRITES else stdout
+        keys = [line.split(" = ")[0][len("config "):]
+                for line in doc.splitlines() if line.startswith("config ")]
+        derived = {"fit": {"theory": ["delta", "lambda_tgt"],
+                           "cv": ["lambda_grid"]}.get(axes.get("tune"), []),
+                   "bench": ["delta", "lambda_tgt"],
+                   "toy-risks": ["rows"]}.get(sub, [])
+        assert keys == ["subcommand"] + names + [name for name in derived
+                                                 if name not in names]
 
 
 class TestErrorRecords:
@@ -763,3 +882,50 @@ def test_module_entry_point_runs_without_runtime_warning():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_readme_flag_table_matches_the_code_tables():
+    """README's table of the flags each run reads shows the flags and
+    defaults of cli._READS, tuning.TUNING_MODES, simulate.SIM_MODELS and
+    diagnostics.PROBES."""
+    groups = {"input": "data flags", "model": "simulation flags"}
+    solver = ", ".join(map(flag, cli._SOLVER))
+
+    def read(names):
+        text = ", ".join(groups.get(n, flag(n)) for n in names) or "none"
+        return text.replace(solver, "solver flags")
+
+    def shown(names, defaults):  # the defaults a group's row does not show
+        return [(flag(n), cli._fmt(defaults[n])) for n in names
+                if n in defaults and n not in groups and n not in cli._SOLVER]
+
+    sim = ("model", *cli._GROUPS["model"])
+    expected = {
+        "data flags": (", ".join(map(flag, cli._DATA)),
+                       shown(cli._DATA, cli._DEFAULTS)),
+        "solver flags": (solver, [(flag(n), cli._fmt(cli._DEFAULTS[n]))
+                                  for n in cli._SOLVER]),
+        "simulation flags": (", ".join(map(flag, sim)),
+                             [(flag("model"), cli._DEFAULTS["model"])]
+                             + shown(sim, cli._reads("simulate", {})[2])),
+    }
+    for model, names in SIM_MODELS.items():
+        expected[f"`--model {model}`"] = (read(names), shown(names, cli._DEFAULTS))
+    for sub, parts in cli._READS.items():
+        axes = {"probe": "gradient"} if sub == "diagnose" else {}
+        expected[f"`{sub}`"] = (read(parts), shown(parts, cli._reads(sub, axes)[2]))
+        for mode, names in cli._MODES.get(sub, {}).items():
+            expected[f"`{sub} --tune {mode}`"] = (
+                read(names), shown(names, cli._reads(sub, {"tune": mode})[2]))
+    for probe, names in PROBES.items():
+        expected[f"`diagnose --probe {probe}`"] = (
+            read(names), shown(names, cli._reads("diagnose", {"probe": probe})[2]))
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| run | flags read | defaults |\n|---|---|---|\n")[1]
+    found = {}
+    for line in table.split("\n\n")[0].splitlines():
+        run, names, defaults = line.strip("|").split(" | ")
+        found[run.strip()] = (names.replace("`", ""),
+                              re.findall(r"`(--[\w-]+)` `([^`]*)`", defaults))
+    assert found == expected

@@ -229,8 +229,8 @@ class TestBiasProbe:
         wrong_model = SimSpec(model="binary_response", n=50, d=4, s=2, seed=1)
         with pytest.raises(InputError, match="conditional_mean"):
             bias_probe(wrong_model, get_kernel("gaussian"), [0.5])
-        wrong_noise = replace(self.SIM, noise="logistic")
-        with pytest.raises(InputError, match="gaussian noise"):
+        with pytest.raises(InputError, match="does not draw logistic noise"):
+            wrong_noise = replace(self.SIM, noise="logistic")
             bias_probe(wrong_noise, get_kernel("gaussian"), [0.5])
 
     def test_theta_shape_checked(self):

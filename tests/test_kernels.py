@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smooth_threshold.errors import InputError
 from smooth_threshold.kernels import (BUILTIN_KERNELS, Kernel, SurrogateLoss,
-                                      eval_kernel, get_kernel, kernel_moment,
+                                      get_kernel, kernel_moment,
                                       make_higher_order_gaussian, verify_proper)
 
 # Frozen oracles (computed independently from scipy primitives; see notes).
@@ -29,7 +29,7 @@ def test_builtin_registry_contents():
 
 def test_gaussian_kernel_values():
     k = get_kernel("gaussian")
-    assert eval_kernel(k, 0.0) == pytest.approx(PHI0, rel=1e-14)
+    assert k.evaluate(0.0) == pytest.approx(PHI0, rel=1e-14)
     assert k.sup_bound == pytest.approx(PHI0, rel=1e-14)
     assert math.isinf(k.support_radius)
     loss = SurrogateLoss(kernel=k, bandwidth=1.0)
@@ -44,8 +44,8 @@ def test_compact_kernels_vanish_outside_support_exactly():
     for name in ("rectangular", "epanechnikov"):
         k = get_kernel(name)
         assert k.support_radius == 1.0
-        assert eval_kernel(k, 1.0 + 1e-9) == 0.0
-        assert eval_kernel(k, -3.7) == 0.0
+        assert k.evaluate(1.0 + 1e-9) == 0.0
+        assert k.evaluate(-3.7) == 0.0
 
 
 def test_rectangular_loss_piecewise():
@@ -83,19 +83,19 @@ def test_loss_derivative_matches_kernel():
     loss = SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=2.0)
     u = np.array([-1.0, 0.0, 3.0])
     k = get_kernel("gaussian")
-    expect = -eval_kernel(k, u / 2.0) / 2.0
+    expect = -k.evaluate(u / 2.0) / 2.0
     assert loss.derivative(u) == pytest.approx(expect, rel=1e-14)
 
 
 def test_higher_order_gaussian_coefficients():
     k2 = get_kernel("gaussian-order-2")
     # p(u) = 3/2 - u/2 against the standard normal density
-    assert eval_kernel(k2, 0.0) == pytest.approx(K2_AT_0, rel=1e-12)
-    assert eval_kernel(k2, 1.0) == pytest.approx(1.0 * math.exp(-0.5) * PHI0,
+    assert k2.evaluate(0.0) == pytest.approx(K2_AT_0, rel=1e-12)
+    assert k2.evaluate(1.0) == pytest.approx(1.0 * math.exp(-0.5) * PHI0,
                                                  rel=1e-12)
     assert k2.sup_bound == pytest.approx(K2_AT_0, rel=1e-12)
     # larger at the origin than the plain gaussian
-    assert eval_kernel(k2, 0.0) > PHI0
+    assert k2.evaluate(0.0) > PHI0
 
 
 def test_higher_order_moments():
@@ -178,17 +178,6 @@ def test_moment_oracle_values():
                                                                      rel=1e-9)
     with pytest.raises(InputError):
         kernel_moment(get_kernel("gaussian"), -1)
-
-
-def test_eval_kernel_validation():
-    k = get_kernel("gaussian")
-    with pytest.raises(InputError):
-        eval_kernel(k, float("nan"))
-    with pytest.raises(InputError):
-        eval_kernel(k, np.array([1.0, np.inf]))
-    out = eval_kernel(k, np.array([0.0, 1.0]))
-    assert isinstance(out, np.ndarray) and out.shape == (2,)
-    assert isinstance(eval_kernel(k, 0.3), float)
 
 
 def test_bandwidth_validation():

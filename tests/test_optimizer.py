@@ -17,7 +17,7 @@ from smooth_threshold import optimizer
 from smooth_threshold.errors import ConvergenceWarning, InputError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.optimizer import (PathConfig, path_following, project_ball,
-                                        prox_step, proximal_gradient,
+                                        proximal_gradient,
                                         soft_threshold, suboptimality,
                                         _subopt_from_grad)
 from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, empirical_gradient,
@@ -134,10 +134,11 @@ def test_pure_shrinkage_reaches_exact_zero():
 def test_prox_step_fixed_point_at_zero():
     spec = random_spec(n=40, d=3, seed=8)
     lam0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(3)))))
-    out = prox_step(spec, np.zeros(3), lam0, eta=1.0)
-    assert np.array_equal(out, np.zeros(3))
-    moved = prox_step(spec, np.zeros(3), lam0 * 0.5, eta=1.0)
-    assert np.any(moved != 0.0)
+    out = proximal_gradient(spec, np.zeros(3), lam0, eps=0.0)
+    assert out.iterations == 0
+    assert np.array_equal(out.theta, np.zeros(3))
+    moved = proximal_gradient(spec, np.zeros(3), lam0 * 0.5, eps=1e-8)
+    assert moved.iterations > 0 and np.any(moved.theta != 0.0)
 
 
 def test_monotone_trace_and_stage_tolerances():

@@ -75,6 +75,14 @@ class TestSimSpec:
         spec = SimSpec(model="one_bit_noiseless", n=5, d=3, s=1, noise_sd=0.0)
         assert spec.noise_sd == 0.0
 
+    @pytest.mark.parametrize("model", ["conditional_mean", "one_bit_noiseless"])
+    def test_logistic_noise_only_where_drawn(self, model):
+        with pytest.raises(InputError,
+                           match=f"model '{model}' does not draw logistic noise"):
+            SimSpec(model=model, n=5, d=3, s=1, noise="logistic")
+        assert SimSpec(model="binary_response", n=5, d=3, s=1,
+                       noise="logistic").noise == "logistic"
+
 
 class TestGenerators:
     def test_binary_response_shapes_and_labels(self):
