@@ -49,7 +49,8 @@ PROBE_DEFAULTS = {
     "gradient": {"step": 1e-5},
     "variance": {"delta_grid": "0.5,0.25,0.125", "repetitions": 20,
                  "n_pop": 1_000_000},
-    "bias": {"delta_grid": "0.5,0.25,0.125", "num_directions": 20},
+    "bias": {"model": "conditional_mean", "delta_grid": "0.5,0.25,0.125",
+             "num_directions": 20},
     "curvature": {"support_size": 5, "num_directions": 20, "ball_radius": 1.0,
                   "step": 1e-3},
 }

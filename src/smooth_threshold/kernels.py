@@ -9,6 +9,11 @@ For a nonnegative kernel integrating to one this is a sigmoid-like relaxation
 of the step function, equal to 1/2 at u = 0 when K is symmetric.  Higher order
 kernels (vanishing moments beyond the first) trade positivity for smaller
 smoothing bias.
+
+Every built-in kernel has a closed-form tail, so fitting never integrates
+numerically.  ``scipy.integrate`` is imported only where quadrature runs:
+``kernel_moment``, ``verify_proper`` and the tail of a kernel declared
+without one.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .errors import InputError, NumericError
@@ -82,6 +86,14 @@ class KernelReport:
         return out
 
 
+def _quad(func, lo, hi):
+    """``scipy.integrate.quad`` of func over [lo, hi] with the shared settings;
+    the import stays here so that fitting never loads ``scipy.integrate``."""
+    from scipy import integrate
+
+    return integrate.quad(func, lo, hi, epsabs=_QUAD_TOL, limit=200, full_output=1)
+
+
 def _tail_by_quadrature(kernel: Kernel, a: float) -> float:
     r = kernel.support_radius
     if math.isfinite(r):
@@ -90,8 +102,7 @@ def _tail_by_quadrature(kernel: Kernel, a: float) -> float:
         lo, hi = max(a, -_GAUSS_RANGE), _GAUSS_RANGE
     if lo >= hi:
         return 0.0
-    res = integrate.quad(kernel.evaluate, lo, hi, epsabs=_QUAD_TOL, limit=200,
-                         full_output=1)
+    res = _quad(kernel.evaluate, lo, hi)
     if len(res) > 3:
         raise NumericError(f"tail quadrature for kernel {kernel.name!r} did not "
                            f"converge at a={a}: {res[3]}")
@@ -149,8 +160,7 @@ def kernel_moment(kernel: Kernel, j: int) -> float:
         lo, hi = -r, r
     else:
         lo, hi = -np.inf, np.inf
-    res = integrate.quad(lambda t: t ** j * kernel.evaluate(t), lo, hi,
-                         epsabs=_QUAD_TOL, limit=200, full_output=1)
+    res = _quad(lambda t: t ** j * kernel.evaluate(t), lo, hi)
     if len(res) > 3:
         raise NumericError(f"moment {j} of kernel {kernel.name!r} did not "
                            f"converge: {res[3]}")
@@ -188,8 +198,7 @@ def verify_proper(kernel: Kernel, order: int | None = None,
     mass_resid = abs(kernel_moment(kernel, 0) - 1.0)
     checks["unit_mass"] = (mass_resid <= tol, mass_resid)
 
-    sq = integrate.quad(lambda t: kernel.evaluate(t) ** 2,
-                        -r_eff, r_eff, epsabs=_QUAD_TOL, limit=200, full_output=1)
+    sq = _quad(lambda t: kernel.evaluate(t) ** 2, -r_eff, r_eff)
     square_ok = len(sq) == 3 and np.isfinite(sq[0])
     checks["square_integrable"] = (square_ok, float(sq[0]) if square_ok else np.inf)
 

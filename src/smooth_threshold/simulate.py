@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -291,8 +292,9 @@ def top_support(theta: np.ndarray, s: int) -> np.ndarray:
 class BenchmarkRow:
     """One repetition: errors, sparsity, wall time, and tuned parameters.
 
-    ``messages`` aggregates structured solver notes and any stage that
-    ended without converging.
+    ``messages`` aggregates structured solver notes, any stage that ended
+    without converging, and the text of every other warning the repetition
+    raised (cross-validation folds included).
     """
 
     repetition: int
@@ -374,9 +376,10 @@ def run_benchmark(
 
     Repetition i draws data with seed spawn_key (i, 0) and cross-validates
     with spawn_key (i, 1) off the benchmark seed, so every repetition is
-    tuned on its own data.  Solver warnings never abort a repetition;
-    structured notes land in the row's ``messages``.  Runtime covers tuning
-    plus fitting.
+    tuned on its own data.  Solver warnings never abort a repetition and
+    never reach stderr: structured notes, and the text of each warning that
+    is not already one of them, land in the row's ``messages``.  Runtime
+    covers tuning plus fitting.
     """
     if tune not in BENCH_MODES:
         raise InputError(f"tune must be one of {BENCH_MODES}, got {tune!r}")
@@ -390,16 +393,20 @@ def run_benchmark(
     def one_rep(i: int) -> BenchmarkRow:
         data, theta_star = generate(replace(spec, seed=derive_seed(seed, i, 0)))
         t0 = time.perf_counter()
-        delta_used, lam, _ = tuned_penalty(data, kernel, tune, params,
-                                           derive_seed(seed, i, 1), weights, base)
-        fit_spec = SmoothedRiskSpec(
-            data=data,
-            loss=SurrogateLoss(kernel=kernel, bandwidth=delta_used),
-            weights=weights,
-        )
-        path = path_following(fit_spec, replace(base, lambda_tgt=lam))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            delta_used, lam, _ = tuned_penalty(data, kernel, tune, params,
+                                               derive_seed(seed, i, 1), weights, base)
+            fit_spec = SmoothedRiskSpec(
+                data=data,
+                loss=SurrogateLoss(kernel=kernel, bandwidth=delta_used),
+                weights=weights,
+            )
+            path = path_following(fit_spec, replace(base, lambda_tgt=lam))
         runtime = time.perf_counter() - t0
         theta = path.theta_final
+        raised = tuple(str(w.message) for w in caught
+                       if str(w.message) not in path.notes)
         return BenchmarkRow(
             repetition=i,
             l1=estimation_error(theta, theta_star, "l1"),
@@ -409,7 +416,7 @@ def run_benchmark(
             runtime=runtime,
             lambda_used=float(lam),
             delta_used=delta_used,
-            messages=_path_messages(path),
+            messages=_path_messages(path) + raised,
         )
 
     rows = tuple(one_rep(i) for i in range(repetitions))

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,13 @@ from smooth_threshold.risk import Dataset, SmoothedRiskSpec
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def src_env():
+    """Environment for a fresh interpreter that imports the package from src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
 def random_spec(n=40, d=3, seed=0, kernel="gaussian", delta=1.0, weights=None,

@@ -265,6 +265,8 @@ def test_error_decreases_with_sample_size():
 def test_adaptive_selection_near_oracle(monkeypatch):
     # (a) bandwidth adaptation lands within 2x of the best grid fit;
     # (b) sparsity adaptation lands within 2x of the fit at the true level;
+    # (c) on sign responses at n=2000, d=256, s=8 with the same constants,
+    # both selectors stay under an absolute l2 bound;
     # both default branches fire when every grid fit fails.
     data_a, star_a = generate(SimSpec(model="conditional_mean", n=1000, d=100,
                                       s=5, mu=2.0, noise_sd=0.1, seed=77))
@@ -287,6 +289,21 @@ def test_adaptive_selection_near_oracle(monkeypatch):
                    if f.status == "ok" and f.grid_value == 8)
     ratio_b = estimation_error(theta_b, star_b) / estimation_error(at_true,
                                                                    star_b)
+
+    # Over root seeds 1-12, instances 0-2, the sparsity selector's l2 was
+    # 0.105-0.180 and the bandwidth selector's (always delta=1) 0.214-0.429;
+    # a null fit has l2 1.
+    data_c, star_c = generate(SimSpec(model="binary_response", n=2000, d=256,
+                                      s=8, noise_sd=0.1, seed=79))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, theta_cs, _ = lepski_sparsity(data_c, make_higher_order_gaussian(2),
+                                         beta=2.0, c_delta=0.32,
+                                         c_lambda=0.06, c_bar=1.0)
+        _, theta_cb, _ = lepski_bandwidth(data_c, GAUSS, s=8, c_sel=2.0,
+                                          c_lambda=0.25)
+    l2_cs = estimation_error(theta_cs, star_c)
+    l2_cb = estimation_error(theta_cb, star_c)
 
     # Selection on an all-failed fit list has an empty feasible set.
     dead = [LepskiFit(grid_value=g, delta=float(g), lam=0.1, theta=None,
@@ -322,12 +339,15 @@ def test_adaptive_selection_near_oracle(monkeypatch):
                                            beta=2.0)
     monkeypatch.setattr(tuning, "path_following", real)
 
-    ok = (ratio_a <= 2.0 and ratio_b <= 2.0 and none_a is None
+    ok = (ratio_a <= 2.0 and ratio_b <= 2.0 and l2_cs <= 0.25
+          and l2_cb <= 0.55 and none_a is None
           and none_b is None and delta_fallback == 1.0 / 40
           and s_fallback == grid_s[-1])
     report("adaptive bandwidth and sparsity selection", ok,
            f"bandwidth error ratio = {ratio_a:.2f} (<= 2), sparsity error "
-           f"ratio = {ratio_b:.2f} (<= 2), empty feasible sets -> None/None, "
+           f"ratio = {ratio_b:.2f} (<= 2), sign-response l2 = {l2_cs:.3f} "
+           f"(sparsity, <= 0.25) and {l2_cb:.3f} (bandwidth, <= 0.55), "
+           f"empty feasible sets -> None/None, "
            f"fallbacks = 1/n ({delta_fallback}) and top level ({s_fallback})")
 
 

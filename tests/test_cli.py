@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -12,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import src_env
 from smooth_threshold import cli, tuning
 from smooth_threshold.cli import ColumnRoles, load_csv, main
-from smooth_threshold.diagnostics import PROBES
+from smooth_threshold.diagnostics import PROBE_DEFAULTS, PROBES
 from smooth_threshold.errors import InputError
 from smooth_threshold.kernels import get_kernel
 from smooth_threshold.simulate import SIM_MODELS, SimSpec, generate
@@ -70,7 +70,15 @@ RUNS = ([("fit", {"tune": t}) for t in cli._MODES["fit"]]
         + [("diagnose", {"probe": p, **source}) for p, reads in PROBES.items()
            for source in ([{"input": "in.csv"}] if "input" in reads else [])
            + ([{"model": m} for m in SIM_MODELS] if "model" in reads else [])])
-RUN_IDS = ["-".join([sub, *map(str, axes.values())]) for sub, axes in RUNS]
+# the runs that succeed: the bias probe refuses every --model but its
+# default, so it runs on that model, once named and once left unset
+VALID_RUNS = [(sub, axes) for sub, axes in RUNS if axes.get("probe") != "bias"
+              or axes["model"] == PROBE_DEFAULTS["bias"]["model"]]
+VALID_RUNS.append(("diagnose", {"probe": "bias"}))
+
+
+def run_id(sub, axes):
+    return "-".join([sub, *map(str, axes.values())])
 
 # a valid value of every flag (None: a switch)
 VALUES = {
@@ -523,6 +531,21 @@ class TestBench:
         run_doc = open(str(out_a) + ".run.txt").read()
         assert float(doc_value(run_doc, "result l2_mean")) > 0
 
+    def test_solver_warnings_land_in_messages_not_stderr(self, tmp_path):
+        # a fresh interpreter, since pytest itself records warnings
+        argv = ("bench --model conditional_mean --n 200 --d 8 --s 2 "
+                "--noise-sd 1.0 --tune theory --beta 1.0 --reps 2 "
+                "--out bth.csv").split()
+        done = subprocess.run([sys.executable, "-m", "smooth_threshold.cli",
+                               *argv], env=src_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        rows = list(csv.DictReader(open(tmp_path / "bth.csv")))
+        assert len(rows) == 2
+        for row in rows:
+            assert "exceeds the zero-solution penalty" in row["messages"]
+
     def test_rejects_lepski_tuning(self, tmp_path, capsys):
         code, _, err = run_cli(["bench", "--tune", "lepski-beta", "--out",
                                 str(tmp_path / "x.csv")], capsys)
@@ -641,6 +664,18 @@ class TestDiagnose:
                                 "--delta", "0.5"], capsys)
         assert code == 2
         assert "--input" in json.loads(err)["message"]
+
+    def test_bias_probe_runs_on_its_defaults(self, capsys):
+        code, out, err = run_cli(["diagnose", "--probe", "bias", "--seed",
+                                  "1"], capsys)
+        assert code == 0, err
+        assert doc_value(out, "config model") == "conditional_mean"
+        code, out, err = run_cli(["diagnose", "--probe", "bias", "--model",
+                                  "binary_response", "--seed", "1"], capsys)
+        assert code == 2
+        assert json.loads(err)["message"] == (
+            "bias_probe requires the conditional_mean model; got "
+            "'binary_response'")
 
     def test_bias_probe_document(self, capsys):
         code, out, err = run_cli(["diagnose", "--probe", "bias", "--model",
@@ -763,7 +798,7 @@ class TestFlagsCheckedBeforeWork:
         assert json.loads(err) == {"error": "input", "message": message}
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("sub,axes", RUNS, ids=RUN_IDS)
+    @pytest.mark.parametrize("sub,axes", RUNS, ids=[run_id(*run) for run in RUNS])
     def test_every_unread_flag_refused(self, tmp_path, monkeypatch, capsys,
                                        sub, axes):
         # every flag the subcommand takes outside this run's read set
@@ -791,11 +826,8 @@ class TestConfigEcho:
     """A document's config block lists exactly the settings its run read,
     then the ones the run derived."""
 
-    @pytest.mark.parametrize("sub,axes", [
-        (sub, axes) for sub, axes in RUNS
-        if axes.get("probe") != "bias" or axes["model"] == "conditional_mean"
-    ], ids=[i for i, (sub, axes) in zip(RUN_IDS, RUNS)
-            if axes.get("probe") != "bias" or axes["model"] == "conditional_mean"])
+    @pytest.mark.parametrize("sub,axes", VALID_RUNS,
+                             ids=[run_id(*run) for run in VALID_RUNS])
     def test_config_keys_are_the_settings_read(self, sim_csv, tmp_path, capsys,
                                                sub, axes):
         _, names, defaults = cli._reads(sub, axes)
@@ -874,11 +906,8 @@ class TestErrorRecords:
 
 
 def test_module_entry_point_runs_without_runtime_warning():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
-                           "smooth_threshold.cli", "--help"], env=env,
+                           "smooth_threshold.cli", "--help"], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
@@ -897,7 +926,8 @@ def test_readme_flag_table_matches_the_code_tables():
 
     def shown(names, defaults):  # the defaults a group's row does not show
         return [(flag(n), cli._fmt(defaults[n])) for n in names
-                if n in defaults and n not in groups and n not in cli._SOLVER]
+                if n in defaults and n not in cli._SOLVER
+                and (n not in groups or defaults[n] != cli._DEFAULTS[n])]
 
     sim = ("model", *cli._GROUPS["model"])
     expected = {

@@ -6,12 +6,14 @@ scipy.integrate.quad, epsabs=1e-13) and are frozen here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smooth_threshold import simulate
 from smooth_threshold.errors import InputError, NumericError
 from smooth_threshold.kernels import get_kernel
 from smooth_threshold.optimizer import PathConfig
@@ -290,6 +292,25 @@ class TestBenchmark:
         assert row.nnz == 0
         assert row.l2 == pytest.approx(1.0)  # theta* has unit norm
         assert any("exceeds the zero-solution penalty" in m for m in row.messages)
+
+    def test_tuning_warnings_land_in_messages(self, monkeypatch):
+        # a warning raised while tuning, as a cross-validation fold path
+        # raises one, is recorded once and never escapes
+        real = simulate.tuned_penalty
+
+        def noisy(*args, **kwargs):
+            warnings.warn("fold path stopped early", UserWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "tuned_penalty", noisy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_benchmark(self.SPEC, GAUSS, tune="fixed", delta=1.0,
+                                lambda_tgt=5.0, repetitions=1, seed=2)
+        messages = res.rows[0].messages
+        assert messages.count("fold path stopped early") == 1
+        # the null-fit warning is a path note and is listed once, as a note
+        assert sum("exceeds the zero-solution penalty" in m for m in messages) == 1
 
     def test_cv_mode_and_reuse(self):
         res = run_benchmark(self.SPEC, GAUSS, tune="cv", repetitions=2, seed=11, folds=4)
