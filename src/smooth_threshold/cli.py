@@ -135,8 +135,13 @@ def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
 def _read_columns(path, handle, roles, delimiter):
     """The used columns ``[response, threshold, covariates..., weight]`` of
     every data row as one float table, and the number of covariates."""
-    # readline, not iteration, so that tell() still works after the header
-    reader = csv.reader(iter(handle.readline, ""), delimiter=delimiter)
+    header_text = []
+
+    def readline():  # not iteration, so that tell() still works after the header
+        header_text.append(handle.readline())
+        return header_text[-1]
+
+    reader = csv.reader(iter(readline, ""), delimiter=delimiter)
     try:
         header = [cell.strip() for cell in next(reader)]
     except StopIteration:
@@ -150,7 +155,7 @@ def _read_columns(path, handle, roles, delimiter):
     lines = chain([first], handle)
     if start is not None:
         table = _read_table(path, lines, len(header), reader.line_num,
-                            delimiter)
+                            "".join(header_text).count('"'), delimiter)
         if table is not None:
             return table[:, columns], d
         handle.seek(start)
@@ -200,11 +205,15 @@ def _used_columns(path, header, roles):
     return [index[name] for name in used], len(covariates)
 
 
-def _read_table(path, lines, width, header_lines, delimiter):
+def _read_table(path, lines, width, header_lines, header_quotes, delimiter):
     """Every cell of the data ``lines`` of ``path`` as an ``(n, width)``
     float table read by numpy's C reader, or None when the row parser has to
-    read them: some cell is not a plain number, or numpy saw other rows than
+    read them: a data row holds a quote (checked before numpy parses
+    anything), some cell is not a plain number, or numpy saw other rows than
     ``csv`` would (it skips blank lines)."""
+    line_count, quotes = _line_and_quote_count(path)
+    if quotes > header_quotes:
+        return None
     try:
         with warnings.catch_warnings():
             # a data section of blank lines only warns "input contained no data"
@@ -213,7 +222,7 @@ def _read_table(path, lines, width, header_lines, delimiter):
                                comments=None, quotechar=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape != (_line_count(path) - header_lines, width):
+    if table.shape != (line_count - header_lines, width):
         return None
     return table
 
@@ -221,19 +230,21 @@ def _read_table(path, lines, width, header_lines, delimiter):
 _CHUNK_BYTES = 1 << 20
 
 
-def _line_count(path) -> int:
-    """Lines of ``path`` as a text handle opened with ``newline=""`` yields
-    them (ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``), counted in
-    binary chunks."""
-    ends, tail = 0, b""
+def _line_and_quote_count(path):
+    """The lines of ``path`` as a text handle opened with ``newline=""``
+    yields them (ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``), and its
+    ``"`` characters, counted in binary chunks."""
+    ends, quotes, tail = 0, 0, b""
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(_CHUNK_BYTES), b""):
             ends += chunk.count(b"\n")
             if b"\r" in chunk:  # spares plain files two more scans
                 ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if b'"' in chunk:  # spares plain files a second scan
+                quotes += chunk.count(b'"')
             ends -= tail == b"\r" and chunk[:1] == b"\n"
             tail = chunk[-1:]
-    return ends + (tail not in (b"", b"\n", b"\r"))
+    return ends + (tail not in (b"", b"\n", b"\r")), quotes
 
 
 def _parse_rows(rows, width, columns):
@@ -445,8 +456,8 @@ def _cmd_path(args, config) -> None:
         path = path_following(spec, _path_config(args, args.lambda_tgt))
 
     header = ["stage", "lambda", "iterations", "nnz", "objective",
-              "exit_omega", "status", "step"] + [f"theta_{j + 1}"
-                                                 for j in range(data.d)]
+              "exit_omega", "status", "step", "halvings"] + [
+                  f"theta_{j + 1}" for j in range(data.d)]
     rows = []
     for stage in path.stages:
         theta = stage.theta / scales
@@ -454,7 +465,7 @@ def _cmd_path(args, config) -> None:
                      stage.iterations, stage.nnz,
                      repr(float(stage.objective_trace[-1])),
                      repr(float(stage.exit_omega)), stage.status,
-                     repr(float(stage.step))]
+                     repr(float(stage.step)), stage.halvings]
                     + [repr(float(v)) for v in theta])
     _write_csv(args.out, header, rows)
 

@@ -49,8 +49,10 @@ PROBE_DEFAULTS = {
     "gradient": {"step": 1e-5},
     "variance": {"delta_grid": "0.5,0.25,0.125", "repetitions": 20,
                  "n_pop": 1_000_000},
-    "bias": {"model": "conditional_mean", "delta_grid": "0.5,0.25,0.125",
-             "num_directions": 20},
+    # at noise_sd 0.1 the density near |t| = mu is about e^-200, so the probe
+    # would measure that far tail and not the delta^2 bias
+    "bias": {"model": "conditional_mean", "noise_sd": 1.0,
+             "delta_grid": "0.5,0.25,0.125", "num_directions": 20},
     "curvature": {"support_size": 5, "num_directions": 20, "ball_radius": 1.0,
                   "step": 1e-3},
 }

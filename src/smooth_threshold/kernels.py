@@ -13,7 +13,9 @@ smoothing bias.
 Every built-in kernel has a closed-form tail, so fitting never integrates
 numerically.  ``scipy.integrate`` is imported only where quadrature runs:
 ``kernel_moment``, ``verify_proper`` and the tail of a kernel declared
-without one.
+without one.  ``scipy.special.ndtr`` is imported when a gaussian-family
+kernel is built (``get_kernel("gaussian")``, ``make_higher_order_gaussian``),
+and its tail keeps that function; importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InputError, NumericError
 
@@ -225,6 +226,8 @@ def make_higher_order_gaussian(order: int) -> Kernel:
     """
     if order < 2 or order % 2 != 0:
         raise InputError(f"order must be a positive even integer, got {order}")
+    from scipy.special import ndtr
+
     half = order // 2
     # M[i, j] = integral of t^(2i) * t^(2j) * phi(t) dt = (2(i+j) - 1)!!
     m = np.array([[_double_factorial_odd(i + j) for j in range(half + 1)]
@@ -267,6 +270,8 @@ def make_higher_order_gaussian(order: int) -> Kernel:
 
 
 def _gaussian_kernel() -> Kernel:
+    from scipy.special import ndtr
+
     def tail(a):
         return ndtr(-np.asarray(a, dtype=float))
 

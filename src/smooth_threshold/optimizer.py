@@ -148,6 +148,7 @@ class StageRecord:
     nnz: int
     status: str  # "initial" | "converged" | "max_iter" | "stalled"
     step: float  # first trial step carried into the next stage
+    halvings: int  # trial steps rejected, each then halved
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,7 @@ class InnerResult:
     margins: np.ndarray
     eta_final: float
     boundary_hit: bool
+    halvings: int
 
 
 def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
@@ -185,7 +187,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
     step = eta
     status = "converged"
     boundary_hit = False
-    iterations = 0
+    iterations = halvings = 0
 
     while omega > eps:
         if iterations >= max_iters:
@@ -208,6 +210,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
                 accepted = True
                 break
             step *= 0.5
+            halvings += 1
         if not accepted:
             status = "stalled"
             warnings.warn(
@@ -236,7 +239,8 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
             f"{float(rise.max()):.3e} over an accepted step")
     return InnerResult(theta=theta, iterations=iterations, exit_omega=omega,
                        objective_trace=trace, status=status, gradient=g,
-                       margins=u, eta_final=step, boundary_hit=boundary_hit)
+                       margins=u, eta_final=step, boundary_hit=boundary_hit,
+                       halvings=halvings)
 
 
 def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
@@ -292,7 +296,8 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
     value is solved to the final-stage tolerance (eps_tgt if set, else
     0.1 * nu * lambda).  Warm starts with gap above lambda/2 are noted.
     Stage 1 starts at step ``config.eta`` and every later stage at the step
-    the one before ended with, recorded as ``StageRecord.step``.
+    the one before ended with, recorded as ``StageRecord.step``;
+    ``StageRecord.halvings`` counts the trial steps the stage rejected.
     """
     ladder = None if lambdas is None else _check_ladder(lambdas)
     zero = np.zeros(spec.data.d)
@@ -327,7 +332,7 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
         stage_index=0, lam=lambda0, iterations=0,
         exit_omega=_subopt_from_grad(g0, zero, lambda0), theta=zero.copy(),
         objective_trace=np.array([objective(spec, zero, lambda0, u=u0)]),
-        nnz=0, status="initial", step=config.eta)]
+        nnz=0, status="initial", step=config.eta, halvings=0)]
     theta, grad, u, step = zero, g0, u0, config.eta
     for t, (lam, eps) in enumerate(zip(lams, epss), start=len(stages)):
         warm_omega = _subopt_from_grad(grad, theta, lam)
@@ -344,7 +349,8 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
                                   exit_omega=res.exit_omega, theta=res.theta,
                                   objective_trace=res.objective_trace,
                                   nnz=int(np.count_nonzero(res.theta)),
-                                  status=res.status, step=res.eta_final))
+                                  status=res.status, step=res.eta_final,
+                                  halvings=res.halvings))
         theta, grad, u, step = res.theta, res.gradient, res.margins, res.eta_final
 
     echo = replace(echo, lambda0=lambda0, eps_tgt=epss[-1])

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InputError, NumericError, _positive_int
 from .kernels import Kernel, SurrogateLoss
@@ -149,8 +148,22 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+_ROW_BLOCK = 256
+
+
+def _row_dot(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """z theta as each row's own sum of z_ij theta_j, the bits of
+    ``(z * theta).sum(axis=1)`` without its n x d product: the rows are
+    taken in blocks, and each row is still reduced alone."""
+    out = np.empty(z.shape[0])
+    for i in range(0, z.shape[0], _ROW_BLOCK):
+        block = slice(i, i + _ROW_BLOCK)
+        np.sum(z[block] * theta, axis=1, out=out[block])
+    return out
+
+
 def _margins(x: np.ndarray, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return x - (z * theta).sum(axis=1)
+    return x - _row_dot(z, theta)
 
 
 def gen_binary_response(spec: SimSpec) -> Tuple[Dataset, np.ndarray]:
@@ -199,7 +212,7 @@ def gen_conditional_mean(spec: SimSpec) -> Tuple[Dataset, np.ndarray]:
     y = rng.integers(0, 2, size=spec.n).astype(float) * 2.0 - 1.0
     z = rng.standard_normal((spec.n, spec.d))
     u = spec.noise_sd * rng.standard_normal(spec.n)
-    x = spec.mu * y + (z * spec.theta_star).sum(axis=1) + u
+    x = spec.mu * y + _row_dot(z, spec.theta_star) + u
     return Dataset(x=x, y=y, z=z), spec.theta_star
 
 
@@ -238,6 +251,7 @@ def toy_population_risks(theta_grid: Sequence[float]) -> ToyRiskTable:
         raise InputError("theta grid must be non-empty")
     if not np.all(np.isfinite(grid)):
         raise InputError("theta grid must be finite")
+    from scipy.special import ndtr
 
     risk01 = np.zeros_like(grid)
     hinge = np.zeros_like(grid)

@@ -416,14 +416,16 @@ class TestPath:
         assert code == 0, err
         rows = list(csv.reader(open(out)))
         header = rows[0]
-        assert header[:8] == ["stage", "lambda", "iterations", "nnz",
-                              "objective", "exit_omega", "status", "step"]
-        assert header[8:] == [f"theta_{j}" for j in range(1, 9)]
+        assert header[:9] == ["stage", "lambda", "iterations", "nnz",
+                              "objective", "exit_omega", "status", "step",
+                              "halvings"]
+        assert header[9:] == [f"theta_{j}" for j in range(1, 9)]
         body = rows[1:]
         lams = [float(r[1]) for r in body]
         assert all(a > b for a, b in zip(lams, lams[1:]))
         assert float(body[0][7]) == 1.0  # the --eta default, carried into stage 1
         assert all(0 < float(r[7]) <= 1024 for r in body)
+        assert body[0][8] == "0" and all(int(r[8]) >= 0 for r in body)
         nnz = [int(r[3]) for r in body]
         steps = [b >= a for a, b in zip(nnz, nnz[1:])]
         assert sum(steps) >= 0.9 * len(steps)
@@ -676,6 +678,15 @@ class TestDiagnose:
         assert json.loads(err)["message"] == (
             "bias_probe requires the conditional_mean model; got "
             "'binary_response'")
+
+    def test_bias_probe_shows_its_scaling_law_at_its_defaults(self, capsys):
+        # the default noise_sd is 1.0: at 0.1 the probe would read the far
+        # tail of the density, with a slope near 50
+        code, out, err = run_cli(["diagnose", "--probe", "bias", "--seed",
+                                  "1"], capsys)
+        assert code == 0, err
+        assert "config noise_sd = 1.0" in out.splitlines()
+        assert 1.8 <= float(doc_value(out, "value loglog_slope")) <= 2.2
 
     def test_bias_probe_document(self, capsys):
         code, out, err = run_cli(["diagnose", "--probe", "bias", "--model",
@@ -948,8 +959,10 @@ def test_readme_flag_table_matches_the_code_tables():
             expected[f"`{sub} --tune {mode}`"] = (
                 read(names), shown(names, cli._reads(sub, {"tune": mode})[2]))
     for probe, names in PROBES.items():
-        expected[f"`diagnose --probe {probe}`"] = (
-            read(names), shown(names, cli._reads("diagnose", {"probe": probe})[2]))
+        # a probe's row also shows its defaults of flags read through a group
+        reads = cli._reads("diagnose", {"probe": probe})
+        own = [n for n in reads[1] if n in names or n in PROBE_DEFAULTS[probe]]
+        expected[f"`diagnose --probe {probe}`"] = (read(names), shown(own, reads[2]))
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| run | flags read | defaults |\n|---|---|---|\n")[1]

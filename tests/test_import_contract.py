@@ -1,12 +1,16 @@
-"""Fitting never loads scipy.integrate; only quadrature does.
+"""Fitting never loads scipy.integrate; only quadrature does.  Importing
+the package, drawing data and refusing a flag never load scipy.special;
+building a gaussian-family kernel or the toy risks does.
 
-The check runs in a fresh interpreter, because this process may already
-hold scipy.integrate through pytest, hypothesis or another test.
+Each check runs in a fresh interpreter, because this process may already
+hold scipy through pytest, hypothesis or another test.
 """
 
 import json
 import subprocess
 import sys
+
+import pytest
 
 from conftest import src_env
 
@@ -35,14 +39,73 @@ print(json.dumps(report))
 """
 
 
-def test_only_quadrature_loads_scipy_integrate(tmp_path):
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+def run_fresh(script, *args):
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=src_env(), capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    *runs, (_, moment, loaded) = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_only_quadrature_loads_scipy_integrate(tmp_path):
+    *runs, (_, moment, loaded) = run_fresh(SCRIPT, tmp_path)
     for argv, code, integrate_loaded in runs:
-        assert code == 0, (argv, done.stderr)
+        assert code == 0, argv
         assert not integrate_loaded, argv
     assert loaded
     assert abs(moment - 1.0) <= 1e-8
+
+
+NO_SPECIAL = r"""
+import contextlib, io, json, os, sys
+report = []
+
+def step(name, result=None):
+    report.append([name, result, "scipy.special" in sys.modules])
+
+import smooth_threshold
+step("import smooth_threshold")
+from smooth_threshold import SimSpec, generate
+from smooth_threshold.simulate import SIM_MODELS
+for model in SIM_MODELS:
+    data, _ = generate(SimSpec(model=model, n=50, d=6, s=2, seed=3))
+    step(f"generate {model}", data.n)
+from smooth_threshold.cli import main
+os.chdir(sys.argv[1])
+with contextlib.redirect_stderr(io.StringIO()):
+    step("simulate", main("simulate --model binary_response --n 40 --d 5 "
+                          "--s 2 --seed 1 --out sim.csv".split()))
+    step("fit --bogus", main(["fit", "--bogus"]))
+print(json.dumps(report))
+"""
+
+
+def test_import_generate_simulate_and_refusal_leave_scipy_special_out(tmp_path):
+    report = run_fresh(NO_SPECIAL, tmp_path)
+    assert [name for name, _, _ in report] == [
+        "import smooth_threshold", "generate binary_response",
+        "generate conditional_mean", "generate one_bit_noiseless",
+        "simulate", "fit --bogus"]
+    assert dict((name, result) for name, result, _ in report[4:]) == \
+        {"simulate": 0, "fit --bogus": 2}
+    for name, _, loaded in report:
+        assert not loaded, name
+
+
+@pytest.mark.parametrize("build, value", [
+    ('get_kernel("gaussian")', "built.tail(0.5)"),
+    ('get_kernel("gaussian-order-2")', "built.tail(0.5)"),
+    ("toy_population_risks([0.5])", "built.risk01[0]"),
+])
+def test_gaussian_kernels_and_toy_risks_load_scipy_special(build, value):
+    # a kernel binds ndtr when it is built, before its tail is ever called
+    script = ("import json, sys\n"
+              "from smooth_threshold import get_kernel, toy_population_risks\n"
+              "before = 'scipy.special' in sys.modules\n"
+              f"built = {build}\n"
+              "after = 'scipy.special' in sys.modules\n"
+              f"print(json.dumps([before, after, float({value})]))\n")
+    before, after, result = run_fresh(script)
+    assert not before
+    assert after
+    assert 0.0 < result < 1.0

@@ -125,15 +125,16 @@ def test_fast_path_matches_row_parser(tmp_path_factory, case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.text(alphabet="a,\r\n", max_size=40), st.integers(1, 5))
+@given(st.text(alphabet='a,"\r\n', max_size=40), st.integers(1, 5))
 def test_line_count_matches_text_handle(tmp_path_factory, text, chunk_bytes):
     path = tmp_path_factory.mktemp("lines") / "a.csv"
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_CHUNK_BYTES", chunk_bytes)  # "\r\n" split across chunks
-        count = cli._line_count(path)
+        count, quotes = cli._line_and_quote_count(path)
     with open(path, encoding="utf-8", newline="") as handle:
         assert count == len(handle.readlines())
+    assert quotes == text.count('"')
 
 
 @pytest.fixture
@@ -169,6 +170,47 @@ def test_benchmark_shaped_file_takes_fast_path(tmp_path, no_row_parser):
     assert weights is None and notes == []
     for name in ("x", "y", "z"):
         assert getattr(data, name).tobytes() == getattr(original, name).tobytes()
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    calls = []
+    real = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def test_quoted_cell_goes_straight_to_row_parser(tmp_path, loadtxt_calls):
+    # one quoted cell in the last row: numpy would parse every row before it
+    # only to fail there, and the row parser would read the file again
+    original, _ = generate(SimSpec(model="conditional_mean", n=500, d=16,
+                                   s=4, seed=2))
+    rows = [[repr(float(v)) for v in row] for row in
+            np.column_stack([original.y, original.x, original.z])]
+    rows[-1][5] = f'"{rows[-1][5]}"'
+    path = tmp_path / "quoted.csv"
+    path.write_text("\n".join(",".join(row) for row in
+                              [["y", "x"] + [f"z{j + 1}" for j in range(16)]]
+                              + rows) + "\n")
+    quoted = outcome(path, None, ",")
+    assert loadtxt_calls == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_table", lambda *args: None)
+        assert outcome(path, None, ",") == quoted
+    assert quoted[3] == original.z.tobytes()
+
+
+def test_quoted_header_keeps_the_fast_path(tmp_path, loadtxt_calls,
+                                           no_row_parser):
+    path = tmp_path / "header.csv"
+    path.write_text('"y","x","z1"\n1,0.5,0.25\n-1,0.2,0.5\n')
+    data, _, _ = load_csv(path)
+    assert len(loadtxt_calls) == 1
+    assert np.array_equal(data.z, [[0.25], [0.5]])
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

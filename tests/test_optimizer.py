@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -253,6 +254,28 @@ def test_one_margin_evaluation_per_candidate(monkeypatch):
     assert res.iterations > 0
     # eta=50 forces step halvings, so some candidates are rejected
     assert counts["margins"] == counts["objective"] > res.iterations + 1
+
+
+def test_halvings_count_every_rejected_trial_step(monkeypatch):
+    # a stage evaluates the objective at its warm start, then once per trial
+    # step: each accepted one makes an iteration, each rejected one a halving
+    spec = random_spec(n=80, d=4, seed=19)
+    calls = collections.Counter()
+
+    def counting(spec, theta, lam, **kwargs):
+        calls[lam] += 1
+        return real(spec, theta, lam, **kwargs)
+
+    real = optimizer.objective
+    monkeypatch.setattr(optimizer, "objective", counting)
+    path = path_following(spec, PathConfig(lambda_tgt=0.02, num_stages=6,
+                                           eta=50.0))
+    first, *stages = path.stages
+    assert first.halvings == 0 and calls[first.lam] == 1
+    assert all(rec.status == "converged" for rec in stages)
+    for rec in stages:
+        assert calls[rec.lam] == 1 + rec.iterations + rec.halvings
+    assert sum(rec.halvings for rec in stages) > 0  # eta=50 forces some
 
 
 _RISING_TRACE = """

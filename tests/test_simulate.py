@@ -168,6 +168,61 @@ class TestGenerators:
         assert wins >= 11  # strict majority; in practice all 20
 
 
+def unblocked_row_dot(z, theta):
+    return (z * theta).sum(axis=1)
+
+
+class TyingRng:
+    """The generator's own draws, except that the first attempt gets
+    x = z_1 and u = 0 in rows 0-2: zero margins when theta* = e_1."""
+
+    def __init__(self, seed):
+        self.real = np.random.Generator(np.random.Philox(key=seed))
+        self.draws = []
+
+    def standard_normal(self, size):
+        out = self.real.standard_normal(size)
+        self.draws.append(out)
+        if len(self.draws) == 2:
+            out[:3] = self.draws[0][:3, 0]
+        elif len(self.draws) == 3:
+            out[:3] = 0.0
+        return out
+
+
+class TestBlockedRowSums:
+    """The generators sum z_ij theta_j over blocks of rows; every row keeps
+    the bits of the unblocked ``(z * theta).sum(axis=1)``."""
+
+    @pytest.mark.parametrize("model", list(simulate.SIM_MODELS))
+    @pytest.mark.parametrize("n, d", [(1000, 7), (600, 300)])
+    def test_same_bits_as_unblocked_sum(self, monkeypatch, model, n, d):
+        spec = SimSpec(model=model, n=n, d=d, s=min(5, d), seed=11)
+        blocked, _ = generate(spec)
+        monkeypatch.setattr(simulate, "_row_dot", unblocked_row_dot)
+        unblocked, _ = generate(spec)
+        for name in ("x", "y", "z"):
+            assert getattr(blocked, name).tobytes() == \
+                getattr(unblocked, name).tobytes()
+
+    def test_tied_rows_are_redrawn_with_the_same_bits(self, monkeypatch):
+        spec = SimSpec(model="binary_response", n=600, d=5, s=1, seed=4)
+        runs = []
+        for row_dot in (simulate._row_dot, unblocked_row_dot):
+            tying = []
+            monkeypatch.setattr(simulate, "_row_dot", row_dot)
+            monkeypatch.setattr(simulate, "_rng",
+                                lambda seed: tying.append(TyingRng(seed)) or tying[-1])
+            runs.append(generate(spec)[0])
+            draws = tying[0].draws
+            assert len(draws) == 6  # z, x, u, then the redraw of rows 0-2
+            assert draws[3].shape == (3, 5)
+            assert np.array_equal(runs[-1].z[:3], draws[3])
+            assert np.all(runs[-1].y != 0.0)
+        for name in ("x", "y", "z"):
+            assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
 class TestToyRisks:
     def test_frozen_quadrature_oracles(self):
         table = toy_population_risks(TOY_THETAS)
