@@ -21,15 +21,18 @@ reads, and a flag not given stays unset.  ``errors.read_settings`` then
 fills in the defaults and refuses, as bad input and before any data are read
 or generated, a missing flag and a given one that the run does not read.
 
-Results and probe reports are single ``key = value`` text documents; tables
-(path, bench, toy-risks, simulate) are RFC-4180 CSV.  Floats are written with
-``repr`` so a written dataset reloads bit-exactly.  Every run records a
-config-echo block: exactly the settings it read, then the few it derived
-(fit's and bench's delta and lambda_tgt, the cv lambda_grid, simulate's
-theta_out, toy-risks' rows).  Errors, among them bad command-line arguments
-and unwritable ``--out`` paths, are reported as one machine-readable JSON
-line on stderr; exit status is 2 for input errors, 1 for numeric failures,
-and 0 otherwise.
+Each handler returns its document lines and, for path, bench, toy-risks
+and simulate, a table; ``main`` writes both (simulate writes theta_out
+itself).  Results and probe reports are single ``key = value`` text
+documents; tables are RFC-4180 CSV, with the document as ``<out>.run.txt``.  Floats are written with
+``repr`` so a written dataset reloads bit-exactly.  Every document opens
+with a config-echo block: exactly the settings the run read, then the few it
+derived (fit's and bench's delta and lambda_tgt, the cv lambda_grid,
+simulate's theta_out, toy-risks' rows).  It ends with one ``warning:`` line
+per warning the run raised.  Errors, among them bad command-line arguments
+and unwritable ``--out`` paths, are the only output on stderr, as one
+machine-readable JSON line; exit status is 2 for input errors, 1 for
+numeric failures, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -306,10 +309,6 @@ def _path_config(args, lambda_tgt: float = 1.0) -> PathConfig:
                       omega_radius=args.radius)
 
 
-def _config_lines(pairs: dict) -> list:
-    return [f"config {key} = {_fmt(val)}" for key, val in pairs.items()]
-
-
 def _open_out(out, newline=None):
     try:
         return open(out, "w", encoding="utf-8", newline=newline)
@@ -331,10 +330,6 @@ def _write_csv(out, header, rows) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _run_doc_path(out: str) -> str:
-    return out + ".run.txt"
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -367,62 +362,45 @@ def _fit_lines(path, scales) -> list:
     """Result block shared by fit-like subcommands."""
     last = path.stages[-1]
     theta = path.theta_final / scales
-    lines = []
-    for note in path.notes:
-        lines.append(f"note: {note}")
-    lines.append(f"result lambda_tgt = {_fmt(path.config_echo.lambda_tgt)}")
-    lines.append(f"result stages = {len(path.stages)}")
-    lines.append(f"result status = {last.status}")
-    lines.append(f"result exit_omega = {_fmt(last.exit_omega)}")
-    lines.append(f"result nnz = {int(np.count_nonzero(theta))}")
-    lines.append(f"result theta = {_fmt(theta)}")
-    return lines
+    return [f"note: {note}" for note in path.notes] + [
+        f"result lambda_tgt = {_fmt(path.config_echo.lambda_tgt)}",
+        f"result stages = {len(path.stages)}",
+        f"result status = {last.status}",
+        f"result exit_omega = {_fmt(last.exit_omega)}",
+        f"result nnz = {int(np.count_nonzero(theta))}",
+        f"result theta = {_fmt(theta)}"]
 
 
-def _warning_lines(caught) -> list:
-    return [f"warning: {w.message}" for w in caught]
-
-
-def _cmd_fit(args, config) -> None:
+def _cmd_fit(args, config):
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
     cfg = _path_config(args)
     params = {name: getattr(args, name) for name in TUNING_MODES[args.tune]}
-    lines = ["document = smooth-threshold fit"]
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.tune == "lepski-beta":
-            delta_hat, theta, fits = lepski_bandwidth(
-                data, kernel, **params, path_cfg=cfg, weights=weights)
-            extra = _lepski_lines(fits, scales,
-                                  selected=f"result delta_hat = {_fmt(delta_hat)}",
-                                  theta=theta)
-        elif args.tune == "lepski-s":
-            s_hat, theta, fits = lepski_sparsity(
-                data, kernel, **params, path_cfg=cfg, weights=weights)
-            extra = _lepski_lines(fits, scales,
-                                  selected=f"result s_hat = {s_hat}",
-                                  theta=theta)
+    if args.tune == "lepski-beta":
+        delta_hat, theta, fits = lepski_bandwidth(
+            data, kernel, **params, path_cfg=cfg, weights=weights)
+        extra = _lepski_lines(fits, scales,
+                              selected=f"result delta_hat = {_fmt(delta_hat)}",
+                              theta=theta)
+    elif args.tune == "lepski-s":
+        s_hat, theta, fits = lepski_sparsity(
+            data, kernel, **params, path_cfg=cfg, weights=weights)
+        extra = _lepski_lines(fits, scales, selected=f"result s_hat = {s_hat}",
+                              theta=theta)
+    else:
+        delta, lam, cv = tuned_penalty(data, kernel, args.tune, params,
+                                       config.get("seed"), weights, cfg)
+        spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
+        path = path_following(spec, replace(cfg, lambda_tgt=lam))
+        extra = _fit_lines(path, scales)
+        if args.tune == "theory":
+            extra = [f"result delta = {_fmt(delta)}"] + extra
+        if cv is None:
+            config.update(delta=delta, lambda_tgt=lam)
         else:
-            delta, lam, cv = tuned_penalty(data, kernel, args.tune, params,
-                                           config.get("seed"), weights, cfg)
-            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
-            path = path_following(spec, replace(cfg, lambda_tgt=lam))
-            extra = _fit_lines(path, scales)
-            if args.tune == "theory":
-                extra = [f"result delta = {_fmt(delta)}"] + extra
-            if cv is None:
-                config.update(delta=delta, lambda_tgt=lam)
-            else:
-                config["lambda_grid"] = cv.lambda_grid
-                extra = _cv_lines(cv) + extra
-
-    lines += _config_lines(config)
-    lines += [f"note: {n}" for n in notes]
-    lines += extra
-    lines += _warning_lines(caught)
-    _write_doc(lines, args.out)
+            config["lambda_grid"] = cv.lambda_grid
+            extra = _cv_lines(cv) + extra
+    return [f"note: {n}" for n in notes] + extra, None
 
 
 def _cv_lines(cv) -> list:
@@ -446,14 +424,11 @@ def _lepski_lines(fits, scales, selected: str, theta) -> list:
     return lines
 
 
-def _cmd_path(args, config) -> None:
+def _cmd_path(args, config):
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
     spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, args.delta), weights)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        path = path_following(spec, _path_config(args, args.lambda_tgt))
+    path = path_following(spec, _path_config(args, args.lambda_tgt))
 
     header = ["stage", "lambda", "iterations", "nnz", "objective",
               "exit_omega", "status", "step", "halvings"] + [
@@ -467,37 +442,27 @@ def _cmd_path(args, config) -> None:
                      repr(float(stage.exit_omega)), stage.status,
                      repr(float(stage.step)), stage.halvings]
                     + [repr(float(v)) for v in theta])
-    _write_csv(args.out, header, rows)
-
-    doc = ["document = smooth-threshold path"] + _config_lines(config)
-    doc += [f"note: {n}" for n in notes]
-    doc += [f"note: {n}" for n in path.notes]
-    doc += _warning_lines(caught)
-    doc.append(f"result stages = {len(path.stages)}")
-    doc.append(f"result table = {args.out}")
-    _write_doc(doc, _run_doc_path(args.out))
+    lines = [f"note: {n}" for n in notes + list(path.notes)]
+    lines += [f"result stages = {len(path.stages)}", f"result table = {args.out}"]
+    return lines, (header, rows)
 
 
-def _cmd_simulate(args, config) -> None:
+def _cmd_simulate(args, config):
     sim = _sim_from_args(args)
     data, theta_star = generate(sim)
+    _open_out(args.out).close()  # an unwritable --out is refused by its name
+    config["theta_out"] = args.theta_out or args.out + ".theta.csv"
+    _write_csv(config["theta_out"], ["coordinate", "value"],
+               [[j + 1, repr(float(v))] for j, v in enumerate(theta_star)])
 
     header = ["y", "x"] + [f"z{j + 1}" for j in range(sim.d)]
     rows = [[repr(float(data.y[i])), repr(float(data.x[i]))]
             + [repr(float(v)) for v in data.z[i]]
             for i in range(sim.n)]
-    _write_csv(args.out, header, rows)
-
-    config["theta_out"] = args.theta_out or args.out + ".theta.csv"
-    _write_csv(config["theta_out"], ["coordinate", "value"],
-               [[j + 1, repr(float(v))] for j, v in enumerate(theta_star)])
-
-    doc = ["document = smooth-threshold simulate"] + _config_lines(config)
-    doc.append(f"result rows = {sim.n}")
-    _write_doc(doc, _run_doc_path(args.out))
+    return [f"result rows = {sim.n}"], (header, rows)
 
 
-def _cmd_bench(args, config) -> None:
+def _cmd_bench(args, config):
     params = {name: getattr(args, name) for name in _BENCH_MODES[args.tune]}
     result = run_benchmark(_sim_from_args(args), get_kernel(args.kernel),
                            tune=args.tune, **params, path_cfg=_path_config(args),
@@ -509,20 +474,19 @@ def _cmd_bench(args, config) -> None:
              row.nnz, repr(row.runtime), repr(row.lambda_used),
              repr(row.delta_used), "; ".join(row.messages)]
             for row in result.rows]
-    _write_csv(args.out, header, rows)
 
     # the delta and lambda the repetitions ran with (theory computes both)
     first = result.rows[0]
     config.update(delta=first.delta_used,
                   lambda_tgt=None if args.tune == "cv" else first.lambda_used)
-    doc = ["document = smooth-threshold bench"] + _config_lines(config)
+    lines = []
     for norm, stats in result.summary().items():
-        doc.append(f"result {norm}_mean = {_fmt(stats['mean'])}")
-        doc.append(f"result {norm}_sd = {_fmt(stats['sd'])}")
-    _write_doc(doc, _run_doc_path(args.out))
+        lines.append(f"result {norm}_mean = {_fmt(stats['mean'])}")
+        lines.append(f"result {norm}_sd = {_fmt(stats['sd'])}")
+    return lines, (header, rows)
 
 
-def _cmd_toy_risks(args, config) -> None:
+def _cmd_toy_risks(args, config):
     if args.grid_step <= 0:
         raise InputError(f"--grid-step must be positive, got {args.grid_step}")
     if args.grid_stop < args.grid_start:
@@ -539,14 +503,11 @@ def _cmd_toy_risks(args, config) -> None:
              repr(float(table.risk_hinge[i])), repr(float(table.risk_exp[i])),
              repr(float(hinge_slope[i])), repr(float(exp_slope[i]))]
             for i in range(count)]
-    _write_csv(args.out, header, rows)
-
     config["rows"] = count
-    _write_doc(["document = smooth-threshold toy-risks"]
-               + _config_lines(config), _run_doc_path(args.out))
+    return [], (header, rows)
 
 
-def _cmd_diagnose(args, config) -> None:
+def _cmd_diagnose(args, config):
     kernel = get_kernel(args.kernel)
     notes = []
     if "delta_grid" in config:
@@ -572,11 +533,7 @@ def _cmd_diagnose(args, config) -> None:
             _, _, report = restricted_curvature_probe(
                 spec, args.support_size, num_directions=args.num_directions,
                 ball_radius=args.ball_radius, seed=args.seed, step=args.step)
-
-    lines = ["document = smooth-threshold diagnose"] + _config_lines(config)
-    lines += [f"note: {n}" for n in notes]
-    lines += report.lines()
-    _write_doc(lines, args.out)
+    return [f"note: {n}" for n in notes] + report.lines(), None
 
 
 # the flags that describe a CSV dataset and the solver; "input" and "model"
@@ -767,7 +724,18 @@ def main(argv=None) -> int:
         config = {"subcommand": sub, **settings}
         if "covariates" in config:  # unset: every column no role claims
             config["covariates"] = config["covariates"] or "rest"
-        _SUBCOMMANDS[sub][0](argparse.Namespace(**settings), config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lines, table = _SUBCOMMANDS[sub][0](argparse.Namespace(**settings),
+                                                config)
+        doc = [f"document = smooth-threshold {sub}"]
+        doc += [f"config {key} = {_fmt(val)}" for key, val in config.items()]
+        doc += lines + [f"warning: {w.message}" for w in caught]
+        out = settings["out"]
+        if table is not None:
+            _write_csv(out, *table)
+            out += ".run.txt"
+        _write_doc(doc, out)
     except InputError as exc:
         _emit_error("input", str(exc))
         return 2

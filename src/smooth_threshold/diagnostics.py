@@ -115,6 +115,8 @@ def _delta_grid_array(delta_grid) -> np.ndarray:
         raise InputError("delta_grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0):
         raise InputError("delta_grid entries must be positive and finite")
+    if np.unique(grid).size != grid.size:  # a log-log slope needs distinct ones
+        raise InputError(f"delta_grid repeats a bandwidth: {grid.tolist()}")
     return grid
 
 

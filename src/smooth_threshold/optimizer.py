@@ -23,7 +23,7 @@ Stage accuracy is measured by the subgradient optimality gap
 
 which is zero exactly at interior stationary points.  The ball constraint is
 deliberately ignored in this measure even when an iterate sits on the
-boundary; boundary contact is reported as a warning instead.
+boundary; boundary contact is noted instead.
 """
 
 from __future__ import annotations
@@ -294,7 +294,10 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
     lambda_tgt, to tolerance nu * lambda_t and eps_tgt at the last stage.  An
     explicit strictly descending ``lambdas`` replaces it and lambda_tgt; each
     value is solved to the final-stage tolerance (eps_tgt if set, else
-    0.1 * nu * lambda).  Warm starts with gap above lambda/2 are noted.
+    0.1 * nu * lambda).  A lambda_tgt at or above lambda0 runs one stage at
+    lambda_tgt.  Warm starts with gap above lambda/2 and a lambda_tgt above
+    lambda0 are noted in ``SolutionPath.notes``, not warned; only a stage
+    that stops on its budget warns, with ``ConvergenceWarning``.
     Stage 1 starts at step ``config.eta`` and every later stage at the step
     the one before ended with, recorded as ``StageRecord.step``;
     ``StageRecord.halvings`` counts the trial steps the stage rejected.
@@ -320,7 +323,6 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
             notes.append(
                 f"lambda_tgt={config.lambda_tgt:.6g} exceeds the zero-solution "
                 f"penalty lambda0={lambda0:.6g}; running a single stage at lambda_tgt")
-            warnings.warn(notes[-1], ConvergenceWarning, stacklevel=2)
         lams, echo = [config.lambda_tgt], config
     else:
         lams = _stage_schedule(lambda0, config)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InputError, NumericError, _positive_int
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
-from .risk import Dataset, SmoothedRiskSpec
+from .risk import Dataset, SmoothedRiskSpec, _l2_norm
 from .tuning import mode_parameters, tuned_penalty
 
 __all__ = [
@@ -286,6 +286,8 @@ def estimation_error(theta_hat: np.ndarray, theta_star: np.ndarray, norm: str = 
     star = np.asarray(theta_star, dtype=float).ravel()
     if hat.shape != star.shape:
         raise InputError(f"length mismatch: {hat.shape[0]} vs {star.shape[0]}")
+    if norm == "l2":  # in einsum's own loop, whatever the BLAS thread count
+        return _l2_norm(hat - star)
     return float(np.linalg.norm(hat - star, ord=_NORM_ORDERS[norm]))
 
 
@@ -306,9 +308,9 @@ def top_support(theta: np.ndarray, s: int) -> np.ndarray:
 class BenchmarkRow:
     """One repetition: errors, sparsity, wall time, and tuned parameters.
 
-    ``messages`` aggregates structured solver notes, any stage that ended
-    without converging, and the text of every other warning the repetition
-    raised (cross-validation folds included).
+    ``messages`` holds the final path's notes, then the text of every
+    warning the repetition raised (cross-validation folds included), among
+    them one for each stage that ended without converging.
     """
 
     repetition: int
@@ -351,16 +353,6 @@ def derive_seed(root: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _path_messages(path) -> Tuple[str, ...]:
-    issues = tuple(path.notes)
-    issues += tuple(
-        f"stage {rec.stage_index}: {rec.status}"
-        for rec in path.stages
-        if rec.status not in ("initial", "converged")
-    )
-    return issues
-
-
 def run_benchmark(
     spec: SimSpec,
     kernel: Kernel,
@@ -391,9 +383,8 @@ def run_benchmark(
     Repetition i draws data with seed spawn_key (i, 0) and cross-validates
     with spawn_key (i, 1) off the benchmark seed, so every repetition is
     tuned on its own data.  Solver warnings never abort a repetition and
-    never reach stderr: structured notes, and the text of each warning that
-    is not already one of them, land in the row's ``messages``.  Runtime
-    covers tuning plus fitting.
+    never reach stderr: the path's notes and the text of each warning land
+    in the row's ``messages``.  Runtime covers tuning plus fitting.
     """
     if tune not in BENCH_MODES:
         raise InputError(f"tune must be one of {BENCH_MODES}, got {tune!r}")
@@ -419,8 +410,6 @@ def run_benchmark(
             path = path_following(fit_spec, replace(base, lambda_tgt=lam))
         runtime = time.perf_counter() - t0
         theta = path.theta_final
-        raised = tuple(str(w.message) for w in caught
-                       if str(w.message) not in path.notes)
         return BenchmarkRow(
             repetition=i,
             l1=estimation_error(theta, theta_star, "l1"),
@@ -430,7 +419,7 @@ def run_benchmark(
             runtime=runtime,
             lambda_used=float(lam),
             delta_used=delta_used,
-            messages=_path_messages(path) + raised,
+            messages=path.notes + tuple(str(w.message) for w in caught),
         )
 
     rows = tuple(one_rep(i) for i in range(repetitions))

@@ -467,10 +467,7 @@ def _lepski(
             return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
                              status="failed", detail=str(exc))
 
-    # a schedule penalty above lambda0 is a routine null fit on these grids
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*exceeds the zero-solution penalty.*")
-        fits = [fit_one(value) for value in grid_values]
+    fits = [fit_one(value) for value in grid_values]
     for fit in fits:
         if fit.status == "failed":
             warnings.warn(

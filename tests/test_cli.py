@@ -6,6 +6,8 @@ import math
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,11 @@ from smooth_threshold import cli, tuning
 from smooth_threshold.cli import ColumnRoles, load_csv, main
 from smooth_threshold.diagnostics import PROBE_DEFAULTS, PROBES
 from smooth_threshold.errors import InputError
-from smooth_threshold.kernels import get_kernel
-from smooth_threshold.simulate import SIM_MODELS, SimSpec, generate
+from smooth_threshold.kernels import SurrogateLoss, get_kernel
+from smooth_threshold.optimizer import PathConfig, path_following
+from smooth_threshold.risk import SmoothedRiskSpec
+from smooth_threshold.simulate import (SIM_MODELS, SimSpec, derive_seed,
+                                       generate, run_benchmark)
 from smooth_threshold.tuning import (TuningSchedule, cross_validate_lambda,
                                      default_lambda_grid, target_lambda,
                                      theoretical_bandwidth)
@@ -46,6 +51,16 @@ def write_csv(path, header, rows):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_rows(path, reader=csv.reader):
+    with open(path, newline="") as handle:
+        return list(reader(handle))
+
+
+def read_run_doc(out):
+    """The document written beside the table ``out``."""
+    return Path(str(out) + ".run.txt").read_text()
 
 
 def flag(name):
@@ -207,11 +222,11 @@ class TestSimulate:
         assert notes == []
 
     def test_theta_and_run_files(self, sim_csv):
-        rows = list(csv.reader(open(sim_csv + ".theta.csv")))
+        rows = read_rows(sim_csv + ".theta.csv")
         assert rows[0] == ["coordinate", "value"]
         assert len(rows) == 9
         assert float(rows[1][1]) == pytest.approx(1 / math.sqrt(2))
-        run_doc = open(sim_csv + ".run.txt").read()
+        run_doc = read_run_doc(sim_csv)
         assert doc_value(run_doc, "config seed") == "9"
         assert doc_value(run_doc, "config model") == "conditional_mean"
 
@@ -414,7 +429,7 @@ class TestPath:
                                 "--lambda-tgt", "0.02", "--out", str(out)],
                                capsys)
         assert code == 0, err
-        rows = list(csv.reader(open(out)))
+        rows = read_rows(out)
         header = rows[0]
         assert header[:9] == ["stage", "lambda", "iterations", "nnz",
                               "objective", "exit_omega", "status", "step",
@@ -429,7 +444,7 @@ class TestPath:
         nnz = [int(r[3]) for r in body]
         steps = [b >= a for a, b in zip(nnz, nnz[1:])]
         assert sum(steps) >= 0.9 * len(steps)
-        run_doc = open(str(out) + ".run.txt").read()
+        run_doc = read_run_doc(out)
         assert doc_value(run_doc, "config lambda_tgt") == "0.02"
 
     def test_out_required(self, sim_csv, capsys):
@@ -455,7 +470,7 @@ class TestCv:
 
     def test_curve_rows_match_library(self, sim_csv, tmp_path, capsys):
         # the simulated table plus a column of positive random weights
-        rows = list(csv.reader(open(sim_csv)))
+        rows = read_rows(sim_csv)
         w = np.random.Generator(np.random.Philox(key=5)).uniform(
             0.2, 3.0, size=len(rows) - 1)
         weighted_csv = str(tmp_path / "weighted.csv")
@@ -522,15 +537,15 @@ class TestBench:
         code, _, err = run_cli(argv + ["--out", str(out_b)], capsys)
         assert code == 0, err
 
-        rows_a = list(csv.reader(open(out_a)))
-        rows_b = list(csv.reader(open(out_b)))
+        rows_a = read_rows(out_a)
+        rows_b = read_rows(out_b)
         assert rows_a[0] == ["repetition", "l1", "l2", "linf", "nnz",
                              "runtime", "lambda_used", "delta_used",
                              "messages"]
         assert len(rows_a) == 4
         drop_runtime = lambda rows: [r[:5] + r[6:] for r in rows]  # noqa: E731
         assert drop_runtime(rows_a) == drop_runtime(rows_b)
-        run_doc = open(str(out_a) + ".run.txt").read()
+        run_doc = read_run_doc(out_a)
         assert float(doc_value(run_doc, "result l2_mean")) > 0
 
     def test_solver_warnings_land_in_messages_not_stderr(self, tmp_path):
@@ -543,10 +558,33 @@ class TestBench:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
-        rows = list(csv.DictReader(open(tmp_path / "bth.csv")))
+        rows = read_rows(tmp_path / "bth.csv", csv.DictReader)
         assert len(rows) == 2
         for row in rows:
             assert "exceeds the zero-solution penalty" in row["messages"]
+
+    def test_each_unconverged_stage_listed_once(self):
+        sim = SimSpec(model="conditional_mean", n=200, d=8, s=2, seed=3)
+        kernel = get_kernel("gaussian")
+        cfg = PathConfig(lambda_tgt=1.0, max_inner_iters=1)
+        result = run_benchmark(sim, kernel, tune="fixed", delta=1.0,
+                               lambda_tgt=0.01, path_cfg=cfg, repetitions=2,
+                               seed=1)
+        for i, row in enumerate(result.rows):
+            # the repetition's final fit, redone with its warnings recorded
+            data, _ = generate(replace(sim, seed=derive_seed(1, i, 0)))
+            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, 1.0))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                path = path_following(spec, replace(cfg, lambda_tgt=0.01))
+            stopped = [s.lam for s in path.stages if s.status == "max_iter"]
+            assert stopped
+            assert row.messages == path.notes + tuple(str(w.message)
+                                                      for w in caught)
+            budget = [re.match(r"proximal loop at lambda=(\S+) stopped", m)
+                      for m in row.messages]
+            assert [b[1] for b in budget if b] == [f"{lam:.6g}" for lam in stopped]
+            assert not [m for m in row.messages if m.endswith(": max_iter")]
 
     def test_rejects_lepski_tuning(self, tmp_path, capsys):
         code, _, err = run_cli(["bench", "--tune", "lepski-beta", "--out",
@@ -568,8 +606,8 @@ class TestBench:
                                 "--noise-sd", "1.0", "--tune", tune] + flags
                                + ["--reps", "2", "--out", str(out)], capsys)
         assert code == 0, err
-        rows = list(csv.DictReader(open(out)))
-        run_doc = open(str(out) + ".run.txt").read()
+        rows = read_rows(out, csv.DictReader)
+        run_doc = read_run_doc(out)
         assert {r["delta_used"] for r in rows} == {doc_value(run_doc, "config delta")}
         lambda_echo = doc_value(run_doc, "config lambda_tgt")
         if tune == "cv":
@@ -590,7 +628,7 @@ class TestBench:
                 "--reps", "1", "--out", str(out)] + flags
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
-        run_doc = open(str(out) + ".run.txt").read()
+        run_doc = read_run_doc(out)
         for key in ("folds", "c_delta", "c_lambda"):
             if key in used:
                 assert doc_value(run_doc, f"config {key}") == used[key]
@@ -629,7 +667,7 @@ class TestToyRisks:
         out = tmp_path / "toy.csv"
         code, _, err = run_cli(["toy-risks", "--out", str(out)], capsys)
         assert code == 0, err
-        rows = list(csv.reader(open(out)))
+        rows = read_rows(out)
         assert rows[0] == ["theta", "risk01", "risk_hinge", "risk_exp",
                            "hinge_derivative", "exp_derivative"]
         assert len(rows) == 202  # 201 grid points on [0, 2] at step 0.01
@@ -718,6 +756,17 @@ class TestDiagnose:
         rho_minus = float(doc_value(out, "value rho_minus"))
         rho_plus = float(doc_value(out, "value rho_plus"))
         assert rho_plus >= rho_minus
+
+    def test_repeated_bandwidths_are_bad_input(self, capsys):
+        code, out, err = run_cli(["diagnose", "--probe", "bias",
+                                  "--delta-grid", "0.5,0.5", "--n", "200",
+                                  "--d", "8", "--s", "2",
+                                  "--num-directions", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "input",
+            "message": "delta_grid repeats a bandwidth: [0.5, 0.5]"}
 
     def test_bad_delta_grid(self, capsys):
         code, _, err = run_cli(["diagnose", "--probe", "variance",
@@ -854,7 +903,7 @@ class TestConfigEcho:
             given["out"] = str(out)
         code, stdout, err = run_cli(argv_of(sub, given), capsys)
         assert code == 0, err
-        doc = open(str(out) + ".run.txt").read() if sub in cli._WRITES else stdout
+        doc = read_run_doc(out) if sub in cli._WRITES else stdout
         keys = [line.split(" = ")[0][len("config "):]
                 for line in doc.splitlines() if line.startswith("config ")]
         derived = {"fit": {"theory": ["delta", "lambda_tgt"],
@@ -863,6 +912,69 @@ class TestConfigEcho:
                    "toy-risks": ["rows"]}.get(sub, [])
         assert keys == ["subcommand"] + names + [name for name in derived
                                                  if name not in names]
+
+
+# a callee each subcommand reaches, and a run of it
+CALLEES = {
+    "fit": ("tuned_penalty", ["fit", "--input", "INPUT", "--delta", "0.5",
+                              "--lambda-tgt", "0.05"]),
+    "path": ("path_following", ["path", "--input", "INPUT", "--delta", "0.5",
+                                "--lambda-tgt", "0.05", "--out", "OUT"]),
+    "simulate": ("generate", ["simulate", "--n", "20", "--d", "3", "--s", "1",
+                              "--out", "OUT"]),
+    "bench": ("run_benchmark", ["bench", "--n", "60", "--d", "4", "--s", "2",
+                                "--delta", "0.5", "--lambda-tgt", "0.05",
+                                "--out", "OUT"]),
+    "toy-risks": ("toy_population_risks", ["toy-risks", "--out", "OUT"]),
+    "diagnose": ("gradient_check", ["diagnose", "--probe", "gradient",
+                                    "--input", "INPUT", "--delta", "0.5"]),
+}
+
+
+class TestOneReportPerEvent:
+    """Every warning a run raises is one ``warning:`` line at the end of its
+    document, never stderr; an event the solver notes is not warned too."""
+
+    def test_every_subcommand_is_covered(self):
+        assert sorted(CALLEES) == sorted(cli._SUBCOMMANDS)
+
+    @pytest.mark.parametrize("sub", sorted(CALLEES))
+    def test_warning_ends_the_document(self, sub, sim_csv, tmp_path, capsys,
+                                       monkeypatch):
+        callee, argv = CALLEES[sub]
+        real = getattr(cli, callee)
+
+        def warn_then_call(*args, **kwargs):
+            warnings.warn(f"synthetic warning from {callee}", RuntimeWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, callee, warn_then_call)
+        out = tmp_path / "out.csv"
+        argv = [{"INPUT": sim_csv, "OUT": str(out)}.get(a, a) for a in argv]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        doc = (read_run_doc(out) if sub in cli._WRITES else stdout).splitlines()
+        assert doc[0] == f"document = smooth-threshold {sub}"
+        assert [line for line in doc if line.startswith("warning:")] == [
+            f"warning: synthetic warning from {callee}"]
+        assert doc[-1] == f"warning: synthetic warning from {callee}"
+
+    @pytest.mark.parametrize("sub", ["fit", "path"])
+    def test_target_above_lambda0_is_one_note(self, sub, sim_csv, tmp_path,
+                                              capsys):
+        out = tmp_path / "p.csv"
+        argv = [sub, "--input", sim_csv, "--delta", "1", "--lambda-tgt", "5"]
+        code, stdout, err = run_cli(argv + (["--out", str(out)]
+                                            if sub == "path" else []), capsys)
+        assert code == 0, err
+        assert err == ""
+        doc = read_run_doc(out) if sub == "path" else stdout
+        said = [line for line in doc.splitlines()
+                if "exceeds the zero-solution penalty" in line]
+        assert len(said) == 1
+        assert said[0].startswith("note: lambda_tgt=5 exceeds")
+        assert "warning:" not in doc
 
 
 class TestErrorRecords:
@@ -909,11 +1021,13 @@ class TestErrorRecords:
 
     def test_unwritable_csv_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"
-        code, _, err = run_cli(["toy-risks", "--out", str(out)], capsys)
-        assert code == 2
-        record = json.loads(err)
-        assert record["error"] == "input"
-        assert record["message"].startswith(f"cannot write {out}: ")
+        # simulate names --out, not the theta_out beside it that it writes first
+        for argv in (["toy-risks"], ["simulate", "--n", "5", "--d", "2", "--s", "1"]):
+            code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+            assert code == 2
+            record = json.loads(err)
+            assert record["error"] == "input"
+            assert record["message"].startswith(f"cannot write {out}: ")
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -238,6 +238,11 @@ class TestBiasProbe:
             bias_probe(self.SIM, get_kernel("gaussian"), [0.5],
                        theta=np.zeros(self.SIM.d + 1))
 
+    def test_repeated_bandwidths_refused(self):
+        # a log-log slope over a grid needs distinct bandwidths
+        with pytest.raises(InputError, match="repeats a bandwidth"):
+            bias_probe(self.SIM, get_kernel("gaussian"), [0.5, 0.5])
+
     def test_deterministic(self):
         a = bias_probe(self.SIM, get_kernel("gaussian"), self.GRID, seed=7)
         b = bias_probe(self.SIM, get_kernel("gaussian"), self.GRID, seed=7)

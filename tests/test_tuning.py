@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smooth_threshold.errors import ConvergenceWarning, InputError, NumericError
+from smooth_threshold.errors import InputError, NumericError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel, make_higher_order_gaussian
 from smooth_threshold.optimizer import PathConfig, path_following, suboptimality
 from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, empirical_gradient,
@@ -493,7 +493,7 @@ class TestLepskiProcedures:
 
     def test_null_fits_above_lambda0_do_not_warn(self):
         # on this fixture some bandwidths' schedule penalties exceed lambda0:
-        # routine null fits, whose notice the procedure does not raise
+        # routine null fits, noted by path_following and warned by nobody
         data = make_dataset(seed=0)
 
         def spec_at(delta):
@@ -504,12 +504,12 @@ class TestLepskiProcedures:
                 > np.max(np.abs(empirical_gradient(spec_at(delta), np.zeros(data.d))))]
         assert over
         lam = target_lambda(data.n, data.d, over[-1])
-        with pytest.warns(ConvergenceWarning, match="exceeds the zero-solution penalty"):
-            path_following(spec_at(over[-1]), PathConfig(lambda_tgt=lam))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            path = path_following(spec_at(over[-1]), PathConfig(lambda_tgt=lam))
             _, _, fits = lepski_bandwidth(data, GAUSS, s=2)
-        assert not [w for w in caught if "zero-solution penalty" in str(w.message)]
+        assert caught == []
+        assert any("exceeds the zero-solution penalty" in n for n in path.notes)
         assert all(f.status == "ok" for f in fits)
         assert all(not np.any(f.theta) for f in fits if f.grid_value in over)
 
@@ -541,8 +541,14 @@ class TestLepskiProcedures:
             return real(spec, cfg)
 
         monkeypatch.setattr(tuning, "path_following", failing)
-        with pytest.warns(UserWarning, match="falling back to 1/n"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             delta_hat, theta, fits = lepski_bandwidth(data, GAUSS, s=2)
+        # one warning per failed grid fit, then the fallback's
+        assert [str(w.message) for w in caught[:-1]] == [
+            f"bandwidth {v:g}: fit failed and is excluded from selection "
+            f"(synthetic failure)" for v in build_lepski_grid("bandwidth", 40).values]
+        assert "falling back to 1/n" in str(caught[-1].message)
         assert delta_hat == 1.0 / 40
         assert theta.shape == (4,)
         assert sum(f.status == "failed" for f in fits) == len(grid_values)
@@ -561,8 +567,13 @@ class TestLepskiProcedures:
             return real(spec, cfg)
 
         monkeypatch.setattr(tuning, "path_following", failing)
-        with pytest.warns(UserWarning, match="falling back to 2"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             s_hat, theta, fits = lepski_sparsity(data, k2, beta=2.0)
+        assert [str(w.message) for w in caught[:-1]] == [
+            f"sparsity level {s}: fit failed and is excluded from selection "
+            f"(synthetic failure)" for s in (1, 2, 4)]
+        assert "falling back to 2" in str(caught[-1].message)
         assert s_hat == 4
         assert theta.shape == (8,)
         assert sum(f.status == "failed" for f in fits) == 3
