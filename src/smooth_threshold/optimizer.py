@@ -3,9 +3,12 @@
 The penalized objective is f_lam(theta) = risk(theta) + lam * ||theta||_1,
 minimized over an l2 ball of radius ``omega_radius``.  A stage solves one
 penalty level with proximal gradient steps (gradient step, soft threshold,
-ball projection); the path starts at a penalty large enough that the zero
-vector is optimal and walks a descending penalty ladder, geometric by
-default, warm starting every stage at the previous solution.
+ball projection) from a stage state: the iterate, its gradient and margins,
+the first trial step and the stage index.  ``_solve_stage`` runs one stage
+and returns the state the next one starts from, so a path can stop after
+any stage and resume bit for bit.  ``proximal_gradient`` runs one stage;
+``path_following`` runs one per value of a descending penalty ladder,
+geometric by default, from the zero vector at a penalty where it is optimal.
 
 Step sizes follow Barzilai & Borwein (1988) inside a monotone backtracking,
 as SpaRSA (Wright, Nowak & Figueiredo 2009) does for l1 problems.  After
@@ -34,7 +37,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceWarning, InputError, NumericError
+from .errors import (ConvergenceWarning, InputError, NumericError, _positive_int,
+                     _positive_real)
 from .risk import (SmoothedRiskSpec, empirical_gradient, objective, _check_theta,
                    _l2_norm)
 
@@ -82,6 +86,15 @@ def suboptimality(spec: SmoothedRiskSpec, theta, lam: float) -> float:
     return _subopt_from_grad(empirical_gradient(spec, theta), theta, lam)
 
 
+def _check_solver(eta, radius, max_iters, names) -> None:
+    """Step (positive, finite), ball radius (positive, inf allowed) and
+    iteration budget (>= 1) checks; each error names its argument by ``names``."""
+    _positive_real(eta, names[0])
+    if not radius > 0:
+        raise InputError(f"{names[1]} must be positive, got {radius!r}")
+    _positive_int(max_iters, names[2])
+
+
 @dataclass(frozen=True)
 class PathConfig:
     """Solver settings for one penalized fit.
@@ -121,14 +134,10 @@ class PathConfig:
             raise InputError(f"phi must lie in (0, 1), got {self.phi}")
         if not (0.0 < self.nu < 1.0):
             raise InputError(f"nu must lie in (0, 1), got {self.nu}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise InputError(f"eta must be positive, got {self.eta}")
         if self.eps_tgt is not None and not self.eps_tgt > 0:
             raise InputError(f"eps_tgt must be positive when given, got {self.eps_tgt}")
-        if not self.omega_radius > 0:
-            raise InputError(f"omega_radius must be positive, got {self.omega_radius}")
-        if self.max_inner_iters < 1:
-            raise InputError("max_inner_iters must be >= 1")
+        _check_solver(self.eta, self.omega_radius, self.max_inner_iters,
+                      ("eta", "omega_radius", "max_inner_iters"))
 
 
 # solver defaults for callers that set lambda_tgt per fit themselves
@@ -162,33 +171,30 @@ class SolutionPath:
 
 
 @dataclass(frozen=True)
-class InnerResult:
+class _State:
+    """A stage's start: iterate, gradient, margins, first trial step, stage index."""
+
     theta: np.ndarray
-    iterations: int
-    exit_omega: float
-    objective_trace: np.ndarray
-    status: str
-    gradient: np.ndarray
+    grad: np.ndarray
     margins: np.ndarray
-    eta_final: float
-    boundary_hit: bool
-    halvings: int
+    step: float
+    index: int
 
 
-def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
-                g0=None, u0=None) -> InnerResult:
-    theta = np.array(theta0, dtype=float)
-    # one margin evaluation per iterate serves its objective and its gradient
-    u = spec.margins(theta) if u0 is None else u0
+def _solve_stage(spec, state, lam, eps, radius, max_iters, notes):
+    """One stage from ``state``: its record and the next stage's state.  A warm
+    start with gap above lambda/2 and ball contact are appended to ``notes``."""
+    theta = np.array(state.theta, dtype=float)
+    g, u, step = state.grad, state.margins, state.step
     f = objective(spec, theta, lam, u=u)
     trace = [f]
-    g = empirical_gradient(spec, theta, u=u) if g0 is None else g0
     omega = _subopt_from_grad(g, theta, lam)
-    step = eta
+    if state.index > 0 and omega > 0.5 * lam + 1e-12:
+        notes.append(f"stage {state.index}: warm-start omega {omega:.3e} exceeds "
+                     f"lambda/2 = {0.5 * lam:.3e}")
     status = "converged"
     boundary_hit = False
     iterations = halvings = 0
-
     while omega > eps:
         if iterations >= max_iters:
             status = "max_iter"
@@ -204,7 +210,7 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
             norm = _l2_norm(shrunk)
             cand = shrunk if norm <= radius else shrunk * (radius / norm)
             boundary_hit = boundary_hit or norm > radius
-            u_cand = spec.margins(cand)
+            u_cand = spec.margins(cand)  # serve its objective and its gradient
             f_cand = objective(spec, cand, lam, u=u_cand)
             if f_cand <= f + _BACKTRACK_SLACK * max(1.0, abs(f)):
                 accepted = True
@@ -237,29 +243,33 @@ def _inner_loop(spec, theta0, lam, eps, *, eta, radius, max_iters,
         raise NumericError(
             f"objective trace at lambda={lam:.6g} increased by up to "
             f"{float(rise.max()):.3e} over an accepted step")
-    return InnerResult(theta=theta, iterations=iterations, exit_omega=omega,
-                       objective_trace=trace, status=status, gradient=g,
-                       margins=u, eta_final=step, boundary_hit=boundary_hit,
-                       halvings=halvings)
+    if boundary_hit:
+        notes.append(f"stage {state.index}: iterate touched the feasible ball boundary")
+    record = StageRecord(stage_index=state.index, lam=lam, iterations=iterations,
+                         exit_omega=omega, theta=theta, objective_trace=trace,
+                         nnz=int(np.count_nonzero(theta)), status=status,
+                         step=step, halvings=halvings)
+    return record, _State(theta, g, u, step, state.index + 1)
 
 
 def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
                       *, eta: float = 1.0, radius: float = math.inf,
-                      max_iters: int = 10000) -> InnerResult:
+                      max_iters: int = 10000) -> StageRecord:
     """Run proximal gradient at a single penalty level until omega <= eps.
 
-    Returns the first iterate whose own optimality gap meets ``eps`` (checked
-    after each update, and before the first), so a warm start that already
-    satisfies the tolerance is returned unchanged with 0 iterations.
-    ``eta`` is the first trial step; ``eta_final`` is the trial step the loop
-    would try next.
+    Returns the ``StageRecord`` (stage 0) of the first iterate whose own gap
+    meets ``eps`` (checked before the first update and after each), so a warm
+    start that already meets it is returned unchanged with 0 iterations.
+    ``eta`` is the first trial step; ``step`` is the one it would try next.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"penalty level must be a nonnegative real, got {lam}")
     if not eps >= 0:
         raise InputError(f"tolerance must be nonnegative, got {eps}")
-    return _inner_loop(spec, theta0, lam, eps, eta=eta, radius=radius,
-                       max_iters=max_iters)
+    _check_solver(eta, radius, max_iters, ("eta", "radius", "max_iters"))
+    u = spec.margins(theta0)
+    state = _State(theta0, empirical_gradient(spec, theta0, u=u), u, eta, 0)
+    return _solve_stage(spec, state, lam, eps, radius, max_iters, [])[0]
 
 
 def _stage_schedule(lambda0: float, cfg: PathConfig) -> list:
@@ -335,26 +345,12 @@ def path_following(spec: SmoothedRiskSpec, config: PathConfig,
         exit_omega=_subopt_from_grad(g0, zero, lambda0), theta=zero.copy(),
         objective_trace=np.array([objective(spec, zero, lambda0, u=u0)]),
         nnz=0, status="initial", step=config.eta, halvings=0)]
-    theta, grad, u, step = zero, g0, u0, config.eta
-    for t, (lam, eps) in enumerate(zip(lams, epss), start=len(stages)):
-        warm_omega = _subopt_from_grad(grad, theta, lam)
-        if t > 0 and warm_omega > 0.5 * lam + 1e-12:
-            notes.append(f"stage {t}: warm-start omega {warm_omega:.3e} exceeds "
-                         f"lambda/2 = {0.5 * lam:.3e}")
-        res = _inner_loop(spec, theta, lam, eps, eta=step,
-                          radius=config.omega_radius,
-                          max_iters=config.max_inner_iters,
-                          g0=grad, u0=u)
-        if res.boundary_hit:
-            notes.append(f"stage {t}: iterate touched the feasible ball boundary")
-        stages.append(StageRecord(stage_index=t, lam=lam, iterations=res.iterations,
-                                  exit_omega=res.exit_omega, theta=res.theta,
-                                  objective_trace=res.objective_trace,
-                                  nnz=int(np.count_nonzero(res.theta)),
-                                  status=res.status, step=res.eta_final,
-                                  halvings=res.halvings))
-        theta, grad, u, step = res.theta, res.gradient, res.margins, res.eta_final
+    state = _State(zero, g0, u0, config.eta, len(stages))
+    for lam, eps in zip(lams, epss):
+        record, state = _solve_stage(spec, state, lam, eps, config.omega_radius,
+                                     config.max_inner_iters, notes)
+        stages.append(record)
 
     echo = replace(echo, lambda0=lambda0, eps_tgt=epss[-1])
-    return SolutionPath(stages=tuple(stages), theta_final=theta,
+    return SolutionPath(stages=tuple(stages), theta_final=state.theta,
                         config_echo=echo, notes=tuple(notes))

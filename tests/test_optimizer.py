@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import itertools
 import math
 import os
@@ -6,7 +7,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from smooth_threshold.optimizer import (PathConfig, path_following, project_ball
                                         _subopt_from_grad)
 from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, empirical_gradient,
                                    empirical_risk, objective)
+from smooth_threshold.simulate import SimSpec, generate
 
-from conftest import random_spec
+from conftest import random_spec, rng_for
 
 
 def test_soft_threshold_exact_zero_at_boundary():
@@ -422,7 +424,7 @@ def _geometric_path_oracle(spec, cfg):
         eps = cfg.nu * lam if t < num else eps_tgt
         res = proximal_gradient(spec, theta, lam, eps, eta=step,
                                 radius=cfg.omega_radius)
-        theta, step = res.theta, res.eta_final
+        theta, step = res.theta, res.step
         stages.append((t, lam, res.iterations, res.exit_omega, theta,
                        res.objective_trace, int(np.count_nonzero(theta)),
                        res.status, step))
@@ -497,20 +499,20 @@ def test_step_kept_when_curvature_is_not_positive():
         res = proximal_gradient(spec, np.array([0.95, -0.1, 0.4]), 0.3,
                                 eps=0.15, eta=eta)
         assert res.iterations == math.ceil(0.95 / (0.3 * eta)) > 1
-        assert res.eta_final == eta
+        assert res.step == eta
 
 
 def test_stage_starts_at_step_carried_from_previous_stage(monkeypatch):
     spec = random_spec(n=120, d=6, seed=31)
-    real = optimizer._inner_loop
+    real = optimizer._solve_stage
     calls = []
 
-    def spy(*args, **kwargs):
-        res = real(*args, **kwargs)
-        calls.append((kwargs["eta"], res.eta_final))
-        return res
+    def spy(spec, state, *args):
+        record, after = real(spec, state, *args)
+        calls.append((state.step, record.step))
+        return record, after
 
-    monkeypatch.setattr(optimizer, "_inner_loop", spy)
+    monkeypatch.setattr(optimizer, "_solve_stage", spy)
     cfg = PathConfig(lambda_tgt=0.02, num_stages=8, eta=0.5)
     path = path_following(spec, cfg)
     assert len(calls) == 8
@@ -534,15 +536,15 @@ def test_barzilai_borwein_step_is_clipped(monkeypatch):
     res = one_step()
     assert res.iterations == 1
     s = res.theta - zero
-    r = res.gradient - empirical_gradient(spec, zero)
+    r = empirical_gradient(spec, res.theta) - empirical_gradient(spec, zero)
     assert s @ r > 0
     bb = (s @ s) / (s @ r)
     assert optimizer._STEP_RANGE == (1e-10, 1024.0)
-    assert res.eta_final == pytest.approx(bb, rel=1e-12)
+    assert res.step == pytest.approx(bb, rel=1e-12)
     monkeypatch.setattr(optimizer, "_STEP_RANGE", (1e-10, bb / 4))
-    assert one_step().eta_final == bb / 4
+    assert one_step().step == bb / 4
     monkeypatch.setattr(optimizer, "_STEP_RANGE", (4 * bb, 8 * bb))
-    assert one_step().eta_final == 4 * bb
+    assert one_step().step == 4 * bb
 
 
 # total iterations of PathConfig(lambda_tgt=0.005) on random_spec(n=200,
@@ -555,3 +557,110 @@ def test_adaptive_step_needs_fewer_iterations_than_fixed_step():
     path = path_following(spec, PathConfig(lambda_tgt=0.005))
     assert path.stages[-1].status == "converged"
     assert sum(rec.iterations for rec in path.stages) < _FIXED_STEP_ITERATIONS
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(radius=0.0), "radius"), (dict(radius=-1.0), "radius"),
+    (dict(eta=0.0), "eta"), (dict(eta=math.inf), "eta"),
+    (dict(max_iters=-5), "max_iters"),
+], ids=["radius-zero", "radius-negative", "eta-zero", "eta-inf", "max-iters"])
+def test_proximal_gradient_refuses_what_path_config_refuses(kwargs, name):
+    # unchecked, a zero radius or step runs the whole budget without progress,
+    # and eta=inf fails with an error that names the soft threshold instead
+    data, _ = generate(SimSpec(model="binary_response", n=200, d=5, s=2, seed=3))
+    spec = SmoothedRiskSpec(data, SurrogateLoss(get_kernel("gaussian"), 0.5))
+    lam0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(5)))))
+    with pytest.raises(InputError, match=f"^{name} must be"):
+        proximal_gradient(spec, np.zeros(5), 0.3 * lam0, 1e-8, **kwargs)
+
+
+def _record_bytes(rec):
+    return [(f.name, v.tobytes() if isinstance(v, np.ndarray) else v)
+            for f in fields(rec) for v in [getattr(rec, f.name)]]
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["geometric", "ladder"])
+def test_stored_stage_state_resumes_bit_for_bit(explicit):
+    # a path run one stage at a time keeps the state before every stage; any
+    # stored state, re-solved after all later stages ran, gives that stage's
+    # record, notes and next state again
+    spec = random_spec(n=120, d=6, seed=31)
+    zero, u0 = np.zeros(6), spec.data.y * spec.data.x
+    g0 = empirical_gradient(spec, zero, u=u0)
+    lam0 = float(np.max(np.abs(g0)))
+    if explicit:
+        cfg = PathConfig(lambda_tgt=1.0)
+        ladder = [2.0 * lam0, lam0, 0.5 * lam0, 0.2 * lam0, 0.02]
+    else:
+        cfg, ladder = PathConfig(lambda_tgt=0.02, num_stages=4), None
+    path = path_following(spec, cfg, ladder)
+    lams = [rec.lam for rec in path.stages[1:]]
+    # every ladder value is solved to the final-stage tolerance
+    epss = [(0.1 if explicit else 1.0) * cfg.nu * lam for lam in lams[:-1]] \
+        + [path.config_echo.eps_tgt]
+    assert path.notes  # the warm-start notes are part of what must repeat
+
+    def solve(state, t, notes):
+        return optimizer._solve_stage(spec, state, lams[t - 1], epss[t - 1],
+                                      cfg.omega_radius, cfg.max_inner_iters,
+                                      notes)
+
+    states, notes = [optimizer._State(zero, g0, u0, cfg.eta, 1)], []
+    for t in range(1, len(path.stages)):
+        rec, state = solve(states[-1], t, notes)
+        assert _record_bytes(rec) == _record_bytes(path.stages[t])
+        states.append(state)
+    assert tuple(notes) == path.notes
+    for t in (1, len(lams) // 2, len(lams)):
+        notes = []
+        rec, state = solve(states[t - 1], t, notes)
+        assert _record_bytes(rec) == _record_bytes(path.stages[t])
+        assert notes == [n for n in path.notes if n.startswith(f"stage {t}:")]
+        assert _record_bytes(state) == _record_bytes(states[t])
+
+
+# (spec, config, ladder) of each path whose certificate is checked
+_CONTRACT_CASES = {
+    "geometric": lambda: (random_spec(n=120, d=6, seed=31),
+                          PathConfig(lambda_tgt=0.02, num_stages=8), None),
+    "ladder": lambda: (random_spec(n=120, d=6, seed=31), PathConfig(lambda_tgt=1.0),
+                       [0.3, 0.1, 0.05, 0.02, 0.01]),
+    "above-lambda0": lambda: (random_spec(n=120, d=6, seed=31),
+                              PathConfig(lambda_tgt=10.0), None),
+    "order-2": lambda: (random_spec(n=80, d=4, seed=19, kernel="gaussian-order-2"),
+                        PathConfig(lambda_tgt=0.02, num_stages=6, eta=50.0), None),
+    "weighted": lambda: (random_spec(n=100, d=5, seed=7,
+                                     weights=rng_for(7).uniform(0.5, 2.0, 100)),
+                         PathConfig(lambda_tgt=0.01), None),
+    "ball": lambda: (random_spec(n=60, d=3, seed=11),
+                     PathConfig(lambda_tgt=0.005, num_stages=6, omega_radius=0.05,
+                                max_inner_iters=200), None),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONTRACT_CASES))
+def test_exit_omega_is_the_gap_of_the_stage_solution(name, monkeypatch):
+    # the gradient and margins a stage carries belong to its iterate: the
+    # recorded gap is the one recomputed from theta, bit for bit, and a path
+    # evaluates the gradient once at zero and once per accepted step
+    spec, cfg, ladder = _CONTRACT_CASES[name]()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return empirical_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "empirical_gradient", counting)
+    # in the small ball the interior gap cannot meet its tolerance
+    with pytest.warns(ConvergenceWarning) if name == "ball" \
+            else contextlib.nullcontext():
+        path = path_following(spec, cfg, ladder)
+    assert len(calls) == 1 + sum(rec.iterations for rec in path.stages)
+    for rec in path.stages:
+        assert rec.exit_omega == suboptimality(spec, rec.theta, rec.lam)
+    if name == "order-2":
+        assert sum(rec.halvings for rec in path.stages) > 0
+    if name == "ball":
+        assert any("boundary" in note for note in path.notes)
+    if name == "above-lambda0":
+        assert len(path.stages) == 1
