@@ -15,15 +15,29 @@ the support exceeds a quarter of d they sum over every column, which skips
 no work but gathers none.  Both add the columns in the same order, and a
 zero coordinate adds an exact zero, so on two or more samples both give the
 same bits.  The gradient sums over samples down each column.  Neither,
-nor the l2 norm of the ball projection and the Lepski rules, calls BLAS, whose sums change in the last bits with its thread count, so results
-are bit-identical for any BLAS thread count.  Risk, gradient and objective
-take ``u = spec.margins(theta)`` from callers that have it (margins
-validated theta).
+nor the l2 norm of the ball projection and the Lepski rules, calls BLAS,
+whose sums change in the last bits with its thread count.
+
+A pass over z large enough runs in blocks, at most one per usable CPU (the
+affinity mask, or the CPU count where the OS keeps none), each reading at
+least ``_SPLIT_MIN`` values and at least two wide: the gradient in blocks of
+columns, the margins in blocks of samples, each block gathering its own
+part of the support columns.  The main thread runs the first block and a
+thread pool, created on first use and anew in a forked child, runs the
+others; each writes its own slice of one output.  Every output element is
+still one einsum loop in a fixed order over the same contiguous data, so
+results are bit-identical for any BLAS thread count and any number of
+usable CPUs.  Smaller passes run in the calling thread alone.  Risk,
+gradient and objective take ``u = spec.margins(theta)`` from callers that
+have it (margins validated theta).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +47,86 @@ from .kernels import SurrogateLoss
 
 # largest share of d on which margins gather the support columns of theta
 _SPARSE_SHARE = 0.25
+# fewest values of z one block of a pass reads: at n=2000 both passes first
+# ran faster on two CPUs than on one at two such blocks, about 2.1M values
+_SPLIT_MIN = 1 << 20
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads; it starts its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # Windows has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS, Windows
+        return os.cpu_count() or 1
+
+
+def _blocks(length: int, values: int, cpus: int) -> list[tuple[int, int]]:
+    # [0, length) cut into at most one block per CPU, each reading at least
+    # _SPLIT_MIN values and at least 2 wide: einsum sums a lone column of
+    # over 8192 samples in another order
+    k = max(1, min(cpus, values // _SPLIT_MIN, length // 2))
+    cuts = [length * i // k for i in range(k + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _split(block, length: int, values: int) -> np.ndarray:
+    # block(a, b, out) writes elements [a, b) of the result; the main thread
+    # runs the first block and the pool the others
+    global _pool
+    cpus = _usable_cpus()
+    blocks = _blocks(length, values, cpus)
+    if len(blocks) == 1:
+        return block(0, length, None)
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(cpus - 1)
+        pool = _pool
+    out = np.empty(length)
+    futures = [pool.submit(block, a, b, out[a:b]) for a, b in blocks[1:]]
+    try:
+        a, b = blocks[0]
+        block(a, b, out[a:b])
+    finally:
+        for future in futures:
+            future.result()
+    return out
 
 
 def _row_sum(coeff: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # sum_i coeff_i z_i in einsum's own loop; BLAS's varies with its thread count
-    return np.einsum("i,ij->j", coeff, z)
+    # sum_i coeff_i z_i down each column in einsum's own loop, in blocks of
+    # columns once the pass is large
+    if z.size < _SPLIT_MIN:
+        return np.einsum("i,ij->j", coeff, z)
+    return _split(
+        lambda a, b, out: np.einsum("i,ij->j", coeff, z[:, a:b], out=out),
+        z.shape[1], z.size)
 
 
 def _col_sum(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # z @ theta as sum_j theta_j z_j in einsum's own loop, one column after
-    # another; with z column-major, row j of z.T is column j, contiguous
+    # another; with z column-major, row j of z.T is column j, contiguous.
+    # In blocks of samples once the pass is large.
     support = np.flatnonzero(theta)
-    cols = z.T
+    rows = slice(None)
     if support.size <= _SPARSE_SHARE * z.shape[1]:
-        cols, theta = cols[support], theta[support]
-    return np.einsum("ji,j->i", cols, theta)
+        rows, theta = support, theta[support]
+    if theta.size * z.shape[0] < _SPLIT_MIN:
+        return np.einsum("ji,j->i", z.T[rows], theta)
+    return _split(
+        lambda a, b, out: np.einsum("ji,j->i", z.T[rows, a:b], theta, out=out),
+        z.shape[0], theta.size * z.shape[0])
 
 
 def _l2_norm(v: np.ndarray) -> float:
