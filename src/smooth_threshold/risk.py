@@ -18,18 +18,17 @@ same bits.  The gradient sums over samples down each column.  Neither,
 nor the l2 norm of the ball projection and the Lepski rules, calls BLAS,
 whose sums change in the last bits with its thread count.
 
-A pass over z large enough runs in blocks, at most one per usable CPU (the
-affinity mask, or the CPU count where the OS keeps none), each reading at
-least ``_SPLIT_MIN`` values and at least two wide: the gradient in blocks of
-columns, the margins in blocks of samples, each block gathering its own
-part of the support columns.  The main thread runs the first block and a
-thread pool, created on first use and anew in a forked child, runs the
-others; each writes its own slice of one output.  Every output element is
-still one einsum loop in a fixed order over the same contiguous data, so
-results are bit-identical for any BLAS thread count and any number of
-usable CPUs.  Smaller passes run in the calling thread alone.  Risk,
-gradient and objective take ``u = spec.margins(theta)`` from callers that
-have it (margins validated theta).
+A gradient pass over z large enough runs in blocks of columns, at most one
+per usable CPU (the affinity mask, or the CPU count where the OS keeps
+none), each reading at least ``_SPLIT_MIN`` values and at least two wide.
+The main thread runs the first block and a thread pool, created on first
+use and anew in a forked child, runs the others; each writes its own slice
+of one output.  Every output element is still one einsum loop in a fixed
+order over the same contiguous data, so results are bit-identical for any
+BLAS thread count and any number of usable CPUs.  Smaller passes, and the
+margins, run in the calling thread alone.  Risk, gradient and objective
+take ``u = spec.margins(theta)`` from callers that have it (margins
+validated theta).
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from .kernels import SurrogateLoss
 
 # largest share of d on which margins gather the support columns of theta
 _SPARSE_SHARE = 0.25
-# fewest values of z one block of a pass reads: at n=2000 both passes first
-# ran faster on two CPUs than on one at two such blocks, about 2.1M values
+# fewest values of z one block of a pass reads: at n=2000 the gradient ran
+# about as fast on two CPUs as on one up to 0.8M values and faster from 1M
 _SPLIT_MIN = 1 << 20
 
 _pool = None
@@ -85,6 +84,8 @@ def _split(block, length: int, values: int) -> np.ndarray:
     # block(a, b, out) writes elements [a, b) of the result; the main thread
     # runs the first block and the pool the others
     global _pool
+    if values < 2 * _SPLIT_MIN:
+        return block(0, length, None)
     cpus = _usable_cpus()
     blocks = _blocks(length, values, cpus)
     if len(blocks) == 1:
@@ -107,8 +108,6 @@ def _split(block, length: int, values: int) -> np.ndarray:
 def _row_sum(coeff: np.ndarray, z: np.ndarray) -> np.ndarray:
     # sum_i coeff_i z_i down each column in einsum's own loop, in blocks of
     # columns once the pass is large
-    if z.size < _SPLIT_MIN:
-        return np.einsum("i,ij->j", coeff, z)
     return _split(
         lambda a, b, out: np.einsum("i,ij->j", coeff, z[:, a:b], out=out),
         z.shape[1], z.size)
@@ -116,17 +115,12 @@ def _row_sum(coeff: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _col_sum(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # z @ theta as sum_j theta_j z_j in einsum's own loop, one column after
-    # another; with z column-major, row j of z.T is column j, contiguous.
-    # In blocks of samples once the pass is large.
+    # another; with z column-major, row j of z.T is column j, contiguous
     support = np.flatnonzero(theta)
-    rows = slice(None)
+    cols = z.T
     if support.size <= _SPARSE_SHARE * z.shape[1]:
-        rows, theta = support, theta[support]
-    if theta.size * z.shape[0] < _SPLIT_MIN:
-        return np.einsum("ji,j->i", z.T[rows], theta)
-    return _split(
-        lambda a, b, out: np.einsum("ji,j->i", z.T[rows, a:b], theta, out=out),
-        z.shape[0], theta.size * z.shape[0])
+        cols, theta = cols[support], theta[support]
+    return np.einsum("ji,j->i", cols, theta)
 
 
 def _l2_norm(v: np.ndarray) -> float:

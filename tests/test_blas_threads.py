@@ -1,17 +1,18 @@
 """Results must not depend on the BLAS thread count or the usable CPUs.
 
 The same script runs in three interpreters and must print the same bytes:
-one restricted to one CPU with OpenBLAS pinned to one thread, one with
-every CPU and OpenBLAS at two threads, and one that splits every pass over
-z it can into three blocks, an uneven split on two CPUs.  The script
-hashes the margins and the risk gradient on a 2000 x 2500 draw, large
-enough for OpenBLAS to split a matrix-vector product across threads and
-for the package to split its passes, and the curve and selection of a
-small cross-validation run.  A second script hashes the margins and
-gradient of a 4003 x 1001 and an 8195 x 300 draw at a sparse and at a
-dense theta, and the smoothing-bias probe on the first: a BLAS product
-splits an odd row count unevenly between threads, which an even one like
-2000 can hide, and einsum sums a column of more than 8192 samples in
+one restricted to one CPU (by affinity mask where the OS has one, else
+through the package's own CPU count) with OpenBLAS pinned to one thread,
+one with every CPU and OpenBLAS at two threads, and one that splits every
+gradient pass over z it can into three blocks, an uneven split on two CPUs.
+The script hashes the margins and the risk gradient on a 2000 x 2500 draw,
+large enough for OpenBLAS to split a matrix-vector product across threads
+and for the package to split its gradient passes, and the curve and
+selection of a small cross-validation run.  A second script hashes the
+margins and gradient of a 4003 x 1001 and an 8195 x 300 draw at a sparse
+and at a dense theta, and the smoothing-bias probe on the first: a BLAS
+product splits an odd row count unevenly between threads, which an even one
+like 2000 can hide, and einsum sums a column of more than 8192 samples in
 buffered pieces, so a block of one such column would change its bits.  A
 third hashes the ball projection and the l2 estimation error of a
 100,000-coordinate vector, whose l2 norm a BLAS dot product rounds
@@ -24,18 +25,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+from smooth_threshold import risk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PREAMBLE = """
 import hashlib, os, sys
-if sys.argv[1] == "one":
+one_cpu = sys.argv[1] == "one" and hasattr(os, "sched_setaffinity")
+if one_cpu:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from smooth_threshold import (SimSpec, SmoothedRiskSpec, SurrogateLoss,
                               cross_validate_lambda, default_lambda_grid,
                               empirical_gradient, generate, get_kernel, risk)
+if sys.argv[1] == "one" and not one_cpu:
+    risk._usable_cpus = lambda: 1
 if sys.argv[1] == "three":
     risk._SPLIT_MIN, risk._usable_cpus = 1, lambda: 3
 
@@ -101,10 +105,8 @@ show("estimation_error", np.array([estimation_error(v, np.zeros_like(v))]))
 
 
 # (CPUs, OpenBLAS threads) of the runs compared: one CPU, every CPU, and
-# every pass split in three where it is at least 6 wide
+# every gradient pass split in three where it is at least 6 wide
 RUNS = (("one", "1"), ("every", "2"), ("three", "2"))
-cpu_mask = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                              reason="restricts the CPUs by affinity mask")
 
 
 def _run(cpus: str, blas_threads: str, script: str) -> tuple[list, int]:
@@ -126,16 +128,14 @@ def _same_bytes_at_any_split(script: str, lines: int):
     assert one == every == three
     assert len(one) == lines
     assert one_blocks == 1 and three_blocks == 3
-    cpus = len(os.sched_getaffinity(0))
+    cpus = risk._usable_cpus()
     assert (every_blocks > 1) == (cpus > 1) and every_blocks <= cpus
 
 
-@cpu_mask
 def test_results_identical_for_one_and_two_blas_threads():
     _same_bytes_at_any_split(SCRIPT, 4)
 
 
-@cpu_mask
 def test_odd_n_margins_identical_for_one_and_two_blas_threads():
     _same_bytes_at_any_split(ODD_N_SCRIPT, 9)
 
