@@ -20,7 +20,8 @@ whose sums change in the last bits with its thread count.
 
 A gradient pass over z large enough runs in blocks of columns, at most one
 per usable CPU (the affinity mask, or the CPU count where the OS keeps
-none), each reading at least ``_SPLIT_MIN`` values and at least two wide.
+none) or per CPU of a Lepski worker's share, each reading at least
+``_SPLIT_MIN`` values and at least two wide.
 The main thread runs the first block and a thread pool, created on first
 use and anew in a forked child, runs the others; each writes its own slice
 of one output.  Every output element is still one einsum loop in a fixed
@@ -50,6 +51,9 @@ _SPARSE_SHARE = 0.25
 # about as fast on two CPUs as on one up to 0.8M values and faster from 1M
 _SPLIT_MIN = 1 << 20
 
+# most CPUs one pass may split over, None for every usable one; a process
+# fitting Lepski grid points beside others sets its share while it fits
+_cpu_cap = None
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -87,7 +91,7 @@ def _split(block, length: int, values: int) -> np.ndarray:
     if values < 2 * _SPLIT_MIN:
         return block(0, length, None)
     cpus = _usable_cpus()
-    blocks = _blocks(length, values, cpus)
+    blocks = _blocks(length, values, min(cpus, _cpu_cap or cpus))
     if len(blocks) == 1:
         return block(0, length, None)
     with _pool_lock:

@@ -1,9 +1,11 @@
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smooth_threshold import risk
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.risk import Dataset, SmoothedRiskSpec
 
@@ -38,3 +40,28 @@ def random_spec(n=40, d=3, seed=0, kernel="gaussian", delta=1.0, weights=None,
 @pytest.fixture
 def rng():
     return rng_for(1234)
+
+
+def log_call(path, line):
+    """Append one line to ``path``: a spy's record that forked workers keep too."""
+    with open(path, "a") as handle:   # O_APPEND: one short write lands whole
+        handle.write(line + "\n")
+
+
+def logged(path):
+    """The lines ``log_call`` appended to ``path``, none when it never ran."""
+    return Path(path).read_text().splitlines() if Path(path).exists() else []
+
+
+@pytest.fixture
+def forked_grid(monkeypatch):
+    """Lepski grid fits spread over three forked processes, on any machine.
+
+    A pool thread from an earlier split gradient pass would keep the fits in
+    turn, so the pool is stopped first; it starts again on its next use.
+    """
+    if risk._pool is not None:
+        risk._pool.shutdown()
+        risk._pool = None
+    assert threading.active_count() == 1
+    monkeypatch.setattr(risk, "_usable_cpus", lambda: 3)

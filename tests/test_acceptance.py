@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_spec, rng_for
+from conftest import log_call, logged, random_spec, rng_for
 from smooth_threshold import tuning
 from smooth_threshold.cli import main
 from smooth_threshold.diagnostics import (
@@ -262,7 +262,7 @@ def test_error_decreases_with_sample_size():
            + f" at n = 500/1000/2000/4000, {elapsed:.1f}s")
 
 
-def test_adaptive_selection_near_oracle(monkeypatch):
+def test_adaptive_selection_near_oracle(monkeypatch, tmp_path, forked_grid):
     # (a) bandwidth adaptation lands within 2x of the best grid fit;
     # (b) sparsity adaptation lands within 2x of the fit at the true level;
     # (c) on sign responses at n=2000, d=256, s=8 with the same constants,
@@ -319,22 +319,29 @@ def test_adaptive_selection_near_oracle(monkeypatch):
     small, _ = generate(SimSpec(model="conditional_mean", n=40, d=8, s=2,
                                 mu=2.0, noise_sd=0.5, seed=3))
     real = tuning.path_following
-    remaining = {"n": 0}
+    grid_b = set(build_lepski_grid("bandwidth", 40).values)
+    grid_s = build_lepski_grid("sparsity", 8).values
+    log = tmp_path / "calls"
 
-    def fail_grid_fits(spec, cfg):
-        # fails exactly the grid fits, letting the fallback fit run
-        if remaining["n"] > 0:
-            remaining["n"] -= 1
+    def fail_bandwidth_grid(spec, cfg):
+        # fails exactly the grid fits, letting the fallback fit at 1/n run
+        if spec.loss.bandwidth in grid_b:
             raise NumericError("constructed failure")
         return real(spec, cfg)
 
-    grid_s = build_lepski_grid("sparsity", 8).values
-    monkeypatch.setattr(tuning, "path_following", fail_grid_fits)
+    def fail_sparsity_grid(spec, cfg):
+        # the fallback refits the top level, so the grid fits are told apart
+        # as the first len(grid_s) calls, counted over every process
+        log_call(log, "fit")
+        if len(logged(log)) <= len(grid_s):
+            raise NumericError("constructed failure")
+        return real(spec, cfg)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        remaining["n"] = len(build_lepski_grid("bandwidth", 40).values)
+        monkeypatch.setattr(tuning, "path_following", fail_bandwidth_grid)
         delta_fallback, _, _ = lepski_bandwidth(small, GAUSS, s=2)
-        remaining["n"] = len(grid_s)
+        monkeypatch.setattr(tuning, "path_following", fail_sparsity_grid)
         s_fallback, _, _ = lepski_sparsity(small, make_higher_order_gaussian(2),
                                            beta=2.0)
     monkeypatch.setattr(tuning, "path_following", real)

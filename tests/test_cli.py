@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import src_env
+from conftest import log_call, logged, src_env
 from smooth_threshold import cli, tuning
 from smooth_threshold.cli import ColumnRoles, load_csv, main
 from smooth_threshold.diagnostics import PROBE_DEFAULTS, PROBES
@@ -23,9 +23,9 @@ from smooth_threshold.optimizer import PathConfig, path_following
 from smooth_threshold.risk import SmoothedRiskSpec
 from smooth_threshold.simulate import (SIM_MODELS, SimSpec, derive_seed,
                                        generate, run_benchmark)
-from smooth_threshold.tuning import (TuningSchedule, cross_validate_lambda,
-                                     default_lambda_grid, target_lambda,
-                                     theoretical_bandwidth)
+from smooth_threshold.tuning import (TuningSchedule, build_lepski_grid,
+                                     cross_validate_lambda, default_lambda_grid,
+                                     target_lambda, theoretical_bandwidth)
 
 
 def run_cli(argv, capsys):
@@ -335,12 +335,13 @@ class TestFit:
         ["lepski-s", "--beta", "1.0", "--c-bar", "1.5"],
     ], ids=["cv", "lepski-beta", "lepski-s"])
     def test_solver_flags_reach_every_fit(self, sim_csv, capsys, monkeypatch,
-                                          tune):
-        configs = []
+                                          tmp_path, forked_grid, tune):
+        log = tmp_path / "configs"   # forked Lepski workers record here too
 
         def recording(real):
             def record(spec, cfg, **kw):
-                configs.append(cfg)
+                log_call(log, repr((cfg.nu, cfg.eta, cfg.omega_radius,
+                                    cfg.num_stages)))
                 return real(spec, cfg, **kw)
             return record
 
@@ -353,10 +354,13 @@ class TestFit:
                                     "--radius", "8.0", "--stages", "4"],
                                  capsys)
         assert code == 0, err
+        configs = logged(log)
         assert len(configs) > 1
-        for cfg in configs:
-            assert (cfg.nu, cfg.eta, cfg.omega_radius, cfg.num_stages) \
-                == (0.3, 0.5, 8.0, 4)
+        if tune[0] != "cv":   # one fit per grid point, whichever process
+            kind, size = {"lepski-beta": ("bandwidth", 150),
+                          "lepski-s": ("sparsity", 8)}[tune[0]]
+            assert len(configs) == len(build_lepski_grid(kind, size).values)
+        assert set(configs) == {repr((0.3, 0.5, 8.0, 4))}
         echo = {key: doc_value(out, f"config {key}")
                 for key in ("lambda0", "stages", "phi", "nu", "eta",
                             "eps_tgt", "radius")}

@@ -37,7 +37,7 @@ from smooth_threshold.tuning import (
 )
 from smooth_threshold.simulate import SimSpec, gen_conditional_mean
 
-from conftest import rng_for
+from conftest import log_call, logged, rng_for
 
 
 GAUSS = get_kernel("gaussian")
@@ -513,17 +513,18 @@ class TestLepskiProcedures:
         assert all(f.status == "ok" for f in fits)
         assert all(not np.any(f.theta) for f in fits if f.grid_value in over)
 
-    def test_fits_reused_not_recomputed(self, monkeypatch):
+    def test_fits_reused_not_recomputed(self, monkeypatch, tmp_path, forked_grid):
         data = make_dataset(n=40, d=4, seed=5)
-        calls = []
+        log = tmp_path / "calls"
         real = tuning.path_following
 
         def counting(spec, cfg):
-            calls.append(spec.loss.bandwidth)
+            log_call(log, repr(spec.loss.bandwidth))
             return real(spec, cfg)
 
         monkeypatch.setattr(tuning, "path_following", counting)
         delta_hat, _, fits = lepski_bandwidth(data, GAUSS, s=2)
+        calls = [float(line) for line in logged(log)]
         grid = build_lepski_grid("bandwidth", 40)
         assert len(calls) == len(grid.values)
         assert sorted(calls) == sorted(grid.values)
@@ -554,15 +555,18 @@ class TestLepskiProcedures:
         assert sum(f.status == "failed" for f in fits) == len(grid_values)
         assert fits[-1].status == "ok" and fits[-1].grid_value == delta_hat
 
-    def test_sparsity_default_branch_on_total_failure(self, monkeypatch):
+    def test_sparsity_default_branch_on_total_failure(self, monkeypatch, tmp_path,
+                                                      forked_grid):
         data = make_dataset(n=40, d=8, seed=6)
         k2 = make_higher_order_gaussian(2)
         real = tuning.path_following
-        state = {"pass": 0}
+        log = tmp_path / "calls"
 
         def failing(spec, cfg):
-            state["pass"] += 1
-            if state["pass"] <= 3:  # the three grid fits (d=8 gives m=2)
+            # the fallback refits the top level, so calls are counted over
+            # every process; the grid fits are the first three
+            log_call(log, "fit")
+            if len(logged(log)) <= 3:  # the three grid fits (d=8 gives m=2)
                 raise NumericError("synthetic failure")
             return real(spec, cfg)
 
@@ -578,6 +582,7 @@ class TestLepskiProcedures:
         assert theta.shape == (8,)
         assert sum(f.status == "failed" for f in fits) == 3
         assert fits[-1].status == "ok" and fits[-1].grid_value == 4
+        assert len(logged(log)) == 4
 
     def test_failing_fallback_fit_raises(self, monkeypatch):
         data = make_dataset(n=40, d=8, seed=6)
