@@ -376,17 +376,10 @@ def _cmd_fit(args, config):
     kernel = get_kernel(args.kernel)
     cfg = _path_config(args)
     params = {name: getattr(args, name) for name in TUNING_MODES[args.tune]}
-    if args.tune == "lepski-beta":
-        delta_hat, theta, fits = lepski_bandwidth(
-            data, kernel, **params, path_cfg=cfg, weights=weights)
-        extra = _lepski_lines(fits, scales,
-                              selected=f"result delta_hat = {_fmt(delta_hat)}",
-                              theta=theta)
-    elif args.tune == "lepski-s":
-        s_hat, theta, fits = lepski_sparsity(
-            data, kernel, **params, path_cfg=cfg, weights=weights)
-        extra = _lepski_lines(fits, scales, selected=f"result s_hat = {s_hat}",
-                              theta=theta)
+    if args.tune in _LEPSKI:
+        select, result = _LEPSKI[args.tune]
+        chosen, theta, fits = select(data, kernel, **params, path_cfg=cfg, weights=weights)
+        extra = _lepski_lines(fits, scales, f"result {result} = {_fmt(chosen)}", theta)
     else:
         delta, lam, cv = tuned_penalty(data, kernel, args.tune, params,
                                        config.get("seed"), weights, cfg)
@@ -487,6 +480,9 @@ def _cmd_bench(args, config):
 
 
 def _cmd_toy_risks(args, config):
+    for name in ("grid_start", "grid_stop", "grid_step"):
+        if not np.isfinite(getattr(args, name)):
+            raise InputError(f"{_flag(name)} must be finite, got {getattr(args, name)!r}")
     if args.grid_step <= 0:
         raise InputError(f"--grid-step must be positive, got {args.grid_step}")
     if args.grid_stop < args.grid_start:
@@ -546,6 +542,9 @@ _GROUPS = {"input": _DATA[1:], "model": ("n", "d", "s")}
 # fit's cross-validation draws its folds from --seed
 _FIT_MODES = {mode: TUNING_MODES[mode] + ("seed",) * (mode == "cv")
               for mode in ("fixed", "cv", "theory", "lepski-beta", "lepski-s")}
+# fit's Lepski modes: the selector and the name of the value it selects
+_LEPSKI = {"lepski-beta": (lepski_bandwidth, "delta_hat"),
+           "lepski-s": (lepski_sparsity, "s_hat")}
 # bench's theory tuning reads the simulated sparsity --s as its s
 _BENCH_MODES = {mode: tuple(name for name in TUNING_MODES[mode] if name != "s")
                 for mode in BENCH_MODES}

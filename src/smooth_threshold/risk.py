@@ -20,16 +20,16 @@ whose sums change in the last bits with its thread count.
 
 A gradient pass over z large enough runs in blocks of columns, at most one
 per usable CPU (the affinity mask, or the CPU count where the OS keeps
-none) or per CPU of a Lepski worker's share, each reading at least
-``_SPLIT_MIN`` values and at least two wide.
+none), each reading at least ``_SPLIT_MIN`` values and at least two wide.
 The main thread runs the first block and a thread pool, created on first
 use and anew in a forked child, runs the others; each writes its own slice
 of one output.  Every output element is still one einsum loop in a fixed
 order over the same contiguous data, so results are bit-identical for any
-BLAS thread count and any number of usable CPUs.  Smaller passes, and the
-margins, run in the calling thread alone.  Risk, gradient and objective
-take ``u = spec.margins(theta)`` from callers that have it (margins
-validated theta).
+BLAS thread count and any number of usable CPUs.  ``_split`` waits for
+every block, so outside it the pool's threads are idle and stop no fork
+(``_may_fork``).  Smaller passes, and the margins, run in the calling
+thread alone.  Risk, gradient and objective take ``u = spec.margins(theta)``
+from callers that have it (margins validated theta).
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ _SPARSE_SHARE = 0.25
 # about as fast on two CPUs as on one up to 0.8M values and faster from 1M
 _SPLIT_MIN = 1 << 20
 
-# most CPUs one pass may split over, None for every usable one; a process
-# fitting Lepski grid points beside others sets its share while it fits
-_cpu_cap = None
+_POOL_NAME = "smooth_threshold.split"
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -66,6 +64,12 @@ def _forget_pool():
 
 if hasattr(os, "register_at_fork"):  # Windows has no fork
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _may_fork() -> bool:
+    # every other Python thread is the pool's, idle outside _split
+    return all(t is threading.current_thread() or t.name.startswith(_POOL_NAME)
+               for t in threading.enumerate())
 
 
 def _usable_cpus() -> int:
@@ -91,12 +95,12 @@ def _split(block, length: int, values: int) -> np.ndarray:
     if values < 2 * _SPLIT_MIN:
         return block(0, length, None)
     cpus = _usable_cpus()
-    blocks = _blocks(length, values, min(cpus, _cpu_cap or cpus))
+    blocks = _blocks(length, values, cpus)
     if len(blocks) == 1:
         return block(0, length, None)
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(cpus - 1)
+            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix=_POOL_NAME)
         pool = _pool
     out = np.empty(length)
     futures = [pool.submit(block, a, b, out[a:b]) for a, b in blocks[1:]]

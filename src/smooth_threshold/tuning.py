@@ -17,8 +17,10 @@ and the warnings they raised back through a pipe, and the caller issues
 the warnings in grid order.  Every fit runs whole in one process, so fits,
 selection and warnings are those of fitting in turn, which is what happens
 on one usable CPU, for a single grid value, without ``os.fork``, off Linux,
-and while another Python thread is alive.  Cross-validation folds are
-fitted in turn.
+and while a Python thread other than the idle threads of the gradient
+split (``risk._may_fork``) is alive.  Each worker splits its large
+gradient passes over every usable CPU.  Cross-validation folds are fitted
+in turn.
 
 ``TUNING_MODES`` names the parameters each ``--tune`` mode reads and
 ``TUNING_DEFAULTS`` the defaults of the constants among them;
@@ -36,7 +38,6 @@ import os
 import pickle
 import signal
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -457,19 +458,14 @@ def _fit_grid_point(
                      status="ok", detail=detail)
 
 
-def _fit_share(fit_one: Callable, values: Sequence[float], cpus: int) -> list:
+def _fit_share(fit_one: Callable, values: Sequence[float]) -> list:
     # (fit, the warnings it raised) per value, the warnings caught under the
-    # caller's filters to be issued again in grid order; a gradient pass
-    # splits over at most this worker's share of the CPUs
+    # caller's filters to be issued again in grid order
     share = []
-    risk._cpu_cap = cpus
-    try:
-        for value in values:
-            with warnings.catch_warnings(record=True) as caught:
-                fit = fit_one(value)
-            share.append((fit, [(w.message, w.filename, w.lineno) for w in caught]))
-    finally:
-        risk._cpu_cap = None
+    for value in values:
+        with warnings.catch_warnings(record=True) as caught:
+            fit = fit_one(value)
+        share.append((fit, [(w.message, w.filename, w.lineno) for w in caught]))
     return share
 
 
@@ -486,13 +482,13 @@ def _warn_again(message: Warning, filename: str, lineno: int) -> None:
     warnings.warn_explicit(message, type(message), filename, lineno)
 
 
-def _worker(write: int, fit_one: Callable, values: Sequence[float], cpus: int) -> None:
+def _worker(write: int, fit_one: Callable, values: Sequence[float]) -> None:
     # a forked worker's whole life: fit its share, send it, and exit without
     # running the caller's clean-up; any failure is a nonzero status
     status = 1
     try:
         # protocol 5 brings a read-only theta back read-only
-        payload = pickle.dumps(_fit_share(fit_one, values, cpus), protocol=5)
+        payload = pickle.dumps(_fit_share(fit_one, values), protocol=5)
         with open(write, "wb") as pipe:
             pipe.write(payload)
         status = 0
@@ -500,30 +496,27 @@ def _worker(write: int, fit_one: Callable, values: Sequence[float], cpus: int) -
         os._exit(status)
 
 
-def _workers(count: int) -> List[Optional[int]]:
-    # the CPUs of each worker: one worker per usable CPU, up to one per grid
-    # value, sharing the CPUs out; [None] is this process alone, on every
-    # CPU.  A fork is unsafe while another Python thread runs, and macOS
-    # system libraries are not fork-safe
+def _workers(count: int) -> int:
+    # one worker per usable CPU, up to one per grid value, or 1: this
+    # process alone.  A fork is unsafe while another Python thread may run
+    # (risk._may_fork), and macOS system libraries are not fork-safe
     if (count < 2 or not sys.platform.startswith("linux")
-            or not hasattr(os, "fork") or threading.active_count() > 1):
-        return [None]
-    cpus = risk._usable_cpus()
-    k = min(cpus, count)
-    return [cpus // k + (w < cpus % k) for w in range(k)]
+            or not hasattr(os, "fork") or not risk._may_fork()):
+        return 1
+    return min(risk._usable_cpus(), count)
 
 
 def _fit_grid(fit_one: Callable, values: Sequence[float], label: str) -> List[LepskiFit]:
     """``[fit_one(v) for v in values]``.  With k > 1 workers (``_workers``)
     this process forks k - 1 children; worker w fits the values at positions
     w, w + k, ..., this process being worker 0, and each child sends its
-    fits and the warnings they raised back through a pipe.  Every fit runs
-    whole in one process, so fits and warnings are those of the loop.  A
-    worker that ends without its fits raises ``NumericError``; no child
-    outlives the call.
+    fits and the warnings they raised back through a pipe.  Idle threads
+    of the gradient split stop no fork.  Every fit runs whole in one
+    process, so fits and warnings are those of the loop.  A worker that
+    ends without its fits raises ``NumericError``; no child outlives the
+    call.
     """
-    cpus = _workers(len(values))
-    k = len(cpus)
+    k = _workers(len(values))
     if k == 1:
         return [fit_one(value) for value in values]
     shares = [values[w::k] for w in range(k)]
@@ -532,19 +525,20 @@ def _fit_grid(fit_one: Callable, values: Sequence[float], label: str) -> List[Le
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on a fork from a process with more than one
-            # OS thread.  No other Python thread runs here (_workers); the
-            # rest are native BLAS threads, which a fit never calls on and
-            # OpenBLAS stops around a fork itself
+            # OS thread.  No other Python thread runs here (_workers): the
+            # split pool's threads wait idle, and a child starts its own.
+            # The rest are native BLAS threads, which a fit never calls on
+            # and OpenBLAS stops around a fork itself
             warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)",
                                     DeprecationWarning)
             for w in range(1, k):
                 read, write = os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _worker(write, fit_one, shares[w], cpus[w])
+                    _worker(write, fit_one, shares[w])
                 os.close(write)
                 children[w] = pid, open(read, "rb")
-        results[0] = _fit_share(fit_one, shares[0], cpus[0])
+        results[0] = _fit_share(fit_one, shares[0])
         for w in range(1, k):
             pid, pipe = children[w]
             payload = pipe.read()

@@ -1,5 +1,4 @@
 import os
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +54,5 @@ def logged(path):
 
 @pytest.fixture
 def forked_grid(monkeypatch):
-    """Lepski grid fits spread over three forked processes, on any machine.
-
-    A pool thread from an earlier split gradient pass would keep the fits in
-    turn, so the pool is stopped first; it starts again on its next use.
-    """
-    if risk._pool is not None:
-        risk._pool.shutdown()
-        risk._pool = None
-    assert threading.active_count() == 1
+    """Lepski grid fits spread over three forked processes, on any machine."""
     monkeypatch.setattr(risk, "_usable_cpus", lambda: 3)

@@ -20,7 +20,9 @@ differently on two threads; it does not read z, so it runs at one and two
 BLAS threads only.  A fourth runs both Lepski selectors and the fit
 documents of ``--tune lepski-s`` and ``lepski-beta``; there the three
 interpreters fit the grid points in turn, on two forked processes where two
-CPUs are usable, and on three.
+CPUs are usable, and on three processes that also split every gradient
+pass into three blocks, so that from the second Lepski call on each fork
+happens with the threads of the split pool alive.
 """
 
 import json
@@ -117,13 +119,12 @@ from smooth_threshold import (ConvergenceWarning, NumericError, PathConfig,
                               cli, lepski_bandwidth, lepski_sparsity,
                               make_higher_order_gaussian, tuning)
 
-risk._SPLIT_MIN = 1 << 20   # no split pass, whose threads would stop a fork
 workers = []
-share_out = tuning._workers
+choose = tuning._workers
 def counted_workers(count):
-    cpus = share_out(count)
-    workers.append([count, len(cpus)])
-    return cpus
+    k = choose(count)
+    workers.append([count, k])
+    return k
 tuning._workers = counted_workers
 
 real = tuning.path_following
@@ -180,7 +181,7 @@ try:
 finally:
     os.chdir(here)
     shutil.rmtree(scratch)
-print(json.dumps(workers))
+print(json.dumps([workers, sorted(set(blocks[1:]))]))
 """
 
 
@@ -231,14 +232,21 @@ def test_lepski_identical_for_any_number_of_workers():
     # both selectors' choices, every field of every fit and the warnings in
     # grid order, with failed fits and stages out of budget, and the fit
     # documents of --tune lepski-s and lepski-beta
-    (one, one_k), (every, every_k), (three, three_k) = (
+    (one, one_tally), (every, every_tally), (three, three_tally) = (
         _run(cpus, blas, LEPSKI_SCRIPT) for cpus, blas in RUNS)
     assert one == every == three
     # per run of a selector its choice, its fits and its warnings; 2 documents
     assert len(one) == 2 * ((1 + 6 + 1) + (1 + 11 + 1)) + 2
     forks = sys.platform.startswith("linux") and hasattr(os, "fork")
     cpus = risk._usable_cpus()
+    # the (grid values, workers) of every Lepski call, and the block counts
+    # of the split passes this process ran
+    (one_k, one_blocks), (every_k, every_blocks), (three_k, three_blocks) = (
+        one_tally, every_tally, three_tally)
     assert len(one_k) == len(every_k) == len(three_k) == 6
     assert all(k == 1 for _, k in one_k)
     assert all(k == (min(cpus, count) if forks else 1) for count, k in every_k)
     assert all(k == (3 if forks else 1) for _, k in three_k)
+    # no pass of n=600 or n=300 splits unforced; forced, this process's
+    # passes each split in three
+    assert one_blocks == every_blocks == [] and three_blocks == [3]

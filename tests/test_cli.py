@@ -689,9 +689,16 @@ class TestToyRisks:
         assert json.loads(err)["error"] == "numeric"
 
     def test_step_validation(self, tmp_path, capsys):
-        code, _, err = run_cli(["toy-risks", "--grid-step", "0",
-                                "--out", str(tmp_path / "t.csv")], capsys)
-        assert code == 2
+        # a step that is not positive and any flag that is not finite are
+        # bad input: one JSON line, no file written
+        for flags in (["--grid-step", "0"], ["--grid-step", "nan"],
+                      ["--grid-stop", "inf"], ["--grid-start=-inf"]):
+            code, _, err = run_cli(["toy-risks", *flags,
+                                    "--out", str(tmp_path / "t.csv")], capsys)
+            assert code == 2, flags
+            [line] = err.splitlines()
+            assert json.loads(line)["error"] == "input"
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestDiagnose:

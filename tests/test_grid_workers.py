@@ -4,16 +4,18 @@
 value.  These tests force three workers (the ``forked_grid`` fixture) and
 check that no child outlives a call, that the fork warning of newer Pythons
 is not raised, that a worker that dies and an interrupt in the caller's own
-share end the call cleanly, that a live gradient thread pool keeps the fits
-in this process, and that a small fit in a fresh interpreter starts no
-thread.  ``test_blas_threads.py`` checks
-that the fits are the same bytes for any number of workers.
+share end the call cleanly, that the idle threads of the gradient split's
+pool stop no fork while any other live thread keeps the fits in this
+process, with the same bytes either way, and that a small fit in a fresh
+interpreter starts no thread.  ``test_blas_threads.py`` checks that the
+fits are the same bytes for any number of workers.
 """
 
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -147,22 +149,41 @@ def test_interrupt_in_callers_share_kills_the_workers(forked_grid, monkeypatch):
     assert_no_child()
 
 
-def test_live_gradient_pool_keeps_the_fits_in_turn(forked_grid, forks):
+def theta_bytes(fits):
+    return [f.theta.tobytes() for f in fits]
+
+
+def test_idle_gradient_pool_stops_no_fork(forked_grid, forks, monkeypatch):
     data = make_dataset()
-    _, _, forked = lepski_bandwidth(data, GAUSS, s=2)
-    assert len(forks) == 2
-    # a 2000 x 1100 pass splits, which starts the pool's threads
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(risk, "_usable_cpus", lambda: 1)
+        _, _, in_turn = lepski_bandwidth(data, GAUSS, s=2)
+    assert forks == []
+    # a 2000 x 1100 pass splits in two, which starts a thread of the pool
     rng = rng_for(22)
     risk._row_sum(rng.normal(size=2000),
                   np.asfortranarray(rng.normal(size=(2000, 1100))))
+    assert risk._pool is not None and threading.active_count() > 1
+    _, _, forked = lepski_bandwidth(data, GAUSS, s=2)
+    assert len(forks) == 2
+    assert_no_child()
+    assert theta_bytes(forked) == theta_bytes(in_turn)
+
+
+def test_live_user_thread_keeps_the_fits_in_turn(forked_grid, forks):
+    data = make_dataset()
+    _, _, forked = lepski_bandwidth(data, GAUSS, s=2)
+    assert len(forks) == 2
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
     try:
-        assert risk._pool is not None
         _, _, in_turn = lepski_bandwidth(data, GAUSS, s=2)
     finally:
-        risk._pool.shutdown()
-        risk._pool = None
+        release.set()
+        waiting.join()
     assert len(forks) == 2
-    assert [f.theta.tobytes() for f in in_turn] == [f.theta.tobytes() for f in forked]
+    assert theta_bytes(in_turn) == theta_bytes(forked)
 
 
 SMALL_LEPSKI = r"""

@@ -68,10 +68,10 @@ def test_concurrent_callers_get_their_own_bytes_from_one_pool(monkeypatch):
     created, results = [], []
 
     class Counted(ThreadPoolExecutor):
-        def __init__(self, *args):
+        def __init__(self, *args, **kwargs):
             created.append(self)
             time.sleep(0.05)   # widen the window a missing lock leaves open
-            super().__init__(*args)
+            super().__init__(*args, **kwargs)
 
     def call():
         for _ in range(10):
