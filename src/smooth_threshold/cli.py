@@ -32,7 +32,7 @@ simulate's theta_out, toy-risks' rows).  It ends with one ``warning:`` line
 per warning the run raised.  Errors, among them bad command-line arguments
 and unwritable ``--out`` paths, are the only output on stderr, as one
 machine-readable JSON line; exit status is 2 for input errors, 1 for
-numeric failures, and 0 otherwise.
+numeric failures and exhausted memory, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .diagnostics import (PROBE_DEFAULTS, PROBES, bias_probe, gradient_check,
                           restricted_curvature_probe, variance_probe)
 from .errors import InputError, NumericError, read_settings
 from .kernels import BUILTIN_KERNELS, SurrogateLoss, get_kernel
-from .optimizer import PathConfig, path_following
+from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import Dataset, SmoothedRiskSpec
 from .simulate import (BENCH_DEFAULTS, BENCH_MODES, SIM_DEFAULTS, SIM_MODELS,
                        SimSpec, generate, run_benchmark, toy_population_risks)
@@ -303,10 +303,8 @@ def _load_input(args):
 
 
 def _path_config(args, lambda_tgt: float = 1.0) -> PathConfig:
-    return PathConfig(lambda_tgt=lambda_tgt, lambda0=args.lambda0,
-                      num_stages=args.stages, phi=args.phi, nu=args.nu,
-                      eta=args.eta, eps_tgt=args.eps_tgt,
-                      omega_radius=args.radius)
+    return PathConfig(lambda_tgt=lambda_tgt, **{field: getattr(args, flag)
+                                                for flag, field in _SOLVER.items()})
 
 
 def _open_out(out, newline=None):
@@ -487,7 +485,11 @@ def _cmd_toy_risks(args, config):
         raise InputError(f"--grid-step must be positive, got {args.grid_step}")
     if args.grid_stop < args.grid_start:
         raise InputError("--grid-stop must be >= --grid-start")
-    count = int(round((args.grid_stop - args.grid_start) / args.grid_step)) + 1
+    span = (args.grid_stop - args.grid_start) / args.grid_step
+    count = round(min(span, _TOY_POINTS)) + 1  # span may overflow to inf
+    if count > _TOY_POINTS:  # refused before np.arange allocates the grid
+        raise InputError(f"--grid-start, --grid-stop and --grid-step give "
+                         f"{span + 1:g} points; toy-risks takes at most {_TOY_POINTS}")
     thetas = args.grid_start + args.grid_step * np.arange(count)
     table = toy_population_risks(thetas)
     hinge_slope = np.gradient(table.risk_hinge, thetas)
@@ -536,7 +538,9 @@ def _cmd_diagnose(args, config):
 # stand for a CSV and a simulated dataset, each with its describing flags
 _DATA = ("input", "response", "threshold", "covariates", "weight",
          "delimiter", "standardize")
-_SOLVER = ("lambda0", "stages", "phi", "nu", "eta", "eps_tgt", "radius")
+# the solver flags, in config-echo order, and the PathConfig fields they set
+_SOLVER = {"lambda0": "lambda0", "stages": "num_stages", "phi": "phi", "nu": "nu",
+           "eta": "eta", "eps_tgt": "eps_tgt", "radius": "omega_radius"}
 _GROUPS = {"input": _DATA[1:], "model": ("n", "d", "s")}
 
 # fit's cross-validation draws its folds from --seed
@@ -561,17 +565,17 @@ _READS = {
 }
 _MODES = {"fit": _FIT_MODES, "bench": _BENCH_MODES}
 
-# defaults of the flags outside the tables of tuning, models and probes; a
-# flag read without a default must be given
+# defaults of the flags outside the tables of tuning, models and probes, the
+# roles' and solver's from the library; a flag without one must be given
 _DEFAULTS = {
-    "response": "y", "threshold": "x", "covariates": None, "weight": None,
-    "delimiter": ",", "standardize": False, "kernel": "gaussian",
-    "lambda0": None, "stages": None, "phi": None, "nu": 0.25, "eta": 1.0,
-    "eps_tgt": None, "radius": 10.0, "tune": "fixed",
+    **vars(ColumnRoles()),
+    **{flag: getattr(_DEFAULT_CONFIG, field) for flag, field in _SOLVER.items()},
+    "delimiter": ",", "standardize": False, "kernel": "gaussian", "tune": "fixed",
     "model": "binary_response", "n": 200, "d": 10, **SIM_DEFAULTS,
     "theta_out": None, "reps": 1, "seed": 0, "out": None,
     "grid_start": 0.0, "grid_stop": 2.0, "grid_step": 0.01,
 }
+_TOY_POINTS = 1_000_000  # most points of a toy-risks grid, one CSV row each
 # subcommands that write tables, and what they write
 _WRITES = {"path": "a CSV table", "simulate": "CSV files",
            "bench": "a CSV table", "toy-risks": "a CSV table"}
@@ -740,6 +744,9 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         _emit_error("numeric", str(exc))
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        _emit_error("memory", str(exc) or "out of memory")
         return 1
     return 0
 

@@ -10,17 +10,9 @@ Three routes to the pair (delta, lambda_tgt):
   delta when the smoothness is unknown, ``lepski_sparsity`` adapts the
   sparsity input when the support size is unknown.
 
-The grid points of a Lepski procedure are independent fits.  On Linux they
-run in forked worker processes, one per usable CPU up to one per grid
-value, the calling process being one of them; each worker sends its fits
-and the warnings they raised back through a pipe, and the caller issues
-the warnings in grid order.  Every fit runs whole in one process, so fits,
-selection and warnings are those of fitting in turn, which is what happens
-on one usable CPU, for a single grid value, without ``os.fork``, off Linux,
-and while a Python thread other than the idle threads of the gradient
-split (``risk._may_fork``) is alive.  Each worker splits its large
-gradient passes over every usable CPU.  Cross-validation folds are fitted
-in turn.
+The grid points of a Lepski procedure are independent fits, which
+``_parallel.fork_map`` spreads over forked worker processes with the same
+fits, selection and warnings.  Cross-validation folds are fitted in turn.
 
 ``TUNING_MODES`` names the parameters each ``--tune`` mode reads and
 ``TUNING_DEFAULTS`` the defaults of the constants among them;
@@ -34,47 +26,26 @@ All logarithms are natural.  Every formula involving log d requires d >= 2.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import risk
-from .errors import (InputError, NumericError, _nonneg_int, _nonneg_real,
+from ._parallel import fork_map
+from .errors import (InputError, _nonneg_int, _nonneg_real,
                      _positive_int, _positive_real, read_settings)
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
-from .risk import (
-    Dataset,
-    SmoothedRiskSpec,
-    _l2_norm,
-    empirical_gradient,
-    empirical_risk,
-)
+from .risk import (Dataset, SmoothedRiskSpec, _l2_norm, empirical_gradient,
+                   empirical_risk)
 
 __all__ = [
-    "TuningSchedule",
-    "LepskiGrid",
-    "CvResult",
-    "LepskiFit",
-    "theoretical_bandwidth",
-    "target_lambda",
-    "default_lambda_grid",
-    "cross_validate_lambda",
-    "build_lepski_grid",
-    "lepski_bandwidth",
-    "lepski_sparsity",
-    "select_lepski_bandwidth",
-    "select_lepski_sparsity",
-    "TUNING_MODES",
-    "TUNING_DEFAULTS",
-    "mode_parameters",
-    "tuned_penalty",
+    "TuningSchedule", "LepskiGrid", "CvResult", "LepskiFit",
+    "theoretical_bandwidth", "target_lambda", "default_lambda_grid",
+    "cross_validate_lambda", "build_lepski_grid", "lepski_bandwidth",
+    "lepski_sparsity", "select_lepski_bandwidth", "select_lepski_sparsity",
+    "TUNING_MODES", "TUNING_DEFAULTS", "mode_parameters", "tuned_penalty"
 ]
 
 # the parameters each tuning mode reads, in the order a config echo prints them
@@ -458,112 +429,6 @@ def _fit_grid_point(
                      status="ok", detail=detail)
 
 
-def _fit_share(fit_one: Callable, values: Sequence[float]) -> list:
-    # (fit, the warnings it raised) per value, the warnings caught under the
-    # caller's filters to be issued again in grid order
-    share = []
-    for value in values:
-        with warnings.catch_warnings(record=True) as caught:
-            fit = fit_one(value)
-        share.append((fit, [(w.message, w.filename, w.lineno) for w in caught]))
-    return share
-
-
-def _warn_again(message: Warning, filename: str, lineno: int) -> None:
-    # as if raised where it was: that module's filters and once-per-line
-    # registry apply, as they do to a fit run in this process
-    for module in list(sys.modules.values()):
-        if getattr(module, "__file__", None) == filename:
-            where = vars(module)
-            warnings.warn_explicit(message, type(message), filename, lineno,
-                                   where["__name__"],
-                                   where.setdefault("__warningregistry__", {}))
-            return
-    warnings.warn_explicit(message, type(message), filename, lineno)
-
-
-def _worker(write: int, fit_one: Callable, values: Sequence[float]) -> None:
-    # a forked worker's whole life: fit its share, send it, and exit without
-    # running the caller's clean-up; any failure is a nonzero status
-    status = 1
-    try:
-        # protocol 5 brings a read-only theta back read-only
-        payload = pickle.dumps(_fit_share(fit_one, values), protocol=5)
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _workers(count: int) -> int:
-    # one worker per usable CPU, up to one per grid value, or 1: this
-    # process alone.  A fork is unsafe while another Python thread may run
-    # (risk._may_fork), and macOS system libraries are not fork-safe
-    if (count < 2 or not sys.platform.startswith("linux")
-            or not hasattr(os, "fork") or not risk._may_fork()):
-        return 1
-    return min(risk._usable_cpus(), count)
-
-
-def _fit_grid(fit_one: Callable, values: Sequence[float], label: str) -> List[LepskiFit]:
-    """``[fit_one(v) for v in values]``.  With k > 1 workers (``_workers``)
-    this process forks k - 1 children; worker w fits the values at positions
-    w, w + k, ..., this process being worker 0, and each child sends its
-    fits and the warnings they raised back through a pipe.  Idle threads
-    of the gradient split stop no fork.  Every fit runs whole in one
-    process, so fits and warnings are those of the loop.  A worker that
-    ends without its fits raises ``NumericError``; no child outlives the
-    call.
-    """
-    k = _workers(len(values))
-    if k == 1:
-        return [fit_one(value) for value in values]
-    shares = [values[w::k] for w in range(k)]
-    results = [None] * k
-    children = {}  # worker -> (pid, read end of its pipe)
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork from a process with more than one
-            # OS thread.  No other Python thread runs here (_workers): the
-            # split pool's threads wait idle, and a child starts its own.
-            # The rest are native BLAS threads, which a fit never calls on
-            # and OpenBLAS stops around a fork itself
-            warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)",
-                                    DeprecationWarning)
-            for w in range(1, k):
-                read, write = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _worker(write, fit_one, shares[w])
-                os.close(write)
-                children[w] = pid, open(read, "rb")
-        results[0] = _fit_share(fit_one, shares[0])
-        for w in range(1, k):
-            pid, pipe = children[w]
-            payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[w]
-            pipe.close()
-            if status != 0:
-                raise NumericError(
-                    f"{label} {', '.join(f'{v:g}' for v in shares[w])}: the "
-                    f"worker fitting them ended with status {status}")
-            results[w] = pickle.loads(payload)
-    finally:
-        for pid, pipe in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-    fits = []
-    for i in range(len(values)):
-        fit, caught = results[i % k][i // k]
-        for warning in caught:
-            _warn_again(*warning)
-        fits.append(fit)
-    return fits
-
-
 def _lepski(
     data: Dataset,
     kernel: Kernel,
@@ -590,7 +455,7 @@ def _lepski(
             return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
                              status="failed", detail=str(exc))
 
-    fits = _fit_grid(fit_one, grid_values, label)
+    fits = fork_map(fit_one, grid_values, label)
     for fit in fits:
         if fit.status == "failed":
             warnings.warn(

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smooth_threshold import risk
+from smooth_threshold import _parallel
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.risk import Dataset, SmoothedRiskSpec
 
@@ -55,4 +55,4 @@ def logged(path):
 @pytest.fixture
 def forked_grid(monkeypatch):
     """Lepski grid fits spread over three forked processes, on any machine."""
-    monkeypatch.setattr(risk, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 3)

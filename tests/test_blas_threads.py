@@ -31,7 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from smooth_threshold import risk
+from smooth_threshold import _parallel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,19 +43,19 @@ if one_cpu:
 import numpy as np
 from smooth_threshold import (SimSpec, SmoothedRiskSpec, SurrogateLoss,
                               cross_validate_lambda, default_lambda_grid,
-                              empirical_gradient, generate, get_kernel, risk)
+                              empirical_gradient, generate, get_kernel, _parallel)
 if sys.argv[1] == "one" and not one_cpu:
-    risk._usable_cpus = lambda: 1
+    _parallel._usable_cpus = lambda: 1
 if sys.argv[1] == "three":
-    risk._SPLIT_MIN, risk._usable_cpus = 1, lambda: 3
+    _parallel._SPLIT_MIN, _parallel._usable_cpus = 1, lambda: 3
 
 blocks = [1]
-plan = risk._blocks
+plan = _parallel._blocks
 def counted(*args):
     cut = plan(*args)
     blocks.append(len(cut))
     return cut
-risk._blocks = counted
+_parallel._blocks = counted
 
 def show(name, a):
     print(name, hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
@@ -120,12 +120,12 @@ from smooth_threshold import (ConvergenceWarning, NumericError, PathConfig,
                               make_higher_order_gaussian, tuning)
 
 workers = []
-choose = tuning._workers
+choose = _parallel._workers
 def counted_workers(count):
     k = choose(count)
     workers.append([count, k])
     return k
-tuning._workers = counted_workers
+_parallel._workers = counted_workers
 
 real = tuning.path_following
 def failing(spec, cfg):
@@ -209,7 +209,7 @@ def _same_bytes_at_any_split(script: str, lines: int):
     assert one == every == three
     assert len(one) == lines
     assert one_blocks == 1 and three_blocks == 3
-    cpus = risk._usable_cpus()
+    cpus = _parallel._usable_cpus()
     assert (every_blocks > 1) == (cpus > 1) and every_blocks <= cpus
 
 
@@ -238,7 +238,7 @@ def test_lepski_identical_for_any_number_of_workers():
     # per run of a selector its choice, its fits and its warnings; 2 documents
     assert len(one) == 2 * ((1 + 6 + 1) + (1 + 11 + 1)) + 2
     forks = sys.platform.startswith("linux") and hasattr(os, "fork")
-    cpus = risk._usable_cpus()
+    cpus = _parallel._usable_cpus()
     # the (grid values, workers) of every Lepski call, and the block counts
     # of the split passes this process ran
     (one_k, one_blocks), (every_k, every_blocks), (three_k, three_blocks) = (

@@ -692,7 +692,10 @@ class TestToyRisks:
         # a step that is not positive and any flag that is not finite are
         # bad input: one JSON line, no file written
         for flags in (["--grid-step", "0"], ["--grid-step", "nan"],
-                      ["--grid-stop", "inf"], ["--grid-start=-inf"]):
+                      ["--grid-stop", "inf"], ["--grid-start=-inf"],
+                      # grids past the point cap, refused before allocation
+                      ["--grid-step", "1e-300"],
+                      ["--grid-stop", "1e9", "--grid-step", "1e-3"]):
             code, _, err = run_cli(["toy-risks", *flags,
                                     "--out", str(tmp_path / "t.csv")], capsys)
             assert code == 2, flags
@@ -1029,6 +1032,21 @@ class TestErrorRecords:
         record = json.loads(err)
         assert record["error"] == "input"
         assert record["message"].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 71.1 PiB"), "Unable to allocate 71.1 PiB"),
+        (MemoryError(), "out of memory")], ids=["numpy", "bare"])
+    def test_memory_error_is_one_json_line(self, error, message, tmp_path,
+                                           capsys, monkeypatch):
+        def exhausted(spec):
+            raise error
+        monkeypatch.setattr(cli, "generate", exhausted)
+        code, out, err = run_cli(["simulate", "--n", "5", "--d", "2", "--s", "1",
+                                  "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": "memory", "message": message}
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_csv_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"

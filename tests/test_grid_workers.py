@@ -1,6 +1,6 @@
 """Lepski grid fits on forked worker processes leave nothing behind.
 
-``tuning._fit_grid`` forks one worker per usable CPU, up to one per grid
+``_parallel.fork_map`` forks one worker per usable CPU, up to one per grid
 value.  These tests force three workers (the ``forked_grid`` fixture) and
 check that no child outlives a call, that the fork warning of newer Pythons
 is not raised, that a worker that dies and an interrupt in the caller's own
@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smooth_threshold import risk, tuning
+from smooth_threshold import _parallel, risk, tuning
 from smooth_threshold.cli import main
 from smooth_threshold.errors import NumericError
 from smooth_threshold.kernels import get_kernel
@@ -156,14 +156,14 @@ def theta_bytes(fits):
 def test_idle_gradient_pool_stops_no_fork(forked_grid, forks, monkeypatch):
     data = make_dataset()
     with monkeypatch.context() as one_cpu:
-        one_cpu.setattr(risk, "_usable_cpus", lambda: 1)
+        one_cpu.setattr(_parallel, "_usable_cpus", lambda: 1)
         _, _, in_turn = lepski_bandwidth(data, GAUSS, s=2)
     assert forks == []
     # a 2000 x 1100 pass splits in two, which starts a thread of the pool
     rng = rng_for(22)
     risk._row_sum(rng.normal(size=2000),
                   np.asfortranarray(rng.normal(size=(2000, 1100))))
-    assert risk._pool is not None and threading.active_count() > 1
+    assert _parallel._pool is not None and threading.active_count() > 1
     _, _, forked = lepski_bandwidth(data, GAUSS, s=2)
     assert len(forks) == 2
     assert_no_child()
@@ -189,7 +189,7 @@ def test_live_user_thread_keeps_the_fits_in_turn(forked_grid, forks):
 SMALL_LEPSKI = r"""
 import json, os, threading
 from smooth_threshold import (SimSpec, generate, get_kernel, lepski_bandwidth,
-                              lepski_sparsity, make_higher_order_gaussian, risk)
+                              lepski_sparsity, make_higher_order_gaussian, _parallel)
 
 threads = threading.active_count()
 data, _ = generate(SimSpec(model="conditional_mean", n=2000, d=64, s=8,
@@ -202,7 +202,7 @@ try:
     children = True
 except ChildProcessError:
     children = False
-print(json.dumps([risk._pool is None, threads, threading.active_count(),
+print(json.dumps([_parallel._pool is None, threads, threading.active_count(),
                   children]))
 """
 

@@ -1,10 +1,19 @@
 """The package's public surface and source: every exported name resolves,
-and no check in the source is an ``assert``."""
+no check in the source is an ``assert``, and only ``_parallel`` spreads
+work over threads and processes."""
 
 import ast
 import pathlib
 
 import smooth_threshold
+
+PACKAGE = sorted(pathlib.Path(smooth_threshold.__file__).parent.glob("*.py"))
+# the modules and the os functions that start, feed or wait on threads and
+# processes, or read the usable CPUs
+THREAD_AND_FORK_MODULES = {"threading", "signal", "pickle", "concurrent",
+                           "multiprocessing"}
+FORK_AND_AFFINITY = {"fork", "pipe", "waitpid", "kill", "sched_getaffinity",
+                     "register_at_fork"}
 
 
 def test_every_exported_name_resolves():
@@ -17,9 +26,40 @@ def test_every_exported_name_resolves():
 
 def test_no_assert_statement_in_the_package():
     # python -O strips assert statements, so a check made with one vanishes
-    paths = sorted(pathlib.Path(smooth_threshold.__file__).parent.glob("*.py"))
-    assert "optimizer.py" in [path.name for path in paths]
-    found = [f"{path.name}:{node.lineno}" for path in paths
+    assert "optimizer.py" in [path.name for path in PACKAGE]
+    found = [f"{path.name}:{node.lineno}" for path in PACKAGE
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def imports_and_os_names(path):
+    """The top-level modules ``path`` imports, and the names of ``os`` it
+    imports or reads as attributes."""
+    imported, os_names = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+            if node.module == "os":
+                os_names |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os"):
+            os_names.add(node.attr)
+    return imported, os_names
+
+
+def test_only_the_parallel_module_spreads_work():
+    # threads, forks, pipes and the affinity mask live in _parallel alone;
+    # risk and tuning call its split and fork_map and touch no os at all
+    found = {}
+    for path in PACKAGE:
+        imported, os_names = imports_and_os_names(path)
+        found[path.stem] = (imported & THREAD_AND_FORK_MODULES,
+                            os_names & FORK_AND_AFFINITY, "os" in imported)
+    assert found.pop("_parallel") == (
+        THREAD_AND_FORK_MODULES - {"multiprocessing"}, FORK_AND_AFFINITY, True)
+    assert {name: hits for name, hits in found.items()
+            if hits[:2] != (set(), set())} == {}
+    assert not found["risk"][2] and not found["tuning"][2]

@@ -1,7 +1,7 @@
 """Large gradient passes over z split across the usable CPUs, bit for bit.
 
 The gradient splits into blocks of columns once a pass reads two blocks of
-``risk._SPLIT_MIN`` values; the margins run in one block.  These
+``_parallel._SPLIT_MIN`` values; the margins run in one block.  These
 tests check the block planner, the fallback where the OS cannot report an
 affinity mask, callers that race to create the thread pool, that a forked
 child runs split passes on a pool of its own, and that small fits start no
@@ -21,22 +21,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smooth_threshold import risk
+from smooth_threshold import _parallel, risk
 
 from conftest import rng_for, src_env
 
 
 @settings(max_examples=300, deadline=None)
 @given(length=st.integers(1, 10_000),
-       values=st.integers(0, 64 * risk._SPLIT_MIN),
+       values=st.integers(0, 64 * _parallel._SPLIT_MIN),
        cpus=st.integers(1, 64))
 def test_blocks_tile_the_range_in_order(length, values, cpus):
-    blocks = risk._blocks(length, values, cpus)
+    blocks = _parallel._blocks(length, values, cpus)
     assert blocks[0][0] == 0 and blocks[-1][1] == length
     assert all(b == a for (_, b), (a, _) in zip(blocks, blocks[1:]))
     assert all(b - a >= min(2, length) for a, b in blocks)
     assert len(blocks) <= cpus
-    if values < risk._SPLIT_MIN:
+    if values < _parallel._SPLIT_MIN:
         assert len(blocks) == 1
 
 
@@ -45,7 +45,7 @@ def test_cpu_count_stands_in_for_a_missing_affinity_mask(monkeypatch):
     rng = rng_for(21)
     z = np.asfortranarray(rng.normal(size=(2000, 1600)))
     coeff = rng.normal(size=2000)
-    assert len(risk._blocks(1600, z.size, 3)) == 3
+    assert len(_parallel._blocks(1600, z.size, 3)) == 3
     gradient = np.einsum("i,ij->j", coeff, z).tobytes()
     asked = []
 
@@ -54,7 +54,7 @@ def test_cpu_count_stands_in_for_a_missing_affinity_mask(monkeypatch):
         return 3
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", cpu_count)
-    assert risk._usable_cpus() == 3
+    assert _parallel._usable_cpus() == 3
     assert risk._row_sum(coeff, z).tobytes() == gradient
     assert len(asked) == 2
 
@@ -76,9 +76,9 @@ def test_concurrent_callers_get_their_own_bytes_from_one_pool(monkeypatch):
     def call():
         for _ in range(10):
             results.append(risk._row_sum(coeff, z).tobytes())
-    monkeypatch.setattr(risk, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(risk, "_pool", None)
-    monkeypatch.setattr(risk, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(_parallel, "_pool", None)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     callers = [threading.Thread(target=call) for _ in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -99,13 +99,13 @@ def test_concurrent_callers_get_their_own_bytes_from_one_pool(monkeypatch):
 FORK = r"""
 import os, sys, time
 import numpy as np
-from smooth_threshold import risk
+from smooth_threshold import _parallel, risk
 
-risk._usable_cpus = lambda: 2   # split even on a one-CPU machine
+_parallel._usable_cpus = lambda: 2   # split even on a one-CPU machine
 z = np.asfortranarray(np.random.default_rng(3).normal(size=(2000, 1100)))
 coeff = np.random.default_rng(4).normal(size=2000)
 before = risk._row_sum(coeff, z).tobytes()
-if risk._pool is None:
+if _parallel._pool is None:
     sys.exit(4)   # the pass did not split
 pid = os.fork()
 if pid == 0:
@@ -133,7 +133,7 @@ import json, threading
 from smooth_threshold import (PathConfig, SimSpec, SmoothedRiskSpec,
                               SurrogateLoss, cross_validate_lambda,
                               default_lambda_grid, generate, get_kernel,
-                              path_following, risk)
+                              path_following, _parallel)
 
 threads = threading.active_count()
 data, _ = generate(SimSpec(model="conditional_mean", n=2000, d=64, s=8,
@@ -143,7 +143,7 @@ grid = default_lambda_grid(data, kernel, 1.0)
 cv = cross_validate_lambda(data, kernel, 1.0, 5, grid, 7)
 spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, 1.0))
 path_following(spec, PathConfig(lambda_tgt=cv.lambda_1se))
-print(json.dumps([risk._pool is None, threads, threading.active_count()]))
+print(json.dumps([_parallel._pool is None, threads, threading.active_count()]))
 """
 
 
