@@ -21,18 +21,21 @@ reads, and a flag not given stays unset.  ``errors.read_settings`` then
 fills in the defaults and refuses, as bad input and before any data are read
 or generated, a missing flag and a given one that the run does not read.
 
-Each handler returns its document lines and, for path, bench, toy-risks
-and simulate, a table; ``main`` writes both (simulate writes theta_out
-itself).  Results and probe reports are single ``key = value`` text
-documents; tables are RFC-4180 CSV, with the document as ``<out>.run.txt``.  Floats are written with
-``repr`` so a written dataset reloads bit-exactly.  Every document opens
-with a config-echo block: exactly the settings the run read, then the few it
+Each handler returns its document lines and its tables, each a path, a
+header and rows of plain values made one at a time; no handler opens a file.
+``main`` opens every output before it writes any (``--out``, the other
+tables, then the document), refuses two outputs naming one file, and removes
+the files it made when the run fails.  Results and probe reports are single
+``key = value`` text documents; tables are RFC-4180 CSV, with the document
+as ``<out>.run.txt``.  Floats are written as the ``repr`` of their Python
+float, so a written dataset reloads bit-exactly.  Every document opens with
+a config-echo block: exactly the settings the run read, then the few it
 derived (fit's and bench's delta and lambda_tgt, the cv lambda_grid,
 simulate's theta_out, toy-risks' rows).  It ends with one ``warning:`` line
-per warning the run raised.  Errors, among them bad command-line arguments
-and unwritable ``--out`` paths, are the only output on stderr, as one
-machine-readable JSON line; exit status is 2 for input errors, 1 for
-numeric failures and exhausted memory, and 0 otherwise.
+per warning the run raised, rows included.  Errors, among them bad
+command-line arguments and unwritable ``--out`` paths, are the only output
+on stderr, as one machine-readable JSON line; exit status is 2 for input
+errors, 1 for numeric failures and exhausted memory, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter
@@ -51,7 +56,7 @@ import numpy as np
 
 from .diagnostics import (PROBE_DEFAULTS, PROBES, bias_probe, gradient_check,
                           restricted_curvature_probe, variance_probe)
-from .errors import InputError, NumericError, read_settings
+from .errors import InputError, NumericError, _fmt, read_settings
 from .kernels import BUILTIN_KERNELS, SurrogateLoss, get_kernel
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import Dataset, SmoothedRiskSpec
@@ -74,20 +79,6 @@ class ColumnRoles:
     threshold: str = "x"
     covariates: tuple | None = None
     weight: str | None = None
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.ndarray):
-        return "[" + ", ".join(repr(float(v)) for v in value.ravel()) + "]"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    return str(value)
 
 
 def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
@@ -307,32 +298,26 @@ def _path_config(args, lambda_tgt: float = 1.0) -> PathConfig:
                                                 for flag, field in _SOLVER.items()})
 
 
-def _open_out(out, newline=None):
-    try:
-        return open(out, "w", encoding="utf-8", newline=newline)
-    except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from None
-
-
-def _write_doc(lines, out) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _open_out(out) as handle:
-            handle.write(text)
-
-
-def _write_csv(out, header, rows) -> None:
-    with _open_out(out, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
-    sys.stderr.flush()
+def _open_outputs(paths, stack, created) -> list:
+    """Open every output of a run (None is stdout) before any is written;
+    one that cannot be opened or names the file of another is bad input.
+    ``created`` gets the files that did not exist, ``stack`` the handles."""
+    real = [os.path.realpath(path) for path in filter(None, paths)]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise InputError(f"two outputs of the run name one file, {path}; "
+                             f"give each its own path")
+    handles = []
+    for path in paths:
+        existed = path is None or os.path.lexists(path)
+        try:
+            handles.append(sys.stdout if path is None else stack.enter_context(
+                open(path, "w", encoding="utf-8", newline="")))
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from None
+        if not existed:
+            created.append(path)
+    return handles
 
 
 def _sim_from_args(args) -> SimSpec:
@@ -391,7 +376,7 @@ def _cmd_fit(args, config):
         else:
             config["lambda_grid"] = cv.lambda_grid
             extra = _cv_lines(cv) + extra
-    return [f"note: {n}" for n in notes] + extra, None
+    return [f"note: {n}" for n in notes] + extra, []
 
 
 def _cv_lines(cv) -> list:
@@ -424,33 +409,26 @@ def _cmd_path(args, config):
     header = ["stage", "lambda", "iterations", "nnz", "objective",
               "exit_omega", "status", "step", "halvings"] + [
                   f"theta_{j + 1}" for j in range(data.d)]
-    rows = []
-    for stage in path.stages:
-        theta = stage.theta / scales
-        rows.append([stage.stage_index, repr(float(stage.lam)),
-                     stage.iterations, stage.nnz,
-                     repr(float(stage.objective_trace[-1])),
-                     repr(float(stage.exit_omega)), stage.status,
-                     repr(float(stage.step)), stage.halvings]
-                    + [repr(float(v)) for v in theta])
+    rows = ([stage.stage_index, stage.lam, stage.iterations, stage.nnz,
+             stage.objective_trace[-1], stage.exit_omega, stage.status,
+             stage.step, stage.halvings] + (stage.theta / scales).tolist()
+            for stage in path.stages)
     lines = [f"note: {n}" for n in notes + list(path.notes)]
     lines += [f"result stages = {len(path.stages)}", f"result table = {args.out}"]
-    return lines, (header, rows)
+    return lines, [(args.out, header, rows)]
 
 
 def _cmd_simulate(args, config):
     sim = _sim_from_args(args)
     data, theta_star = generate(sim)
-    _open_out(args.out).close()  # an unwritable --out is refused by its name
     config["theta_out"] = args.theta_out or args.out + ".theta.csv"
-    _write_csv(config["theta_out"], ["coordinate", "value"],
-               [[j + 1, repr(float(v))] for j, v in enumerate(theta_star)])
-
     header = ["y", "x"] + [f"z{j + 1}" for j in range(sim.d)]
-    rows = [[repr(float(data.y[i])), repr(float(data.x[i]))]
-            + [repr(float(v)) for v in data.z[i]]
-            for i in range(sim.n)]
-    return [f"result rows = {sim.n}"], (header, rows)
+    rows = ([y, x] + z.tolist()
+            for y, x, z in zip(data.y.tolist(), data.x.tolist(), data.z))
+    return [f"result rows = {sim.n}"], [
+        (args.out, header, rows),
+        (config["theta_out"], ["coordinate", "value"],
+         enumerate(theta_star.tolist(), start=1))]
 
 
 def _cmd_bench(args, config):
@@ -461,10 +439,9 @@ def _cmd_bench(args, config):
 
     header = ["repetition", "l1", "l2", "linf", "nnz", "runtime",
               "lambda_used", "delta_used", "messages"]
-    rows = [[row.repetition, repr(row.l1), repr(row.l2), repr(row.linf),
-             row.nnz, repr(row.runtime), repr(row.lambda_used),
-             repr(row.delta_used), "; ".join(row.messages)]
-            for row in result.rows]
+    rows = ([row.repetition, row.l1, row.l2, row.linf, row.nnz, row.runtime,
+             row.lambda_used, row.delta_used, "; ".join(row.messages)]
+            for row in result.rows)
 
     # the delta and lambda the repetitions ran with (theory computes both)
     first = result.rows[0]
@@ -474,7 +451,7 @@ def _cmd_bench(args, config):
     for norm, stats in result.summary().items():
         lines.append(f"result {norm}_mean = {_fmt(stats['mean'])}")
         lines.append(f"result {norm}_sd = {_fmt(stats['sd'])}")
-    return lines, (header, rows)
+    return lines, [(args.out, header, rows)]
 
 
 def _cmd_toy_risks(args, config):
@@ -492,17 +469,13 @@ def _cmd_toy_risks(args, config):
                          f"{span + 1:g} points; toy-risks takes at most {_TOY_POINTS}")
     thetas = args.grid_start + args.grid_step * np.arange(count)
     table = toy_population_risks(thetas)
-    hinge_slope = np.gradient(table.risk_hinge, thetas)
-    exp_slope = np.gradient(table.risk_exp, thetas)
-
-    header = ["theta", "risk01", "risk_hinge", "risk_exp",
-              "hinge_derivative", "exp_derivative"]
-    rows = [[repr(float(thetas[i])), repr(float(table.risk01[i])),
-             repr(float(table.risk_hinge[i])), repr(float(table.risk_exp[i])),
-             repr(float(hinge_slope[i])), repr(float(exp_slope[i]))]
-            for i in range(count)]
+    columns = {"theta": thetas, "risk01": table.risk01,
+               "risk_hinge": table.risk_hinge, "risk_exp": table.risk_exp,
+               "hinge_derivative": np.gradient(table.risk_hinge, thetas),
+               "exp_derivative": np.gradient(table.risk_exp, thetas)}
     config["rows"] = count
-    return [], (header, rows)
+    return [], [(args.out, list(columns),
+                 zip(*(column.tolist() for column in columns.values())))]
 
 
 def _cmd_diagnose(args, config):
@@ -531,7 +504,7 @@ def _cmd_diagnose(args, config):
             _, _, report = restricted_curvature_probe(
                 spec, args.support_size, num_directions=args.num_directions,
                 ball_radius=args.ball_radius, seed=args.seed, step=args.step)
-    return [f"note: {n}" for n in notes] + report.lines(), None
+    return [f"note: {n}" for n in notes] + report.lines(), []
 
 
 # the flags that describe a CSV dataset and the solver; "input" and "model"
@@ -575,6 +548,9 @@ _DEFAULTS = {
     "theta_out": None, "reps": 1, "seed": 0, "out": None,
     "grid_start": 0.0, "grid_stop": 2.0, "grid_step": 0.01,
 }
+# the JSON error kind and exit status of each failure a run reports
+_FAILURES = {InputError: ("input", 2), NumericError: ("numeric", 1),
+             MemoryError: ("memory", 1)}
 _TOY_POINTS = 1_000_000  # most points of a toy-risks grid, one CSV row each
 # subcommands that write tables, and what they write
 _WRITES = {"path": "a CSV table", "simulate": "CSV files",
@@ -717,6 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    created, code = [], None  # the files the run made, removed if it fails
     try:
         given = vars(build_parser().parse_args(argv))
         sub = given.pop("subcommand")
@@ -727,28 +704,35 @@ def main(argv=None) -> int:
         config = {"subcommand": sub, **settings}
         if "covariates" in config:  # unset: every column no role claims
             config["covariates"] = config["covariates"] or "rest"
-        with warnings.catch_warnings(record=True) as caught:
+        # rows are made as they are written, so their warnings are caught too
+        with ExitStack() as stack, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lines, table = _SUBCOMMANDS[sub][0](argparse.Namespace(**settings),
-                                                config)
-        doc = [f"document = smooth-threshold {sub}"]
-        doc += [f"config {key} = {_fmt(val)}" for key, val in config.items()]
-        doc += lines + [f"warning: {w.message}" for w in caught]
-        out = settings["out"]
-        if table is not None:
-            _write_csv(out, *table)
-            out += ".run.txt"
-        _write_doc(doc, out)
-    except InputError as exc:
-        _emit_error("input", str(exc))
-        return 2
-    except NumericError as exc:
-        _emit_error("numeric", str(exc))
-        return 1
-    except MemoryError as exc:  # numpy's names the allocation it refused
-        _emit_error("memory", str(exc) or "out of memory")
-        return 1
-    return 0
+            lines, tables = _SUBCOMMANDS[sub][0](argparse.Namespace(**settings),
+                                                 config)
+            out = settings["out"]
+            *sheets, doc_handle = _open_outputs(
+                [path for path, _, _ in tables]
+                + [out + ".run.txt" if tables else out], stack, created)
+            for handle, (_, header, rows) in zip(sheets, tables):
+                # the csv module writes a float, numpy's too, as its shortest repr
+                csv.writer(handle, lineterminator="\n").writerows(chain([header], rows))
+            doc = [f"document = smooth-threshold {sub}"]
+            doc += [f"config {key} = {_fmt(val)}" for key, val in config.items()]
+            doc += lines + [f"warning: {w.message}" for w in caught]
+            doc_handle.write("\n".join(doc) + "\n")
+        code = 0
+    except tuple(_FAILURES) as exc:
+        kind, code = next(failure for error, failure in _FAILURES.items()
+                          if isinstance(exc, error))
+        # numpy's MemoryError names the allocation it refused
+        message = str(exc) or "out of memory"
+        sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
+        sys.stderr.flush()
+    finally:
+        if code != 0:
+            for path in created:
+                os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

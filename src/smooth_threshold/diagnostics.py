@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, NumericError, _positive_int, _positive_real
+from .errors import (InputError, NumericError, _fmt, _positive_int,
+                     _positive_real)
 from .kernels import Kernel, SurrogateLoss, _GAUSS_RANGE
 from .risk import (SmoothedRiskSpec, _check_theta, _col_sum, _margins, _row_sum,
                    empirical_gradient, empirical_risk)
@@ -60,14 +61,6 @@ PROBE_DEFAULTS = {
 _QUAD_NODES = 200
 
 
-def _format_value(val) -> str:
-    if isinstance(val, np.ndarray):
-        return "[" + ", ".join(repr(float(t)) for t in val.ravel()) + "]"
-    if isinstance(val, float):
-        return repr(val)
-    return str(val)
-
-
 @dataclass(frozen=True, eq=False)
 class ProbeReport:
     """Outcome of one numerical probe.
@@ -98,12 +91,12 @@ class ProbeReport:
         """Stable text rendering, one ``key = value`` line per entry."""
         out = [f"probe: {self.probe}"]
         for key, val in self.inputs.items():
-            out.append(f"input {key} = {_format_value(val)}")
+            out.append(f"input {key} = {_fmt(val)}")
         for key, val in self.values.items():
-            out.append(f"value {key} = {_format_value(val)}")
+            out.append(f"value {key} = {_fmt(val)}")
         if self.tolerance is not None:
             verdict = "pass" if self.passed else "FAIL"
-            out.append(f"checked: {verdict} (tolerance {self.tolerance!r})")
+            out.append(f"checked: {verdict} (tolerance {_fmt(self.tolerance)})")
         for note in self.notes:
             out.append(f"note: {note}")
         return out
@@ -381,6 +374,9 @@ def restricted_curvature_probe(spec, support_size: int,
     num_directions = _positive_int(num_directions, "num_directions")
     ball_radius = _positive_real(ball_radius, "ball_radius")
     step = _positive_real(step, "step")
+    if not 0.0 < step * step < math.inf:  # else dividing by step ** 2 raises
+        raise InputError(f"step**2 must be a positive finite float; step "
+                         f"{step!r} squares to {step * step!r}")
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     curvature = np.empty(num_directions)

@@ -1,7 +1,10 @@
 """Shared exception and warning types, the checks of single numbers that
-raise ``InputError``, and the check of the settings a run reads."""
+raise ``InputError``, the check of the settings a run reads, and ``_fmt``,
+the one text form of a value in a document."""
 
 import math
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -40,6 +43,21 @@ def _nonneg_real(value, name: str) -> float:
     if not math.isfinite(value) or value < 0.0:
         raise InputError(f"{name} must be a nonnegative real, got {value!r}")
     return value
+
+
+def _fmt(value) -> str:
+    """``value`` as document text; a float, numpy's too, as its repr."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.ndarray):
+        return "[" + ", ".join(repr(float(v)) for v in value.ravel()) + "]"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    return str(value)
 
 
 def read_settings(names, given: dict, who: str, spell, defaults: dict) -> dict:

@@ -238,30 +238,24 @@ def default_lambda_grid(
     return lambda0 * min_ratio ** expo
 
 
-def _stratified_folds(y: np.ndarray, folds: int, seed: int, max_retries: int = 100) -> np.ndarray:
+def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Random fold ids, shuffled per class so every fold sees both labels.
 
-    Assignment is resampled up to ``max_retries`` times; failure means a
-    class has fewer samples than folds.
+    Fold k gets a sample of a class exactly when the class has more than k
+    samples, so every fold sees both labels exactly when each class has at
+    least ``folds`` samples; that is checked before the one draw.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n = y.shape[0]
-    for _ in range(max_retries):
-        fold_id = np.full(n, -1, dtype=np.int64)
-        for cls in (-1.0, 1.0):
-            idx = np.flatnonzero(y == cls)
-            perm = idx[rng.permutation(idx.size)]
-            fold_id[perm] = np.arange(perm.size) % folds
-        ok = all(
-            np.any((fold_id == k) & (y == 1.0)) and np.any((fold_id == k) & (y == -1.0))
-            for k in range(folds)
+    classes = [np.flatnonzero(y == cls) for cls in (-1.0, 1.0)]
+    if min(idx.size for idx in classes) < folds:
+        raise InputError(
+            f"could not assign {folds} folds each containing both classes; "
+            "a class has fewer samples than folds"
         )
-        if ok:
-            return fold_id
-    raise InputError(
-        f"could not assign {folds} folds each containing both classes; "
-        "a class has fewer samples than folds"
-    )
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    fold_id = np.full(y.shape[0], -1, dtype=np.int64)
+    for idx in classes:
+        fold_id[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % folds
+    return fold_id
 
 
 def cross_validate_lambda(
@@ -538,10 +532,14 @@ def lepski_sparsity(
     c_delta = _positive_real(c_delta, "c_delta")
     c_lambda = _positive_real(c_lambda, "c_lambda")
     c_bar = _nonneg_real(c_bar, "c_bar")
-    if c_delta ** (beta + 0.5) > c_lambda:
+    try:
+        bound = c_delta ** (beta + 0.5)
+    except OverflowError:  # then above every finite c_lambda
+        bound = math.inf
+    if bound > c_lambda:
         raise InputError(
             "c_delta**(beta + 1/2) must not exceed c_lambda "
-            f"({c_delta ** (beta + 0.5):g} > {c_lambda:g})"
+            f"({bound:g} > {c_lambda:g})"
         )
     if data.d < 2:
         raise InputError("d must be at least 2 so that log d is positive")

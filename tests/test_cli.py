@@ -17,7 +17,7 @@ from conftest import log_call, logged, src_env
 from smooth_threshold import cli, tuning
 from smooth_threshold.cli import ColumnRoles, load_csv, main
 from smooth_threshold.diagnostics import PROBE_DEFAULTS, PROBES
-from smooth_threshold.errors import InputError
+from smooth_threshold.errors import InputError, NumericError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.optimizer import PathConfig, path_following
 from smooth_threshold.risk import SmoothedRiskSpec
@@ -56,6 +56,14 @@ def write_csv(path, header, rows):
 def read_rows(path, reader=csv.reader):
     with open(path, newline="") as handle:
         return list(reader(handle))
+
+
+def run_table(rows, out, capsys, monkeypatch, lines=()):
+    """Run toy-risks with its handler replaced by one returning ``lines`` and
+    one table of ``rows`` under the header ``a`` at ``out``."""
+    monkeypatch.setitem(cli._SUBCOMMANDS, "toy-risks", (
+        lambda args, config: (list(lines), [(args.out, ["a"], rows)]), "help"))
+    return run_cli(["toy-risks", "--out", str(out)], capsys)
 
 
 def read_run_doc(out):
@@ -527,6 +535,16 @@ class TestAdapt:
         assert code == 2
         assert "must not exceed" in json.loads(err)["message"]
 
+    def test_adapt_s_precondition_whose_power_overflows(self, sim_csv, capsys):
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune",
+                                  "lepski-s", "--beta", "400", "--c-delta",
+                                  "10"], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line) == {
+            "error": "input", "message": "c_delta**(beta + 1/2) must not "
+                                         "exceed c_lambda (inf > 1)"}
+
 
 class TestBench:
     def test_table_schema_and_determinism(self, tmp_path, capsys):
@@ -805,6 +823,17 @@ class TestDiagnose:
         assert json.loads(lines[0]) == {
             "error": "input", "message": "step must be a positive real, got 0.0"}
 
+    def test_curvature_step_whose_square_overflows(self, capsys):
+        code, out, err = run_cli(["diagnose", "--probe", "curvature", "--n",
+                                  "50", "--d", "3", "--s", "1", "--delta", "1",
+                                  "--support-size", "3", "--step", "1e300"],
+                                 capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line) == {
+            "error": "input", "message": "step**2 must be a positive finite "
+                                         "float; step 1e+300 squares to inf"}
+
 
 class TestFlagsCheckedBeforeWork:
     """Missing and unused flags are refused before any data is read or
@@ -1050,13 +1079,91 @@ class TestErrorRecords:
 
     def test_unwritable_csv_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"
-        # simulate names --out, not the theta_out beside it that it writes first
+        # simulate names --out, which is opened before the theta_out beside it
         for argv in (["toy-risks"], ["simulate", "--n", "5", "--d", "2", "--s", "1"]):
             code, _, err = run_cli(argv + ["--out", str(out)], capsys)
             assert code == 2
             record = json.loads(err)
             assert record["error"] == "input"
             assert record["message"].startswith(f"cannot write {out}: ")
+
+
+    @pytest.mark.parametrize("theta_out", ["s.csv", "./s.csv", "s.csv.run.txt"])
+    def test_outputs_sharing_a_file_are_refused(self, theta_out, tmp_path,
+                                                capsys, monkeypatch):
+        # the table at --out, or the document beside it, would overwrite theta*
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["simulate", "--n", "5", "--d", "2", "--s", "1",
+                                  "--out", "s.csv", "--theta-out", theta_out],
+                                 capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        shared = tmp_path.resolve() / Path(theta_out).name
+        assert json.loads(line) == {
+            "error": "input", "message": f"two outputs of the run name one "
+                                         f"file, {shared}; give each its own path"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_theta_out_leaves_no_file(self, tmp_path, capsys):
+        theta_out = tmp_path / "missing" / "t.csv"
+        code, out, err = run_cli(["simulate", "--n", "5", "--d", "2", "--s", "1",
+                                  "--out", str(tmp_path / "s.csv"),
+                                  "--theta-out", str(theta_out)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(f"cannot write {theta_out}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_a_file_it_did_not_create(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        out.write_text("kept\n")
+        code, _, _ = run_cli(["simulate", "--n", "5", "--d", "2", "--s", "1",
+                              "--out", str(out), "--theta-out",
+                              str(tmp_path / "missing" / "t.csv")], capsys)
+        assert code == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_failure_while_rows_are_written_leaves_no_file(self, tmp_path,
+                                                           capsys, monkeypatch):
+        def rows():
+            yield [1.0]
+            raise NumericError("synthetic failure in a row")
+
+        code, out, err = run_table(rows(), tmp_path / "t.csv", capsys, monkeypatch)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "numeric",
+                                   "message": "synthetic failure in a row"}
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestTables:
+    """Handlers return rows of plain values; ``main`` writes them one at a
+    time, after every output of the run is open."""
+
+    def test_numpy_float_cells_read_as_their_float_repr(self, tmp_path, capsys,
+                                                        monkeypatch):
+        values = [0.1, -0.0, 5e-324, 1e308, math.nan]
+        out = tmp_path / "t.csv"
+        code, _, err = run_table(([np.float64(v)] for v in values), out, capsys,
+                                 monkeypatch)
+        assert code == 0, err
+        cells = out.read_text().splitlines()[1:]
+        assert cells == [repr(float(np.float64(v))) for v in values]
+        assert cells == ["0.1", "-0.0", "5e-324", "1e+308", "nan"]
+
+    def test_warning_while_rows_are_written_ends_the_document(
+            self, tmp_path, capsys, monkeypatch):
+        def rows():
+            yield [1.0]
+            warnings.warn("synthetic warning from a row", RuntimeWarning)
+            yield [2.0]
+
+        out = tmp_path / "t.csv"
+        code, stdout, err = run_table(rows(), out, capsys, monkeypatch,
+                                      lines=["result rows = 2"])
+        assert (code, stdout, err) == (0, "", "")
+        assert out.read_text() == "a\n1.0\n2.0\n"
+        assert read_run_doc(out).splitlines()[-2:] == [
+            "result rows = 2", "warning: synthetic warning from a row"]
 
 
 def test_module_entry_point_runs_without_runtime_warning():

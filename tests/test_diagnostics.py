@@ -68,6 +68,19 @@ class TestProbeReport:
         rep = ProbeReport("demo", {}, {"grid": np.array([1.0, 0.5])})
         assert "value grid = [1.0, 0.5]" in rep.lines()
 
+    def test_numpy_scalars_render_as_plain_numbers(self):
+        rep = ProbeReport("demo", {"n": np.int64(4), "h": np.float64(0.1)},
+                          {"dev": np.float64(0.25), "f32": np.float32(0.5)},
+                          tolerance=np.float64(0.5), passed=np.bool_(True))
+        assert rep.lines() == [
+            "probe: demo",
+            "input n = 4",
+            "input h = 0.1",
+            "value dev = 0.25",
+            "value f32 = 0.5",
+            "checked: pass (tolerance 0.5)",
+        ]
+
 
 class TestGradientCheck:
     @pytest.mark.parametrize("kernel", ["gaussian", "gaussian-order-2",
@@ -333,6 +346,14 @@ class TestCurvatureProbe:
             restricted_curvature_probe(lambda th: 0.0, 9, dim=4)
         with pytest.raises(InputError, match="SmoothedRiskSpec or a callable"):
             restricted_curvature_probe("not a risk", 2, dim=4)
+
+    @pytest.mark.parametrize("step", [1e300, 1e200, 1e-200])
+    def test_step_whose_square_is_not_a_positive_float(self, step):
+        # 1e300 ** 2 raises OverflowError, 1e200 * 1e200 is inf and the
+        # square of 1e-200 is 0.0: none is a curvature step
+        _, risk = quadratic_instance()
+        with pytest.raises(InputError, match=r"step\*\*2 must be a positive finite"):
+            restricted_curvature_probe(risk, 2, num_directions=3, dim=6, step=step)
 
     def test_deterministic_given_seed(self):
         _, risk = quadratic_instance()

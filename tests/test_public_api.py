@@ -1,11 +1,12 @@
 """The package's public surface and source: every exported name resolves,
-no check in the source is an ``assert``, and only ``_parallel`` spreads
-work over threads and processes."""
+no check in the source is an ``assert``, only ``_parallel`` spreads work
+over threads and processes, and no CLI handler writes a file."""
 
 import ast
 import pathlib
 
 import smooth_threshold
+from smooth_threshold import cli
 
 PACKAGE = sorted(pathlib.Path(smooth_threshold.__file__).parent.glob("*.py"))
 # the modules and the os functions that start, feed or wait on threads and
@@ -31,6 +32,26 @@ def test_no_assert_statement_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_handler_writes_a_file():
+    # each cli._cmd_* returns its lines and tables; main alone opens and
+    # writes the files of a run
+    writers = {"open", "_open_out", "_open_outputs", "_write_csv", "_write_doc",
+               "writer", "writerow", "writerows", "write", "savetxt", "tofile"}
+    tree = ast.parse(next(p for p in PACKAGE if p.name == "cli.py").read_text())
+    found = {node.name: called_names(node) & writers for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")}
+    assert set(found) == {handler.__name__
+                          for handler, _ in cli._SUBCOMMANDS.values()}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def called_names(node):
+    """The names of the functions and methods called inside ``node``."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
 
 
 def imports_and_os_names(path):

@@ -308,6 +308,17 @@ class TestCrossValidation:
         with pytest.raises(InputError, match="both classes"):
             cross_validate_lambda(data, GAUSS, 1.0, 3, [0.1], seed=0)
 
+    def test_folds_are_one_draw_from_the_class_sizes(self):
+        # the class of 4 fills 4 folds on the first draw; the ids are pinned
+        y = np.array([1.0, -1, 1, 1, -1, 1, -1, 1, 1, -1, 1, 1])
+        assert tuning._stratified_folds(y, 4, 7).tolist() == [
+            2, 3, 1, 1, 1, 3, 0, 0, 3, 2, 0, 2]
+        with pytest.raises(InputError) as info:
+            tuning._stratified_folds(y, 5, 7)
+        assert str(info.value) == ("could not assign 5 folds each containing "
+                                   "both classes; a class has fewer samples "
+                                   "than folds")
+
     def test_input_validation(self):
         data = make_dataset(n=30, d=2)
         with pytest.raises(InputError):
@@ -619,6 +630,12 @@ class TestLepskiProcedures:
         data = make_dataset(n=24, d=4)
         with pytest.raises(InputError, match="c_delta"):
             lepski_sparsity(data, GAUSS, beta=1.0, c_delta=2.0, c_lambda=1.0)
+
+    def test_sparsity_precondition_whose_power_overflows(self):
+        # 10 ** 400.5 overflows a float, so it exceeds every c_lambda
+        data = make_dataset(n=24, d=4)
+        with pytest.raises(InputError, match=r"c_delta\*\*\(beta \+ 1/2\).*\(inf > 1\)"):
+            lepski_sparsity(data, GAUSS, beta=400.0, c_delta=10.0)
 
     def test_sparsity_warns_on_low_kernel_order(self):
         data = make_dataset(n=24, d=4, signal=False)
