@@ -24,10 +24,11 @@ or generated, a missing flag and a given one that the run does not read.
 Each handler returns its document lines and its tables, each a path, a
 header and rows of plain values made one at a time; no handler opens a file.
 ``main`` opens every output before it writes any (``--out``, the other
-tables, then the document), refuses two outputs naming one file, and removes
-the files it made when the run fails.  Results and probe reports are single
-``key = value`` text documents; tables are RFC-4180 CSV, with the document
-as ``<out>.run.txt``.  Floats are written as the ``repr`` of their Python
+tables, then the document) and refuses two outputs naming one file.  It
+writes each file under a new name beside it and renames them into place
+only once the whole run has succeeded, so a failed run changes no file.
+Results and probe reports are single ``key = value`` text documents;
+tables are RFC-4180 CSV, with the document as ``<out>.run.txt``.  Floats are written as the ``repr`` of their Python
 float, so a written dataset reloads bit-exactly.  Every document opens with
 a config-echo block: exactly the settings the run read, then the few it
 derived (fit's and bench's delta and lambda_tgt, the cv lambda_grid,
@@ -298,10 +299,14 @@ def _path_config(args, lambda_tgt: float = 1.0) -> PathConfig:
                                                 for flag, field in _SOLVER.items()})
 
 
-def _open_outputs(paths, stack, created) -> list:
+def _open_outputs(paths, stack, renames) -> list:
     """Open every output of a run (None is stdout) before any is written;
     one that cannot be opened or names the file of another is bad input.
-    ``created`` gets the files that did not exist, ``stack`` the handles."""
+    A path that names a regular file or nothing yet is written through any
+    link under a new name beside its file, and ``renames`` gets the pair
+    (new name, file) to move into place once the run succeeds; any other
+    path (a device, a FIFO) is written in place.  ``stack`` gets the
+    handles."""
     real = [os.path.realpath(path) for path in filter(None, paths)]
     for i, path in enumerate(real):
         if path in real[:i]:
@@ -309,14 +314,19 @@ def _open_outputs(paths, stack, created) -> list:
                              f"give each its own path")
     handles = []
     for path in paths:
-        existed = path is None or os.path.lexists(path)
+        if path is None:
+            handles.append(sys.stdout)
+            continue
+        name = target = os.path.realpath(path)
+        if os.path.isfile(target) or not os.path.lexists(target):
+            name = f"{target}.{os.getpid()}.partial"
         try:
-            handles.append(sys.stdout if path is None else stack.enter_context(
-                open(path, "w", encoding="utf-8", newline="")))
+            handles.append(stack.enter_context(open(
+                name, "x" if name != target else "w", encoding="utf-8", newline="")))
         except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from None
-        if not existed:
-            created.append(path)
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        if name != target:
+            renames.append((name, target))
     return handles
 
 
@@ -341,19 +351,6 @@ def _delta_grid_from_arg(text: str) -> list:
     return grid
 
 
-def _fit_lines(path, scales) -> list:
-    """Result block shared by fit-like subcommands."""
-    last = path.stages[-1]
-    theta = path.theta_final / scales
-    return [f"note: {note}" for note in path.notes] + [
-        f"result lambda_tgt = {_fmt(path.config_echo.lambda_tgt)}",
-        f"result stages = {len(path.stages)}",
-        f"result status = {last.status}",
-        f"result exit_omega = {_fmt(last.exit_omega)}",
-        f"result nnz = {int(np.count_nonzero(theta))}",
-        f"result theta = {_fmt(theta)}"]
-
-
 def _cmd_fit(args, config):
     data, weights, notes, scales = _load_input(args)
     kernel = get_kernel(args.kernel)
@@ -362,13 +359,23 @@ def _cmd_fit(args, config):
     if args.tune in _LEPSKI:
         select, result = _LEPSKI[args.tune]
         chosen, theta, fits = select(data, kernel, **params, path_cfg=cfg, weights=weights)
-        extra = _lepski_lines(fits, scales, f"result {result} = {_fmt(chosen)}", theta)
+        extra = ["table fits: grid_value delta lambda status nnz"]
+        for fit in fits:
+            nnz = "" if fit.theta is None else int(np.count_nonzero(fit.theta))
+            extra.append(f"row fits = {_fmt(fit.grid_value)} {_fmt(fit.delta)} "
+                         f"{_fmt(fit.lam)} {fit.status} {nnz}")
+        extra.append(f"result {result} = {_fmt(chosen)}")
     else:
         delta, lam, cv = tuned_penalty(data, kernel, args.tune, params,
                                        config.get("seed"), weights, cfg)
         spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
         path = path_following(spec, replace(cfg, lambda_tgt=lam))
-        extra = _fit_lines(path, scales)
+        theta, last = path.theta_final, path.stages[-1]
+        extra = [f"note: {note}" for note in path.notes] + [
+            f"result lambda_tgt = {_fmt(path.config_echo.lambda_tgt)}",
+            f"result stages = {len(path.stages)}",
+            f"result status = {last.status}",
+            f"result exit_omega = {_fmt(last.exit_omega)}"]
         if args.tune == "theory":
             extra = [f"result delta = {_fmt(delta)}"] + extra
         if cv is None:
@@ -376,7 +383,10 @@ def _cmd_fit(args, config):
         else:
             config["lambda_grid"] = cv.lambda_grid
             extra = _cv_lines(cv) + extra
-    return [f"note: {n}" for n in notes] + extra, []
+    theta = theta / scales  # on the original scale
+    return [f"note: {n}" for n in notes] + extra + [
+        f"result nnz = {int(np.count_nonzero(theta))}",
+        f"result theta = {_fmt(theta)}"], []
 
 
 def _cv_lines(cv) -> list:
@@ -385,19 +395,6 @@ def _cv_lines(cv) -> list:
         lines.append(f"row cv = {_fmt(lam)} {_fmt(mean)} {_fmt(se)}")
     return lines + [f"result lambda_min = {_fmt(cv.lambda_min)}",
                     f"result lambda_1se = {_fmt(cv.lambda_1se)}"]
-
-
-def _lepski_lines(fits, scales, selected: str, theta) -> list:
-    lines = ["table fits: grid_value delta lambda status nnz"]
-    for fit in fits:
-        nnz = "" if fit.theta is None else int(np.count_nonzero(fit.theta))
-        lines.append(f"row fits = {_fmt(fit.grid_value)} {_fmt(fit.delta)} "
-                     f"{_fmt(fit.lam)} {fit.status} {nnz}")
-    rescaled = theta / scales
-    lines.append(selected)
-    lines.append(f"result nnz = {int(np.count_nonzero(rescaled))}")
-    lines.append(f"result theta = {_fmt(rescaled)}")
-    return lines
 
 
 def _cmd_path(args, config):
@@ -693,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    created, code = [], None  # the files the run made, removed if it fails
+    renames, code = [], None  # (partial file, its output), moved on success
     try:
         given = vars(build_parser().parse_args(argv))
         sub = given.pop("subcommand")
@@ -712,7 +709,7 @@ def main(argv=None) -> int:
             out = settings["out"]
             *sheets, doc_handle = _open_outputs(
                 [path for path, _, _ in tables]
-                + [out + ".run.txt" if tables else out], stack, created)
+                + [out + ".run.txt" if tables else out], stack, renames)
             for handle, (_, header, rows) in zip(sheets, tables):
                 # the csv module writes a float, numpy's too, as its shortest repr
                 csv.writer(handle, lineterminator="\n").writerows(chain([header], rows))
@@ -720,6 +717,9 @@ def main(argv=None) -> int:
             doc += [f"config {key} = {_fmt(val)}" for key, val in config.items()]
             doc += lines + [f"warning: {w.message}" for w in caught]
             doc_handle.write("\n".join(doc) + "\n")
+        while renames:  # every file is written and closed; the document last
+            os.replace(*renames[0])
+            del renames[0]
         code = 0
     except tuple(_FAILURES) as exc:
         kind, code = next(failure for error, failure in _FAILURES.items()
@@ -729,9 +729,8 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
         sys.stderr.flush()
     finally:
-        if code != 0:
-            for path in created:
-                os.remove(path)
+        for partial, _ in renames:
+            os.remove(partial)
     return code
 
 

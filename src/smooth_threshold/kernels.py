@@ -115,8 +115,7 @@ class SurrogateLoss:
     """Smoothed margin loss: ``value(u)`` integrates the kernel over [u/delta, inf).
 
     For symmetric nonnegative kernels this is nonincreasing in u with
-    value(0) = 1/2 and limits 1 / 0 at -inf / +inf.  ``derivative`` is
-    -K(u/delta)/delta everywhere the kernel is continuous.
+    value(0) = 1/2 and limits 1 / 0 at -inf / +inf.
     """
 
     kernel: Kernel
@@ -140,13 +139,6 @@ class SurrogateLoss:
         if np.isscalar(u) or arr.ndim == 0:
             return float(out)
         return np.asarray(out, dtype=float)
-
-    def derivative(self, u):
-        arr = np.asarray(u, dtype=float)
-        out = -self.kernel.evaluate(arr / self.bandwidth) / self.bandwidth
-        if np.isscalar(u) or arr.ndim == 0:
-            return float(out)
-        return out
 
 
 def kernel_moment(kernel: Kernel, j: int) -> float:

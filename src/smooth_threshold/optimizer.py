@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (ConvergenceWarning, InputError, NumericError, _positive_int,
-                     _positive_real)
+from .errors import (ConvergenceWarning, InputError, NumericError, _nonneg_real,
+                     _positive_int, _positive_real)
 from .risk import (SmoothedRiskSpec, empirical_gradient, objective, _check_theta,
                    _l2_norm)
 
@@ -47,6 +47,8 @@ _BACKTRACK_SLACK = 1e-15
 _MAX_HALVINGS = 60
 # range of the Barzilai-Borwein first trial step
 _STEP_RANGE = (1e-10, 1024.0)
+# most stages of a geometric schedule; a stage keeps its own iterate
+_MAX_STAGES = 10_000
 
 
 def soft_threshold(v, tau: float) -> np.ndarray:
@@ -80,8 +82,7 @@ def _subopt_from_grad(g: np.ndarray, theta: np.ndarray, lam: float) -> float:
 
 def suboptimality(spec: SmoothedRiskSpec, theta, lam: float) -> float:
     """Optimality gap omega_lam(theta); exactly 0 at theta = 0 when lam >= ||grad||_inf."""
-    if not (np.isfinite(lam) and lam >= 0):
-        raise InputError(f"penalty level must be a nonnegative real, got {lam}")
+    lam = _nonneg_real(lam, "penalty level")
     theta = _check_theta(theta, spec.data.d)
     return _subopt_from_grad(empirical_gradient(spec, theta), theta, lam)
 
@@ -100,13 +101,15 @@ class PathConfig:
     """Solver settings for one penalized fit.
 
     Exactly one of ``num_stages`` / ``phi`` drives the stage schedule; with
-    both unset the path uses num_stages = 10.  ``lambda0 = None`` resolves to
-    ||grad risk(0)||_inf, the smallest penalty whose solution is exactly 0.
-    ``eps_tgt = None`` resolves to 0.1 * nu * lambda_tgt.  ``eta`` is the
-    first trial step of the first stage; later trial steps are Barzilai-
-    Borwein steps, and each stage starts from the step the one before ended
-    with.  The solver halves the step whenever a step would increase the
-    objective, so each stage's trace is monotone at any ``eta``.
+    both unset the path uses num_stages = 10.  A schedule of more than
+    ``_MAX_STAGES`` stages, given or implied by ``phi``, is bad input.
+    ``lambda0 = None`` resolves to ||grad risk(0)||_inf, the smallest
+    penalty whose solution is exactly 0.  ``eps_tgt = None`` resolves to
+    0.1 * nu * lambda_tgt.  ``eta`` is the first trial step of the first
+    stage; later trial steps are Barzilai-Borwein steps, and each stage
+    starts from the step the one before ended with.  The solver halves the
+    step whenever a step would increase the objective, so each stage's
+    trace is monotone at any ``eta``.
     """
 
     lambda_tgt: float
@@ -130,6 +133,9 @@ class PathConfig:
             raise InputError("set num_stages or phi, not both")
         if self.num_stages is not None and self.num_stages < 1:
             raise InputError(f"num_stages must be >= 1, got {self.num_stages}")
+        if self.num_stages is not None and self.num_stages > _MAX_STAGES:
+            raise InputError(f"num_stages must be at most {_MAX_STAGES}, "
+                             f"got {self.num_stages}")
         if self.phi is not None and not (0.0 < self.phi < 1.0):
             raise InputError(f"phi must lie in (0, 1), got {self.phi}")
         if not (0.0 < self.nu < 1.0):
@@ -262,8 +268,7 @@ def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
     start that already meets it is returned unchanged with 0 iterations.
     ``eta`` is the first trial step; ``step`` is the one it would try next.
     """
-    if not (np.isfinite(lam) and lam >= 0):
-        raise InputError(f"penalty level must be a nonnegative real, got {lam}")
+    lam = _nonneg_real(lam, "penalty level")
     if not eps >= 0:
         raise InputError(f"tolerance must be nonnegative, got {eps}")
     _check_solver(eta, radius, max_iters, ("eta", "radius", "max_iters"))
@@ -277,6 +282,10 @@ def _stage_schedule(lambda0: float, cfg: PathConfig) -> list:
     ratio = cfg.lambda_tgt / lambda0
     if cfg.phi is not None:
         num = max(int(math.ceil(math.log(ratio) / math.log(cfg.phi))), 1)
+        if num > _MAX_STAGES:  # checked before the list is built
+            raise InputError(f"phi={cfg.phi!r} takes {num} stages from "
+                             f"lambda0={lambda0:.6g} to lambda_tgt="
+                             f"{cfg.lambda_tgt:.6g}; at most {_MAX_STAGES} are allowed")
         phi = cfg.phi
     else:
         num = cfg.num_stages if cfg.num_stages is not None else 10

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import split
-from .errors import InputError
+from .errors import InputError, _nonneg_real
 from .kernels import SurrogateLoss
 
 # largest share of d on which margins gather the support columns of theta
@@ -188,8 +188,7 @@ def empirical_gradient(spec: SmoothedRiskSpec, theta, *, u=None) -> np.ndarray:
 
 def objective(spec: SmoothedRiskSpec, theta, lam: float, *, u=None) -> float:
     """Penalized objective: empirical risk plus lam * l1 norm."""
-    if not (np.isfinite(lam) and lam >= 0):
-        raise InputError(f"penalty level must be a nonnegative real, got {lam}")
+    lam = _nonneg_real(lam, "penalty level")
     u = spec.margins(theta) if u is None else u
     return empirical_risk(spec, theta, u=u) + lam * float(np.sum(np.abs(theta)))
 

@@ -26,11 +26,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, NumericError, _positive_int
+from .errors import InputError, NumericError, _positive_int, read_settings
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import Dataset, SmoothedRiskSpec, _l2_norm
-from .tuning import mode_parameters, tuned_penalty
+from .tuning import TUNING_DEFAULTS, TUNING_MODES, tuned_penalty
 
 __all__ = [
     "SimSpec",
@@ -326,11 +326,9 @@ class BenchmarkRow:
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkResult:
-    """All repetition rows plus the configuration actually used."""
+    """All repetition rows, with their error summaries."""
 
     rows: Tuple[BenchmarkRow, ...]
-    tune: str
-    kernel_name: str
 
     def errors(self, norm: str) -> np.ndarray:
         if norm not in _NORM_ORDERS:
@@ -391,8 +389,8 @@ def run_benchmark(
     repetitions = _positive_int(repetitions, "repetitions")
     given = {"delta": delta, "lambda_tgt": lambda_tgt, "beta": beta,
              "c_delta": c_delta, "c_lambda": c_lambda, "folds": folds}
-    params = mode_parameters(tune, given, f"tune={tune!r}", str,
-                             defaults={**BENCH_DEFAULTS, "s": spec.s})
+    params = read_settings(TUNING_MODES[tune], given, f"tune={tune!r}", str,
+                           {**TUNING_DEFAULTS, **BENCH_DEFAULTS, "s": spec.s})
     base = path_cfg or _DEFAULT_CONFIG
 
     def one_rep(i: int) -> BenchmarkRow:
@@ -422,5 +420,4 @@ def run_benchmark(
             messages=path.notes + tuple(str(w.message) for w in caught),
         )
 
-    rows = tuple(one_rep(i) for i in range(repetitions))
-    return BenchmarkResult(rows=rows, tune=tune, kernel_name=kernel.name)
+    return BenchmarkResult(rows=tuple(one_rep(i) for i in range(repetitions)))

@@ -15,8 +15,8 @@ The grid points of a Lepski procedure are independent fits, which
 fits, selection and warnings.  Cross-validation folds are fitted in turn.
 
 ``TUNING_MODES`` names the parameters each ``--tune`` mode reads and
-``TUNING_DEFAULTS`` the defaults of the constants among them;
-``mode_parameters`` checks a caller's parameters against both, and
+``TUNING_DEFAULTS`` the defaults of the constants among them; a caller
+checks its parameters against both with ``errors.read_settings``, and
 ``tuned_penalty`` turns them into (delta, lambda_tgt) for the modes that fit
 once (fixed, theory, cv).
 
@@ -34,18 +34,18 @@ import numpy as np
 
 from ._parallel import fork_map
 from .errors import (InputError, _nonneg_int, _nonneg_real,
-                     _positive_int, _positive_real, read_settings)
+                     _positive_int, _positive_real)
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import (Dataset, SmoothedRiskSpec, _l2_norm, empirical_gradient,
                    empirical_risk)
 
 __all__ = [
-    "TuningSchedule", "LepskiGrid", "CvResult", "LepskiFit",
+    "TuningSchedule", "CvResult", "LepskiFit",
     "theoretical_bandwidth", "target_lambda", "default_lambda_grid",
     "cross_validate_lambda", "build_lepski_grid", "lepski_bandwidth",
     "lepski_sparsity", "select_lepski_bandwidth", "select_lepski_sparsity",
-    "TUNING_MODES", "TUNING_DEFAULTS", "mode_parameters", "tuned_penalty"
+    "TUNING_MODES", "TUNING_DEFAULTS", "tuned_penalty"
 ]
 
 # the parameters each tuning mode reads, in the order a config echo prints them
@@ -90,25 +90,6 @@ class TuningSchedule:
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         for name in ("beta", "c_delta", "c_lambda"):
             object.__setattr__(self, name, _positive_real(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
-class LepskiGrid:
-    """Dyadic grid for one of the adaptive procedures.
-
-    ``kind`` is "bandwidth" (values 1, 1/2, ..., 2**-m, descending) or
-    "sparsity" (values 1, 2, ..., 2**m, ascending).
-    """
-
-    kind: str
-    values: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("bandwidth", "sparsity"):
-            raise InputError(f"unknown grid kind {self.kind!r}")
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise InputError("grid must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -175,23 +156,12 @@ def _theory_schedule(n: int, d: int, s: int, beta: float, c_delta: float,
     return delta, target_lambda(n, d, delta, c_lambda)
 
 
-def mode_parameters(mode: str, given: dict, who: str, spell: Callable[[str], str],
-                    defaults: Optional[dict] = None) -> dict:
-    """The parameters tuning ``mode`` reads, in ``TUNING_MODES`` order,
-    checked by ``errors.read_settings``: an unset one takes its value from
-    ``defaults``, then ``TUNING_DEFAULTS``.
-    """
-    if mode not in TUNING_MODES:
-        raise InputError(f"tune must be one of {tuple(TUNING_MODES)}, got {mode!r}")
-    return read_settings(TUNING_MODES[mode], given, who, spell,
-                         {**TUNING_DEFAULTS, **(defaults or {})})
+def build_lepski_grid(kind: str, size: int) -> tuple:
+    """The values of a dyadic grid whose exponent m is pinned by a sandwich
+    inequality, in the order a procedure fits them.
 
-
-def build_lepski_grid(kind: str, size: int) -> LepskiGrid:
-    """Dyadic grid whose exponent m is pinned by a sandwich inequality.
-
-    bandwidth: 2**-m <= 1/n <= 2**-(m-1), values {1, 1/2, ..., 2**-m}.
-    sparsity:  2**m <= d <= 2**(m+1), values {1, 2, ..., 2**m}.
+    bandwidth: 2**-m <= 1/n <= 2**-(m-1), values (1, 1/2, ..., 2**-m).
+    sparsity:  2**m <= d <= 2**(m+1), values (1, 2, ..., 2**m).
     When both sides admit two exponents (size a power of two) the smaller
     m is used.
     """
@@ -200,10 +170,10 @@ def build_lepski_grid(kind: str, size: int) -> LepskiGrid:
         raise InputError(f"{kind} grid requires size >= 2, got {size}")
     if kind == "bandwidth":
         m = (size - 1).bit_length()
-        return LepskiGrid(kind=kind, values=tuple(2.0 ** -k for k in range(m + 1)))
+        return tuple(2.0 ** -k for k in range(m + 1))
     if kind == "sparsity":
         m = (size - 1).bit_length() - 1
-        return LepskiGrid(kind=kind, values=tuple(2 ** k for k in range(m + 1)))
+        return tuple(2 ** k for k in range(m + 1))
     raise InputError(f"unknown grid kind {kind!r}")
 
 
@@ -333,10 +303,10 @@ def tuned_penalty(data: Dataset, kernel: Kernel, mode: str, params: dict, seed: 
                   weights: Optional[np.ndarray] = None, path_cfg: Optional[PathConfig] = None,
                   ) -> Tuple[float, float, Optional[CvResult]]:
     """``(delta, lambda_tgt, cv)`` of one fit tuned by ``mode`` with the
-    ``params`` of ``mode_parameters``: given ("fixed"), closed-form schedules
-    at the size of ``data`` ("theory"), or ``lambda_1se`` of cross-validation
-    at the given delta with folds keyed by ``seed`` ("cv", the one mode whose
-    ``cv`` is a ``CvResult`` and not None).
+    ``params`` that ``TUNING_MODES`` lists for it: given ("fixed"),
+    closed-form schedules at the size of ``data`` ("theory"), or
+    ``lambda_1se`` of cross-validation at the given delta with folds keyed by
+    ``seed`` ("cv", the one mode whose ``cv`` is a ``CvResult`` and not None).
     """
     if mode == "fixed":
         return float(params["delta"]), float(params["lambda_tgt"]), None
@@ -497,7 +467,7 @@ def lepski_bandwidth(
 
     n, d = data.n, data.d
     return _lepski(
-        data, kernel, weights, path_cfg, build_lepski_grid("bandwidth", n).values,
+        data, kernel, weights, path_cfg, build_lepski_grid("bandwidth", n),
         schedule=lambda delta: (delta, target_lambda(n, d, delta, c_lambda)),
         label="bandwidth",
         select=lambda fits: select_lepski_bandwidth(fits, n=n, d=d, s=s, c_sel=c_sel),
@@ -553,11 +523,11 @@ def lepski_sparsity(
     n, d = data.n, data.d
     grid = build_lepski_grid("sparsity", d)
     return _lepski(
-        data, kernel, weights, path_cfg, grid.values,
+        data, kernel, weights, path_cfg, grid,
         schedule=lambda level: _theory_schedule(n, d, level, beta, c_delta, c_lambda),
         label="sparsity level",
         select=lambda fits: select_lepski_sparsity(fits, n=n, d=d, beta=beta, c_bar=c_bar),
-        fallback=(grid.values[-1],
-                  f"no feasible sparsity level on the grid; falling back to 2**m = {grid.values[-1]}",
+        fallback=(grid[-1],
+                  f"no feasible sparsity level on the grid; falling back to 2**m = {grid[-1]}",
                   "fallback fit at the largest level"),
     )

@@ -308,19 +308,19 @@ def test_adaptive_selection_near_oracle(monkeypatch, tmp_path, forked_grid):
     # Selection on an all-failed fit list has an empty feasible set.
     dead = [LepskiFit(grid_value=g, delta=float(g), lam=0.1, theta=None,
                       status="failed", detail="constructed failure")
-            for g in build_lepski_grid("bandwidth", 40).values]
+            for g in build_lepski_grid("bandwidth", 40)]
     none_a = select_lepski_bandwidth(dead, n=40, d=4, s=2, c_sel=2.0)
     dead_s = [LepskiFit(grid_value=g, delta=0.5, lam=0.1, theta=None,
                         status="failed", detail="constructed failure")
-              for g in build_lepski_grid("sparsity", 8).values]
+              for g in build_lepski_grid("sparsity", 8)]
     none_b = select_lepski_sparsity(dead_s, n=40, d=8, beta=2.0, c_bar=2.0)
 
     # Driving every grid fit into failure exercises the fallback fits.
     small, _ = generate(SimSpec(model="conditional_mean", n=40, d=8, s=2,
                                 mu=2.0, noise_sd=0.5, seed=3))
     real = tuning.path_following
-    grid_b = set(build_lepski_grid("bandwidth", 40).values)
-    grid_s = build_lepski_grid("sparsity", 8).values
+    grid_b = set(build_lepski_grid("bandwidth", 40))
+    grid_s = build_lepski_grid("sparsity", 8)
     log = tmp_path / "calls"
 
     def fail_bandwidth_grid(spec, cfg):

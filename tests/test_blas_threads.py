@@ -22,7 +22,10 @@ documents of ``--tune lepski-s`` and ``lepski-beta``; there the three
 interpreters fit the grid points in turn, on two forked processes where two
 CPUs are usable, and on three processes that also split every gradient
 pass into three blocks, so that from the second Lepski call on each fork
-happens with the threads of the split pool alive.
+happens with the threads of the split pool alive.  A fifth writes the
+documents of ``diagnose --probe bias`` at n = 20000, d = 400 and ``--probe
+curvature`` at n = 5000, d = 300, whose products and norms of directions go
+through BLAS.
 """
 
 import json
@@ -184,6 +187,26 @@ finally:
 print(json.dumps([workers, sorted(set(blocks[1:]))]))
 """
 
+DIAGNOSE_SCRIPT = PREAMBLE + """
+import shutil, tempfile
+from smooth_threshold import cli
+
+here = os.getcwd()
+scratch = tempfile.mkdtemp()
+os.chdir(scratch)   # documents echo the relative path only
+try:
+    for probe in (["bias", "--n", "20000", "--d", "400", "--s", "5"],
+                  ["curvature", "--n", "5000", "--d", "300", "--s", "5",
+                   "--delta", "1"]):
+        assert cli.main(["diagnose", "--probe", *probe, "--out", "doc.txt"]) == 0
+        with open("doc.txt", "rb") as doc:
+            print("document", probe[0], hashlib.sha256(doc.read()).hexdigest())
+finally:
+    os.chdir(here)
+    shutil.rmtree(scratch)
+print(max(blocks))
+"""
+
 
 # (CPUs, OpenBLAS threads) of the runs compared: one CPU, every CPU, and
 # every gradient pass split in three where it is at least 6 wide, or the
@@ -219,6 +242,10 @@ def test_results_identical_for_one_and_two_blas_threads():
 
 def test_odd_n_margins_identical_for_one_and_two_blas_threads():
     _same_bytes_at_any_split(ODD_N_SCRIPT, 9)
+
+
+def test_diagnose_documents_identical_for_one_and_two_blas_threads():
+    _same_bytes_at_any_split(DIAGNOSE_SCRIPT, 2)
 
 
 def test_ball_projection_identical_for_one_and_two_blas_threads():

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -367,7 +368,7 @@ class TestFit:
         if tune[0] != "cv":   # one fit per grid point, whichever process
             kind, size = {"lepski-beta": ("bandwidth", 150),
                           "lepski-s": ("sparsity", 8)}[tune[0]]
-            assert len(configs) == len(build_lepski_grid(kind, size).values)
+            assert len(configs) == len(build_lepski_grid(kind, size))
         assert set(configs) == {repr((0.3, 0.5, 8.0, 4))}
         echo = {key: doc_value(out, f"config {key}")
                 for key in ("lambda0", "stages", "phi", "nu", "eta",
@@ -1121,6 +1122,68 @@ class TestErrorRecords:
                               str(tmp_path / "missing" / "t.csv")], capsys)
         assert code == 2
         assert [path.name for path in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_failed_run_leaves_an_existing_file_as_it_was(self, tmp_path, capsys):
+        # --out opens, then --theta-out cannot: s.csv keeps every byte
+        out = tmp_path / "s.csv"
+        out.write_text("y,x,z1\n" + "1.0,0.5,0.25\n" * 300)
+        before = out.read_bytes()
+        code, _, err = run_cli(["simulate", "--n", "5", "--d", "2", "--s", "1",
+                                "--out", str(out), "--theta-out",
+                                str(tmp_path / "missing" / "t.csv")], capsys)
+        assert code == 2 and json.loads(err)["error"] == "input"
+        assert out.read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_failure_while_rows_are_written_keeps_the_old_files(
+            self, tmp_path, capsys, monkeypatch):
+        def rows():
+            yield [1.0]
+            raise NumericError("synthetic failure in a row")
+
+        out = tmp_path / "t.csv"
+        out.write_text("a\n7.0\n")
+        Path(str(out) + ".run.txt").write_text("old document\n")
+        code, _, _ = run_table(rows(), out, capsys, monkeypatch)
+        assert code == 1
+        assert out.read_text() == "a\n7.0\n"
+        assert read_run_doc(out) == "old document\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "t.csv", "t.csv.run.txt"]
+
+    def test_symlinked_output_is_written_through(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the file the link points to is replaced; the link stays a link
+        target = tmp_path / "data" / "t.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "t.csv"
+        link.symlink_to(target)
+        code, _, err = run_table([[1.0], [2.0]], link, capsys, monkeypatch)
+        assert code == 0, err
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == "a\n1.0\n2.0\n"
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [
+            "data", "t.csv", "t.csv", "t.csv.run.txt"]
+
+    @pytest.mark.parametrize("schedule", [["--stages", "100000000"],
+                                          ["--phi", "0.9999999999"]])
+    def test_stage_schedule_too_long_is_bad_input(self, schedule, sim_csv,
+                                                  capsys):
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--delta", "0.5",
+                                  "--lambda-tgt", "0.01", *schedule], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "input"
+        assert "at most 10000" in record["message"]
+
+    def test_device_output_is_written_in_place(self, sim_csv, capsys):
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--delta", "0.5",
+                                  "--lambda-tgt", "0.1", "--out", os.devnull],
+                                 capsys)
+        assert (code, out, err) == (0, "", "")
+        assert not Path(os.devnull).is_file()
 
     def test_failure_while_rows_are_written_leaves_no_file(self, tmp_path,
                                                            capsys, monkeypatch):

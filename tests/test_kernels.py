@@ -79,14 +79,6 @@ def test_loss_monotone_and_limits_for_nonnegative_kernels(name):
     assert loss.value(60.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_loss_derivative_matches_kernel():
-    loss = SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=2.0)
-    u = np.array([-1.0, 0.0, 3.0])
-    k = get_kernel("gaussian")
-    expect = -k.evaluate(u / 2.0) / 2.0
-    assert loss.derivative(u) == pytest.approx(expect, rel=1e-14)
-
-
 def test_higher_order_gaussian_coefficients():
     k2 = get_kernel("gaussian-order-2")
     # p(u) = 3/2 - u/2 against the standard normal density

@@ -109,6 +109,19 @@ def test_suboptimality_zero_at_origin_with_lambda0():
     assert suboptimality(spec, np.zeros(4), lam0) == 0.0
 
 
+@pytest.mark.parametrize("lam", [-0.5, math.inf, math.nan])
+def test_bad_penalty_level_has_one_message(lam):
+    # objective, suboptimality and proximal_gradient check it alike
+    spec = random_spec(n=20, d=3, seed=2)
+    message = f"penalty level must be a nonnegative real, got {lam}"
+    for call in (lambda: objective(spec, np.zeros(3), lam),
+                 lambda: suboptimality(spec, np.zeros(3), lam),
+                 lambda: proximal_gradient(spec, np.zeros(3), lam, eps=1e-6)):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_proximal_gradient_returns_warm_start_unchanged():
     spec = random_spec(n=50, d=4, seed=13)
     lam0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(4)))))
@@ -323,6 +336,24 @@ def test_path_is_deterministic():
     p2 = path_following(spec, cfg)
     assert np.array_equal(p1.theta_final, p2.theta_final)
     assert [r.iterations for r in p1.stages] == [r.iterations for r in p2.stages]
+
+
+def test_stage_count_above_the_cap_is_bad_input():
+    with pytest.raises(InputError, match="num_stages must be at most 10000, got 100000000"):
+        PathConfig(lambda_tgt=0.1, num_stages=10 ** 8)
+    assert PathConfig(lambda_tgt=0.1, num_stages=10_000).num_stages == 10_000
+
+
+def test_phi_implying_too_many_stages_is_bad_input():
+    # log(1e-3) / log(phi) is about 6.9e10 stages, refused before the
+    # schedule is built
+    spec = random_spec(n=30, d=3, seed=4)
+    cfg = PathConfig(lambda_tgt=1e-3, lambda0=1.0, phi=0.9999999999)
+    with pytest.raises(InputError) as exc:
+        path_following(spec, cfg)
+    assert str(exc.value) == (
+        "phi=0.9999999999 takes 69077547071 stages from lambda0=1 to "
+        "lambda_tgt=0.001; at most 10000 are allowed")
 
 
 def test_config_validation():

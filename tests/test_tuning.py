@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smooth_threshold.errors import InputError, NumericError
+from smooth_threshold.errors import InputError, NumericError, read_settings
 from smooth_threshold.kernels import SurrogateLoss, get_kernel, make_higher_order_gaussian
 from smooth_threshold.optimizer import PathConfig, path_following, suboptimality
 from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, empirical_gradient,
@@ -135,28 +135,23 @@ class TestSchedules:
 
 class TestTuningModes:
     def test_fills_defaults_in_table_order(self):
-        params = tuning.mode_parameters("lepski-s", {"beta": 2.0, "c_bar": 1.5},
-                                        "caller", str)
+        params = read_settings(tuning.TUNING_MODES["lepski-s"],
+                               {"beta": 2.0, "c_bar": 1.5}, "caller", str,
+                               tuning.TUNING_DEFAULTS)
         assert list(params) == list(tuning.TUNING_MODES["lepski-s"])
         assert params == {"beta": 2.0, "c_delta": 1.0, "c_lambda": 1.0,
                           "c_bar": 1.5}
 
-    def test_caller_defaults_precede_the_shared_ones(self):
-        params = tuning.mode_parameters("cv", {"delta": None, "folds": None},
-                                        "caller", str,
-                                        defaults={"delta": 1.0, "folds": 3})
-        assert params == {"delta": 1.0, "folds": 3}
-
     def test_rejects_unused_and_names_missing(self):
         spell = lambda name: "--" + name  # noqa: E731
         with pytest.raises(InputError) as exc:
-            tuning.mode_parameters("cv", {"delta": 1.0, "c_sel": 2.0}, "who", spell)
+            read_settings(tuning.TUNING_MODES["cv"], {"delta": 1.0, "c_sel": 2.0},
+                          "who", spell, tuning.TUNING_DEFAULTS)
         assert str(exc.value) == "who does not use --c_sel; do not pass --c_sel"
         with pytest.raises(InputError) as exc:
-            tuning.mode_parameters("theory", {"s": 3}, "who", spell)
+            read_settings(tuning.TUNING_MODES["theory"], {"s": 3}, "who", spell,
+                          tuning.TUNING_DEFAULTS)
         assert str(exc.value) == "who requires --beta"
-        with pytest.raises(InputError, match="tune must be one of"):
-            tuning.mode_parameters("oracle", {}, "who", spell)
 
     def test_tuned_penalty_fixed_and_theory(self):
         data = make_dataset(n=80, d=6)
@@ -164,7 +159,7 @@ class TestTuningModes:
         assert tuning.tuned_penalty(data, kernel, "fixed",
                                     {"delta": 0.5, "lambda_tgt": 0.1}, 0) \
             == (0.5, 0.1, None)
-        params = tuning.mode_parameters("theory", {"s": 2, "beta": 1.5}, "who", str)
+        params = {"s": 2, "beta": 1.5, "c_delta": 1.0, "c_lambda": 1.0}
         delta, lam, cv = tuning.tuned_penalty(data, kernel, "theory", params, 0)
         expected = theoretical_bandwidth(TuningSchedule(n=80, d=6, s=2, beta=1.5))
         assert (delta, lam, cv) == (expected, target_lambda(80, 6, expected), None)
@@ -191,32 +186,31 @@ class TestTuningModes:
 class TestLepskiGrid:
     def test_bandwidth_grid_n1000(self):
         grid = build_lepski_grid("bandwidth", 1000)
-        assert grid.kind == "bandwidth"
-        assert len(grid.values) == 11
-        assert grid.values[0] == 1.0
-        assert grid.values[-1] == 2.0 ** -10
-        assert np.allclose(np.diff(np.log2(grid.values)), -1.0)
+        assert len(grid) == 11
+        assert grid[0] == 1.0
+        assert grid[-1] == 2.0 ** -10
+        assert np.allclose(np.diff(np.log2(grid)), -1.0)
 
     def test_bandwidth_grid_boundary_n2(self):
-        assert build_lepski_grid("bandwidth", 2).values == (1.0, 0.5)
+        assert build_lepski_grid("bandwidth", 2) == (1.0, 0.5)
 
     def test_bandwidth_grid_power_of_two_tie(self):
         # n = 1024 satisfies the sandwich with m = 10 and m = 11; smaller wins
-        assert build_lepski_grid("bandwidth", 1024).values[-1] == 2.0 ** -10
+        assert build_lepski_grid("bandwidth", 1024)[-1] == 2.0 ** -10
 
     def test_sparsity_grid_d2500(self):
         grid = build_lepski_grid("sparsity", 2500)
-        assert grid.values == tuple(2 ** k for k in range(12))
-        assert grid.values[-1] == 2048
+        assert grid == tuple(2 ** k for k in range(12))
+        assert grid[-1] == 2048
 
     def test_sparsity_grid_power_of_two_tie(self):
-        assert build_lepski_grid("sparsity", 2048).values[-1] == 1024
-        assert build_lepski_grid("sparsity", 2).values == (1,)
+        assert build_lepski_grid("sparsity", 2048)[-1] == 1024
+        assert build_lepski_grid("sparsity", 2) == (1,)
 
     @given(st.integers(min_value=2, max_value=10 ** 9))
     @settings(max_examples=60, deadline=None)
     def test_bandwidth_sandwich_property(self, n):
-        m = len(build_lepski_grid("bandwidth", n).values) - 1
+        m = len(build_lepski_grid("bandwidth", n)) - 1
         assert 2.0 ** -m <= 1.0 / n <= 2.0 ** -(m - 1)
         # minimality: m - 1 fails at least one side unless a tie was resolved
         if 2.0 ** -(m - 1) <= 1.0 / n <= 2.0 ** -(m - 2):
@@ -225,7 +219,7 @@ class TestLepskiGrid:
     @given(st.integers(min_value=2, max_value=10 ** 9))
     @settings(max_examples=60, deadline=None)
     def test_sparsity_sandwich_property(self, d):
-        m = len(build_lepski_grid("sparsity", d).values) - 1
+        m = len(build_lepski_grid("sparsity", d)) - 1
         assert 2 ** m <= d <= 2 ** (m + 1)
         if m >= 1 and 2 ** (m - 1) <= d <= 2 ** m:
             assert d == 2 ** m  # only possible at a tie, resolved downward
@@ -488,7 +482,7 @@ class TestLepskiProcedures:
             delta_hat, theta, fits = lepski_bandwidth(data, GAUSS, s=2)
         assert delta_hat == 1.0
         assert np.all(theta == 0.0)
-        assert len(fits) == len(build_lepski_grid("bandwidth", 24).values)
+        assert len(fits) == len(build_lepski_grid("bandwidth", 24))
         assert all(f.status == "ok" for f in fits)
 
     def test_no_signal_selects_smallest_sparsity(self):
@@ -510,7 +504,7 @@ class TestLepskiProcedures:
         def spec_at(delta):
             return SmoothedRiskSpec(data=data, loss=SurrogateLoss(kernel=GAUSS, bandwidth=delta))
 
-        over = [delta for delta in build_lepski_grid("bandwidth", data.n).values
+        over = [delta for delta in build_lepski_grid("bandwidth", data.n)
                 if target_lambda(data.n, data.d, delta)
                 > np.max(np.abs(empirical_gradient(spec_at(delta), np.zeros(data.d))))]
         assert over
@@ -537,14 +531,14 @@ class TestLepskiProcedures:
         delta_hat, _, fits = lepski_bandwidth(data, GAUSS, s=2)
         calls = [float(line) for line in logged(log)]
         grid = build_lepski_grid("bandwidth", 40)
-        assert len(calls) == len(grid.values)
-        assert sorted(calls) == sorted(grid.values)
-        assert delta_hat in grid.values
-        assert len(fits) == len(grid.values)
+        assert len(calls) == len(grid)
+        assert sorted(calls) == sorted(grid)
+        assert delta_hat in grid
+        assert len(fits) == len(grid)
 
     def test_bandwidth_default_branch_on_total_failure(self, monkeypatch):
         data = make_dataset(n=40, d=4, seed=6)
-        grid_values = set(build_lepski_grid("bandwidth", 40).values)
+        grid_values = set(build_lepski_grid("bandwidth", 40))
         real = tuning.path_following
 
         def failing(spec, cfg):
@@ -559,7 +553,7 @@ class TestLepskiProcedures:
         # one warning per failed grid fit, then the fallback's
         assert [str(w.message) for w in caught[:-1]] == [
             f"bandwidth {v:g}: fit failed and is excluded from selection "
-            f"(synthetic failure)" for v in build_lepski_grid("bandwidth", 40).values]
+            f"(synthetic failure)" for v in build_lepski_grid("bandwidth", 40)]
         assert "falling back to 1/n" in str(caught[-1].message)
         assert delta_hat == 1.0 / 40
         assert theta.shape == (4,)
