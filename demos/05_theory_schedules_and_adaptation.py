@@ -17,7 +17,6 @@ import numpy as np
 
 from smooth_threshold import (
     SimSpec,
-    TuningSchedule,
     estimation_error,
     generate,
     get_kernel,
@@ -33,9 +32,7 @@ kernel = get_kernel("gaussian")
 print("part 1: theory-driven schedules, beta = 2, d = 200, s = 10")
 print("  n      delta    lambda    median l2 (10 reps)")
 for n in (500, 1000, 2000, 4000):
-    sched = TuningSchedule(n=n, d=200, s=10, beta=2.0, c_delta=1.0,
-                           c_lambda=0.25)
-    delta = theoretical_bandwidth(sched)
+    delta = theoretical_bandwidth(n, 200, 10, beta=2.0, c_delta=1.0)
     lam = target_lambda(n, 200, delta, 0.25)
     sim = SimSpec(model="conditional_mean", n=n, d=200, s=10, mu=2.0,
                   noise_sd=0.1, seed=0)

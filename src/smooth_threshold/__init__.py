@@ -42,7 +42,6 @@ from .optimizer import (
 from .tuning import (
     CvResult,
     LepskiFit,
-    TuningSchedule,
     build_lepski_grid,
     cross_validate_lambda,
     default_lambda_grid,
@@ -86,7 +85,7 @@ __all__ = [
     "PathConfig", "SolutionPath", "StageRecord", "path_following",
     "proximal_gradient", "project_ball", "soft_threshold",
     "suboptimality",
-    "CvResult", "LepskiFit", "TuningSchedule",
+    "CvResult", "LepskiFit",
     "build_lepski_grid", "cross_validate_lambda", "default_lambda_grid",
     "lepski_bandwidth", "lepski_sparsity", "select_lepski_bandwidth",
     "select_lepski_sparsity", "target_lambda", "theoretical_bandwidth",

@@ -59,6 +59,8 @@ PROBE_DEFAULTS = {
 }
 
 _QUAD_NODES = 200
+# largest relative deviation that gradient_check passes
+_GRADIENT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +115,17 @@ def _delta_grid_array(delta_grid) -> np.ndarray:
     return grid
 
 
-def gradient_check(spec: SmoothedRiskSpec, theta, step: float = 1e-5,
-                   tolerance: float = 1e-6) -> ProbeReport:
+def gradient_check(spec: SmoothedRiskSpec, theta, step: float = 1e-5) -> ProbeReport:
     """Compare the analytic risk gradient with central differences.
 
     The deviation is ``max_j |g_j - fd_j|`` over coordinates, divided by the
-    larger of the two sup norms (0 when both gradients vanish).  For a
-    compactly supported kernel, coordinates whose perturbation can push some
-    margin across the support edge are skipped: the loss has a kink there
-    and a finite difference is meaningless.
+    larger of the two sup norms (0 when both gradients vanish); the check
+    passes below ``_GRADIENT_TOL``.  For a compactly supported kernel,
+    coordinates whose perturbation can push some margin across the support
+    edge are skipped: the loss has a kink there and a finite difference is
+    meaningless.
     """
     step = _positive_real(step, "step")
-    tolerance = _positive_real(tolerance, "tolerance")
     theta = np.asarray(theta, dtype=float)
     grad = empirical_gradient(spec, theta)
     d = spec.data.d
@@ -165,7 +166,7 @@ def gradient_check(spec: SmoothedRiskSpec, theta, step: float = 1e-5,
     values = {"max_relative_deviation": deviation,
               "skipped_coordinates": int(np.count_nonzero(~keep))}
     return ProbeReport("gradient_check", inputs, values,
-                       tolerance=tolerance, passed=deviation < tolerance,
+                       tolerance=_GRADIENT_TOL, passed=deviation < _GRADIENT_TOL,
                        notes=tuple(notes))
 
 

@@ -34,6 +34,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # infinite supports is truncated there.
 _GAUSS_RANGE = 12.0
 _QUAD_TOL = 1e-10
+# largest residual of unit mass or of a vanishing moment in verify_proper
+_PROPER_TOL = 1e-8
 
 
 def _phi(t):
@@ -78,13 +80,6 @@ class KernelReport:
     order_checked: int
     checks: dict
     passed: bool
-
-    def lines(self):
-        out = [f"kernel: {self.name}", f"order_checked: {self.order_checked}"]
-        for key, (ok, resid) in self.checks.items():
-            out.append(f"{key}: {'pass' if ok else 'FAIL'} (residual {resid:.3e})")
-        out.append(f"passed: {self.passed}")
-        return out
 
 
 def _quad(func, lo, hi):
@@ -160,16 +155,14 @@ def kernel_moment(kernel: Kernel, j: int) -> float:
     return float(res[0])
 
 
-def verify_proper(kernel: Kernel, order: int | None = None,
-                  tol: float = 1e-8) -> KernelReport:
+def verify_proper(kernel: Kernel) -> KernelReport:
     """Check the defining kernel conditions numerically.
 
     Conditions: symmetry on a probe grid, the declared sup bound, unit mass,
-    finite square integral, and vanishing moments 1..order.  ``order`` defaults
-    to the kernel's declared order.
+    finite square integral, and vanishing moments 1..order of the kernel's
+    declared order, mass and moments each to within ``_PROPER_TOL``.
     """
-    if order is None:
-        order = kernel.order
+    order = kernel.order
     checks = {}
     r_eff = min(kernel.support_radius, _GAUSS_RANGE)
     ts = np.linspace(0.0, r_eff, 2001)
@@ -189,7 +182,7 @@ def verify_proper(kernel: Kernel, order: int | None = None,
         checks["vanishes_outside_support"] = (out_resid == 0.0, out_resid)
 
     mass_resid = abs(kernel_moment(kernel, 0) - 1.0)
-    checks["unit_mass"] = (mass_resid <= tol, mass_resid)
+    checks["unit_mass"] = (mass_resid <= _PROPER_TOL, mass_resid)
 
     sq = _quad(lambda t: kernel.evaluate(t) ** 2, -r_eff, r_eff)
     square_ok = len(sq) == 3 and np.isfinite(sq[0])
@@ -197,7 +190,7 @@ def verify_proper(kernel: Kernel, order: int | None = None,
 
     for j in range(1, order + 1):
         resid = abs(kernel_moment(kernel, j))
-        checks[f"moment_{j}_vanishes"] = (resid <= tol, resid)
+        checks[f"moment_{j}_vanishes"] = (resid <= _PROPER_TOL, resid)
 
     passed = all(ok for ok, _ in checks.values())
     return KernelReport(name=kernel.name, order_checked=order,

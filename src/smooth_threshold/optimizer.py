@@ -102,14 +102,17 @@ class PathConfig:
 
     Exactly one of ``num_stages`` / ``phi`` drives the stage schedule; with
     both unset the path uses num_stages = 10.  A schedule of more than
-    ``_MAX_STAGES`` stages, given or implied by ``phi``, is bad input.
-    ``lambda0 = None`` resolves to ||grad risk(0)||_inf, the smallest
-    penalty whose solution is exactly 0.  ``eps_tgt = None`` resolves to
-    0.1 * nu * lambda_tgt.  ``eta`` is the first trial step of the first
-    stage; later trial steps are Barzilai-Borwein steps, and each stage
-    starts from the step the one before ended with.  The solver halves the
-    step whenever a step would increase the objective, so each stage's
-    trace is monotone at any ``eta``.
+    ``_MAX_STAGES`` stages, given or implied by ``phi``, is bad input, and
+    so are a ``lambda_tgt`` or given ``eps_tgt`` that is not a positive
+    finite real and a given ``lambda0`` that is not a nonnegative finite
+    one; only ``omega_radius`` may be inf.  ``lambda0 = None`` resolves to
+    ||grad risk(0)||_inf, the smallest penalty whose solution is exactly 0.
+    ``eps_tgt = None`` resolves to 0.1 * nu * lambda_tgt.  ``eta`` is the
+    first trial step of the first stage; later trial steps are
+    Barzilai-Borwein steps, and each stage starts from the step the one
+    before ended with.  The solver halves the step whenever a step would
+    increase the objective, so each stage's trace is monotone at any
+    ``eta``.
     """
 
     lambda_tgt: float
@@ -123,12 +126,9 @@ class PathConfig:
     max_inner_iters: int = 10000
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda_tgt) and self.lambda_tgt > 0):
-            raise InputError(f"lambda_tgt must be positive, got {self.lambda_tgt}")
-        if self.lambda0 is not None and not (np.isfinite(self.lambda0)
-                                             and self.lambda0 >= 0):
-            raise InputError(f"lambda0 must be a nonnegative real when given, "
-                             f"got {self.lambda0}")
+        _positive_real(self.lambda_tgt, "lambda_tgt")
+        if self.lambda0 is not None:
+            _nonneg_real(self.lambda0, "lambda0")
         if self.num_stages is not None and self.phi is not None:
             raise InputError("set num_stages or phi, not both")
         if self.num_stages is not None and self.num_stages < 1:
@@ -140,8 +140,8 @@ class PathConfig:
             raise InputError(f"phi must lie in (0, 1), got {self.phi}")
         if not (0.0 < self.nu < 1.0):
             raise InputError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.eps_tgt is not None and not self.eps_tgt > 0:
-            raise InputError(f"eps_tgt must be positive when given, got {self.eps_tgt}")
+        if self.eps_tgt is not None:
+            _positive_real(self.eps_tgt, "eps_tgt")
         _check_solver(self.eta, self.omega_radius, self.max_inner_iters,
                       ("eta", "omega_radius", "max_inner_iters"))
 

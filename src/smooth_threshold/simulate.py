@@ -364,7 +364,6 @@ def run_benchmark(
     path_cfg: Optional[PathConfig] = None,
     repetitions: int = 1,
     seed: int = 0,
-    weights: Optional[np.ndarray] = None,
 ) -> BenchmarkResult:
     """Repeat generate -> tune -> fit -> score with derived seeds.
 
@@ -399,12 +398,9 @@ def run_benchmark(
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             delta_used, lam, _ = tuned_penalty(data, kernel, tune, params,
-                                               derive_seed(seed, i, 1), weights, base)
+                                               derive_seed(seed, i, 1), path_cfg=base)
             fit_spec = SmoothedRiskSpec(
-                data=data,
-                loss=SurrogateLoss(kernel=kernel, bandwidth=delta_used),
-                weights=weights,
-            )
+                data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta_used))
             path = path_following(fit_spec, replace(base, lambda_tgt=lam))
         runtime = time.perf_counter() - t0
         theta = path.theta_final

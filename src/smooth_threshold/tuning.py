@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._parallel import fork_map
-from .errors import (InputError, _nonneg_int, _nonneg_real,
+from .errors import (InputError, NumericError, _nonneg_int, _nonneg_real,
                      _positive_int, _positive_real)
 from .kernels import Kernel, SurrogateLoss
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
@@ -41,7 +41,7 @@ from .risk import (Dataset, SmoothedRiskSpec, _l2_norm, empirical_gradient,
                    empirical_risk)
 
 __all__ = [
-    "TuningSchedule", "CvResult", "LepskiFit",
+    "CvResult", "LepskiFit",
     "theoretical_bandwidth", "target_lambda", "default_lambda_grid",
     "cross_validate_lambda", "build_lepski_grid", "lepski_bandwidth",
     "lepski_sparsity", "select_lepski_bandwidth", "select_lepski_sparsity",
@@ -69,30 +69,6 @@ def _readonly(values, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TuningSchedule:
-    """Problem sizes and constants feeding the closed-form schedules.
-
-    ``s`` and ``beta`` are the anticipated sparsity and smoothness.
-    ``c_delta`` scales the bandwidth, ``c_lambda`` scales the penalty
-    target.  The adaptive sparsity procedure additionally requires
-    c_delta**(beta + 1/2) <= c_lambda, checked at its call site.
-    """
-
-    n: int
-    d: int
-    s: int
-    beta: float
-    c_delta: float = TUNING_DEFAULTS["c_delta"]
-    c_lambda: float = TUNING_DEFAULTS["c_lambda"]
-
-    def __post_init__(self):
-        for name in ("n", "d", "s"):
-            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
-        for name in ("beta", "c_delta", "c_lambda"):
-            object.__setattr__(self, name, _positive_real(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
 class CvResult:
     """Cross-validation summary over a penalty grid (sorted descending)."""
 
@@ -116,8 +92,8 @@ class LepskiFit:
 
     ``grid_value`` is the grid coordinate (a bandwidth, or a sparsity
     level).  ``theta`` is None when the fit failed; ``detail`` then holds
-    the error message.  Entries appended by the empty-feasible-set
-    fallback carry ``grid_value`` outside the original grid.
+    the error message.  A procedure returns one per grid value, in grid
+    order.
     """
 
     grid_value: float
@@ -128,31 +104,39 @@ class LepskiFit:
     detail: str = ""
 
 
-def theoretical_bandwidth(sched: TuningSchedule) -> float:
+def theoretical_bandwidth(n: int, d: int, s: int, beta: float, c_delta: float) -> float:
     """Closed-form bandwidth c_delta * (s log(d) / n)**(1 / (2 beta + 1))."""
-    if sched.d < 2:
+    n = _positive_int(n, "n")
+    d = _positive_int(d, "d")
+    s = _positive_int(s, "s")
+    beta = _positive_real(beta, "beta")
+    c_delta = _positive_real(c_delta, "c_delta")
+    if d < 2:
         raise InputError("d must be at least 2 so that log d is positive")
-    base = sched.s * math.log(sched.d) / sched.n
-    return sched.c_delta * base ** (1.0 / (2.0 * sched.beta + 1.0))
+    return c_delta * (s * math.log(d) / n) ** (1.0 / (2.0 * beta + 1.0))
 
 
 def target_lambda(n: int, d: int, delta: float,
                   c_lambda: float = TUNING_DEFAULTS["c_lambda"]) -> float:
-    """Closed-form penalty target c_lambda * sqrt(log(d) / (n delta))."""
+    """Closed-form penalty target c_lambda * sqrt(log(d) / (n delta)); a
+    target that overflows is bad input."""
     n = _positive_int(n, "n")
     d = _positive_int(d, "d")
     if d < 2:
         raise InputError("d must be at least 2 so that log d is positive")
     delta = _positive_real(delta, "delta")
-    c_lambda = _nonneg_real(c_lambda, "c_lambda")
-    return c_lambda * math.sqrt(math.log(d) / (n * delta))
+    c_lambda = _positive_real(c_lambda, "c_lambda")
+    lam = c_lambda * math.sqrt(math.log(d) / (n * delta))
+    if not math.isfinite(lam):
+        raise InputError(f"the penalty target c_lambda * sqrt(log(d) / (n delta)) "
+                         f"overflows at delta = {delta!r}, c_lambda = {c_lambda!r}")
+    return lam
 
 
 def _theory_schedule(n: int, d: int, s: int, beta: float, c_delta: float,
                      c_lambda: float) -> Tuple[float, float]:
     """The closed-form (delta, lambda_tgt) for sparsity ``s``."""
-    delta = theoretical_bandwidth(TuningSchedule(
-        n=n, d=d, s=s, beta=beta, c_delta=c_delta, c_lambda=c_lambda))
+    delta = theoretical_bandwidth(n, d, s, beta, c_delta)
     return delta, target_lambda(n, d, delta, c_lambda)
 
 
@@ -373,26 +357,6 @@ def select_lepski_sparsity(
     return None if best is None else int(best.grid_value)
 
 
-def _fit_grid_point(
-    data: Dataset,
-    kernel: Kernel,
-    weights: Optional[np.ndarray],
-    base_cfg: PathConfig,
-    grid_value: float,
-    delta: float,
-    lam: float,
-    detail: str = "",
-) -> LepskiFit:
-    spec = SmoothedRiskSpec(
-        data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta), weights=weights
-    )
-    path = path_following(spec, replace(base_cfg, lambda_tgt=lam))
-    theta = path.theta_final.copy()
-    theta.setflags(write=False)
-    return LepskiFit(grid_value=grid_value, delta=delta, lam=lam, theta=theta,
-                     status="ok", detail=detail)
-
-
 def _lepski(
     data: Dataset,
     kernel: Kernel,
@@ -402,22 +366,30 @@ def _lepski(
     schedule: Callable[[float], Tuple[float, float]],
     label: str,
     select: Callable[[Sequence[LepskiFit]], Optional[float]],
-    fallback: Tuple[float, str, str],
 ) -> Tuple[float, np.ndarray, List[LepskiFit]]:
     """Fit one path per grid value at its ``schedule`` (delta, lambda), warn
-    about and exclude failed fits, and ``select``.  When nothing is
-    selected, warn and fit ``fallback = (value, warning, detail)`` afresh;
-    that fit is appended to the list, and its failure propagates.
+    about and exclude failed fits, and ``select``.  Every value's risk and
+    ``PathConfig`` are built, and so checked, before any fit; each value is
+    fitted once.  A fit lies within its own bound, so nothing is selected
+    only when every fit failed: one ``NumericError`` naming the grid.
     """
     base = path_cfg or _DEFAULT_CONFIG
+    planned = {}
+    for value in grid_values:
+        delta, lam = schedule(value)
+        loss = SurrogateLoss(kernel=kernel, bandwidth=delta)
+        spec = SmoothedRiskSpec(data=data, loss=loss, weights=weights)
+        planned[value] = delta, lam, spec, replace(base, lambda_tgt=lam)
 
     def fit_one(value: float) -> LepskiFit:
-        delta, lam = schedule(value)
+        delta, lam, spec, cfg = planned[value]
         try:
-            return _fit_grid_point(data, kernel, weights, base, value, delta, lam)
+            theta = path_following(spec, cfg).theta_final.copy()
         except Exception as exc:  # noqa: BLE001 - any failure excludes the point
             return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
                              status="failed", detail=str(exc))
+        theta.setflags(write=False)
+        return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=theta, status="ok")
 
     fits = fork_map(fit_one, grid_values, label)
     for fit in fits:
@@ -430,11 +402,9 @@ def _lepski(
 
     chosen = select(fits)
     if chosen is None:
-        chosen, warning, detail = fallback
-        warnings.warn(warning, stacklevel=3)
-        delta, lam = schedule(chosen)
-        fits.append(_fit_grid_point(data, kernel, weights, base, chosen, delta, lam, detail))
-        return chosen, fits[-1].theta, fits
+        raise NumericError(
+            f"every {label} fit failed "
+            f"({', '.join(f'{v:g}' for v in grid_values)}); nothing to select")
     theta = next(f.theta for f in fits if f.status == "ok" and f.grid_value == chosen)
     return chosen, theta, fits
 
@@ -454,16 +424,13 @@ def lepski_bandwidth(
     c_lambda * sqrt(log(d) / (n delta)), then keeps the largest bandwidth
     consistent with all smaller ones (``select_lepski_bandwidth``).  The
     selection step reuses the stored fits and computes only pairwise
-    distances.  If every fit failed, falls back to delta = 1/n with a
-    fresh fit, appended to the returned list.
+    distances.  Bad constants are refused before any fit, and a call whose
+    every grid fit failed raises one ``NumericError``.
 
-    Returns ``(delta_hat, theta, per_delta_fits)``.
+    Returns ``(delta_hat, theta, per_delta_fits)``, one fit per grid value.
     """
     s = _positive_int(s, "s")
     c_sel = _nonneg_real(c_sel, "c_sel")
-    c_lambda = _positive_real(c_lambda, "c_lambda")
-    if data.d < 2:
-        raise InputError("d must be at least 2 so that log d is positive")
 
     n, d = data.n, data.d
     return _lepski(
@@ -471,9 +438,6 @@ def lepski_bandwidth(
         schedule=lambda delta: (delta, target_lambda(n, d, delta, c_lambda)),
         label="bandwidth",
         select=lambda fits: select_lepski_bandwidth(fits, n=n, d=d, s=s, c_sel=c_sel),
-        fallback=(1.0 / n,
-                  f"no feasible bandwidth on the grid; falling back to 1/n = {1.0 / n:g}",
-                  "fallback fit at 1/n"),
     )
 
 
@@ -493,10 +457,11 @@ def lepski_sparsity(
     delta_s = c_delta * (s log(d) / n)**(1 / (2 beta + 1)) and penalty
     c_lambda * sqrt(log(d) / (n delta_s)); the smallest level consistent
     with all larger ones wins (``select_lepski_sparsity``).  Requires
-    c_delta**(beta + 1/2) <= c_lambda.  If every fit failed, falls back to
-    the largest grid level with a fresh fit, appended to the returned list.
+    c_delta**(beta + 1/2) <= c_lambda.  Bad constants are refused before
+    any fit, and a call whose every grid fit failed raises one
+    ``NumericError``.
 
-    Returns ``(s_hat, theta, per_s_fits)``.
+    Returns ``(s_hat, theta, per_s_fits)``, one fit per grid level.
     """
     beta = _positive_real(beta, "beta")
     c_delta = _positive_real(c_delta, "c_delta")
@@ -521,13 +486,9 @@ def lepski_sparsity(
         )
 
     n, d = data.n, data.d
-    grid = build_lepski_grid("sparsity", d)
     return _lepski(
-        data, kernel, weights, path_cfg, grid,
+        data, kernel, weights, path_cfg, build_lepski_grid("sparsity", d),
         schedule=lambda level: _theory_schedule(n, d, level, beta, c_delta, c_lambda),
         label="sparsity level",
         select=lambda fits: select_lepski_sparsity(fits, n=n, d=d, beta=beta, c_bar=c_bar),
-        fallback=(grid[-1],
-                  f"no feasible sparsity level on the grid; falling back to 2**m = {grid[-1]}",
-                  "fallback fit at the largest level"),
     )

@@ -56,3 +56,15 @@ def logged(path):
 def forked_grid(monkeypatch):
     """Lepski grid fits spread over three forked processes, on any machine."""
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 3)
+
+
+@pytest.fixture
+def fits_in_turn(monkeypatch):
+    """Lepski grid fits made in turn in this process, on any machine."""
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

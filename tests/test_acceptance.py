@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import log_call, logged, random_spec, rng_for
+from conftest import random_spec, rng_for
 from smooth_threshold import tuning
 from smooth_threshold.cli import main
 from smooth_threshold.diagnostics import (
@@ -28,7 +28,6 @@ from smooth_threshold.diagnostics import (
     restricted_curvature_probe,
     variance_probe,
 )
-from smooth_threshold.errors import NumericError
 from smooth_threshold.kernels import (
     BUILTIN_KERNELS,
     SurrogateLoss,
@@ -262,12 +261,12 @@ def test_error_decreases_with_sample_size():
            + f" at n = 500/1000/2000/4000, {elapsed:.1f}s")
 
 
-def test_adaptive_selection_near_oracle(monkeypatch, tmp_path, forked_grid):
+def test_adaptive_selection_near_oracle(forked_grid):
     # (a) bandwidth adaptation lands within 2x of the best grid fit;
     # (b) sparsity adaptation lands within 2x of the fit at the true level;
     # (c) on sign responses at n=2000, d=256, s=8 with the same constants,
     # both selectors stay under an absolute l2 bound;
-    # both default branches fire when every grid fit fails.
+    # (d) selection among fits that all failed has an empty feasible set.
     data_a, star_a = generate(SimSpec(model="conditional_mean", n=1000, d=100,
                                       s=5, mu=2.0, noise_sd=0.1, seed=77))
     with warnings.catch_warnings():
@@ -315,56 +314,20 @@ def test_adaptive_selection_near_oracle(monkeypatch, tmp_path, forked_grid):
               for g in build_lepski_grid("sparsity", 8)]
     none_b = select_lepski_sparsity(dead_s, n=40, d=8, beta=2.0, c_bar=2.0)
 
-    # Driving every grid fit into failure exercises the fallback fits.
-    small, _ = generate(SimSpec(model="conditional_mean", n=40, d=8, s=2,
-                                mu=2.0, noise_sd=0.5, seed=3))
-    real = tuning.path_following
-    grid_b = set(build_lepski_grid("bandwidth", 40))
-    grid_s = build_lepski_grid("sparsity", 8)
-    log = tmp_path / "calls"
-
-    def fail_bandwidth_grid(spec, cfg):
-        # fails exactly the grid fits, letting the fallback fit at 1/n run
-        if spec.loss.bandwidth in grid_b:
-            raise NumericError("constructed failure")
-        return real(spec, cfg)
-
-    def fail_sparsity_grid(spec, cfg):
-        # the fallback refits the top level, so the grid fits are told apart
-        # as the first len(grid_s) calls, counted over every process
-        log_call(log, "fit")
-        if len(logged(log)) <= len(grid_s):
-            raise NumericError("constructed failure")
-        return real(spec, cfg)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        monkeypatch.setattr(tuning, "path_following", fail_bandwidth_grid)
-        delta_fallback, _, _ = lepski_bandwidth(small, GAUSS, s=2)
-        monkeypatch.setattr(tuning, "path_following", fail_sparsity_grid)
-        s_fallback, _, _ = lepski_sparsity(small, make_higher_order_gaussian(2),
-                                           beta=2.0)
-    monkeypatch.setattr(tuning, "path_following", real)
-
     ok = (ratio_a <= 2.0 and ratio_b <= 2.0 and l2_cs <= 0.25
-          and l2_cb <= 0.55 and none_a is None
-          and none_b is None and delta_fallback == 1.0 / 40
-          and s_fallback == grid_s[-1])
+          and l2_cb <= 0.55 and none_a is None and none_b is None)
     report("adaptive bandwidth and sparsity selection", ok,
            f"bandwidth error ratio = {ratio_a:.2f} (<= 2), sparsity error "
            f"ratio = {ratio_b:.2f} (<= 2), sign-response l2 = {l2_cs:.3f} "
            f"(sparsity, <= 0.25) and {l2_cb:.3f} (bandwidth, <= 0.55), "
-           f"empty feasible sets -> None/None, "
-           f"fallbacks = 1/n ({delta_fallback}) and top level ({s_fallback})")
+           f"empty feasible sets -> None/None")
 
 
 def test_one_bit_noiseless_support_recovery():
     # Sign-only measurements without noise: theory-tuned fits must put the
     # s largest coefficients on the true support in at least 8 of 10 runs.
     n, d, s = 500, 1000, 5
-    sched = tuning.TuningSchedule(n=n, d=d, s=s, beta=2.0, c_delta=1.0,
-                                  c_lambda=0.25)
-    delta = tuning.theoretical_bandwidth(sched)
+    delta = tuning.theoretical_bandwidth(n, d, s, beta=2.0, c_delta=1.0)
     lam = tuning.target_lambda(n, d, delta, 0.25)
     t0 = time.perf_counter()
     hits = 0

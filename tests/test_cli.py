@@ -24,9 +24,9 @@ from smooth_threshold.optimizer import PathConfig, path_following
 from smooth_threshold.risk import SmoothedRiskSpec
 from smooth_threshold.simulate import (SIM_MODELS, SimSpec, derive_seed,
                                        generate, run_benchmark)
-from smooth_threshold.tuning import (TuningSchedule, build_lepski_grid,
-                                     cross_validate_lambda, default_lambda_grid,
-                                     target_lambda, theoretical_bandwidth)
+from smooth_threshold.tuning import (build_lepski_grid, cross_validate_lambda,
+                                     default_lambda_grid, target_lambda,
+                                     theoretical_bandwidth)
 
 
 def run_cli(argv, capsys):
@@ -268,8 +268,7 @@ class TestFit:
                                   "theory", "--s", "2", "--beta", "1.0",
                                   "--c-lambda", "0.5"], capsys)
         assert code == 0, err
-        sched = TuningSchedule(n=150, d=8, s=2, beta=1.0, c_lambda=0.5)
-        delta = theoretical_bandwidth(sched)
+        delta = theoretical_bandwidth(150, 8, 2, beta=1.0, c_delta=1.0)
         lam = target_lambda(150, 8, delta, 0.5)
         assert float(doc_value(out, "result delta")) == delta
         assert float(doc_value(out, "result lambda_tgt")) == lam
@@ -1177,6 +1176,25 @@ class TestErrorRecords:
         record = json.loads(line)
         assert record["error"] == "input"
         assert "at most 10000" in record["message"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta", "0.5", "--lambda-tgt", "0.01", "--eps-tgt", "inf"],
+         "eps_tgt must be a positive real, got inf"),
+        (["--delta", "0.5", "--lambda-tgt", "inf"],
+         "lambda_tgt must be a positive real, got inf"),
+        (["--delta", "0.5", "--lambda-tgt", "0.01", "--lambda0", "nan"],
+         "lambda0 must be a nonnegative real, got nan"),
+        (["--tune", "lepski-s", "--beta", "2", "--c-delta", "1e-322"],
+         "the penalty target c_lambda * sqrt(log(d) / (n delta)) overflows at delta = "),
+    ], ids=["eps_tgt", "lambda_tgt", "lambda0", "lepski_penalty"])
+    def test_penalty_or_tolerance_not_finite_is_bad_input(self, flags, message,
+                                                          sim_csv, capsys):
+        code, out, err = run_cli(["fit", "--input", sim_csv, *flags], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "input"
+        assert record["message"].startswith(message)
 
     def test_device_output_is_written_in_place(self, sim_csv, capsys):
         code, out, err = run_cli(["fit", "--input", sim_csv, "--delta", "0.5",

@@ -29,7 +29,7 @@ from smooth_threshold.kernels import get_kernel
 from smooth_threshold.risk import Dataset
 from smooth_threshold.tuning import lepski_bandwidth, lepski_sparsity
 
-from conftest import rng_for, src_env
+from conftest import assert_no_child, rng_for, src_env
 
 pytestmark = pytest.mark.skipif(
     not (sys.platform.startswith("linux") and hasattr(os, "fork")),
@@ -45,11 +45,6 @@ def make_dataset(n=40, d=8, seed=6):
     y = np.sign(x - z[:, 0] + 0.3 * rng.standard_normal(n))
     y[y == 0] = 1.0
     return Dataset(x=x, y=y, z=z)
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

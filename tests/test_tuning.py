@@ -24,7 +24,6 @@ from smooth_threshold import tuning
 from smooth_threshold.tuning import (
     CvResult,
     LepskiFit,
-    TuningSchedule,
     build_lepski_grid,
     cross_validate_lambda,
     default_lambda_grid,
@@ -37,7 +36,7 @@ from smooth_threshold.tuning import (
 )
 from smooth_threshold.simulate import SimSpec, gen_conditional_mean
 
-from conftest import log_call, logged, rng_for
+from conftest import assert_no_child, log_call, logged, rng_for
 
 
 GAUSS = get_kernel("gaussian")
@@ -60,26 +59,26 @@ def make_dataset(n=60, d=4, seed=0, signal=True):
 
 class TestSchedules:
     def test_schedule_validation(self):
-        with pytest.raises(InputError):
-            TuningSchedule(n=0, d=10, s=1, beta=1.0)
-        with pytest.raises(InputError):
-            TuningSchedule(n=10, d=10, s=0, beta=1.0)
-        with pytest.raises(InputError):
-            TuningSchedule(n=10, d=10, s=1, beta=0.0)
-        with pytest.raises(InputError):
-            TuningSchedule(n=10, d=10, s=1, beta=1.0, c_delta=-1.0)
-        with pytest.raises(InputError):
-            TuningSchedule(n=10, d=10, s=1, beta=1.0, c_lambda=0.0)
+        with pytest.raises(InputError, match="n must be a positive integer"):
+            theoretical_bandwidth(0, 10, 1, 1.0, 1.0)
+        with pytest.raises(InputError, match="s must be a positive integer"):
+            theoretical_bandwidth(10, 10, 0, 1.0, 1.0)
+        with pytest.raises(InputError, match="beta must be a positive real"):
+            theoretical_bandwidth(10, 10, 1, 0.0, 1.0)
+        with pytest.raises(InputError, match="c_delta must be a positive real"):
+            theoretical_bandwidth(10, 10, 1, 1.0, -1.0)
+        with pytest.raises(InputError, match="c_delta must be a positive real"):
+            theoretical_bandwidth(10, 10, 1, 1.0, math.inf)
 
     def test_bandwidth_arithmetic_oracle(self):
         # (50 ln 2500 / 2000)^(1/3), written as an explicit cube root
-        val = theoretical_bandwidth(TuningSchedule(n=2000, d=2500, s=50, beta=1.0))
+        val = theoretical_bandwidth(2000, 2500, 50, 1.0, 1.0)
         expected = math.pow(50.0 * math.log(2500.0) / 2000.0, 1.0 / 3.0)
         assert val == pytest.approx(expected, rel=1e-14)
         assert abs(val - 0.5800) < 1e-3
 
     def test_bandwidth_high_smoothness_oracle(self):
-        val = theoretical_bandwidth(TuningSchedule(n=2000, d=2500, s=50, beta=50.0))
+        val = theoretical_bandwidth(2000, 2500, 50, 50.0, 1.0)
         expected = math.exp(math.log(50.0 * math.log(2500.0) / 2000.0) / 101.0)
         assert val == pytest.approx(expected, rel=1e-14)
         assert abs(val - 0.9840) < 1e-3
@@ -88,20 +87,20 @@ class TestSchedules:
         # the formula is the pure power map base**(1/(2 beta + 1)); inverting
         # it recovers the base exactly, so a unit base returns 1 for any beta
         for n, d, s, beta in [(33, 64, 8, 0.5), (100, 7, 3, 2.0), (5000, 2500, 50, 7.0)]:
-            val = theoretical_bandwidth(TuningSchedule(n=n, d=d, s=s, beta=beta))
+            val = theoretical_bandwidth(n, d, s, beta, 1.0)
             base = s * math.log(d) / n
             assert val ** (2.0 * beta + 1.0) == pytest.approx(base, rel=1e-12)
             assert (val - 1.0) * (base - 1.0) >= 0.0  # same side of 1
 
     def test_bandwidth_requires_d_at_least_2(self):
         with pytest.raises(InputError, match="d must be at least 2"):
-            theoretical_bandwidth(TuningSchedule(n=10, d=1, s=1, beta=1.0))
+            theoretical_bandwidth(10, 1, 1, 1.0, 1.0)
 
     def test_bandwidth_monotone_in_s_and_n(self):
-        in_s = [theoretical_bandwidth(TuningSchedule(n=500, d=100, s=s, beta=1.0))
+        in_s = [theoretical_bandwidth(500, 100, s, 1.0, 1.0)
                 for s in (1, 2, 5, 10, 20)]
         assert np.all(np.diff(in_s) > 0)
-        in_n = [theoretical_bandwidth(TuningSchedule(n=n, d=100, s=5, beta=1.0))
+        in_n = [theoretical_bandwidth(n, 100, 5, 1.0, 1.0)
                 for n in (100, 300, 1000, 3000)]
         assert np.all(np.diff(in_n) < 0)
 
@@ -110,8 +109,14 @@ class TestSchedules:
         assert val == pytest.approx(math.sqrt(math.log(2500.0) / (2000.0 * 0.58)), rel=1e-14)
         assert abs(val - 0.0821) < 1e-3
 
-    def test_target_lambda_degenerate_constant(self):
-        assert target_lambda(100, 10, 0.5, 0.0) == 0.0
+    def test_target_lambda_refuses_a_zero_constant_and_an_overflow(self):
+        with pytest.raises(InputError, match=r"c_lambda must be a positive real, got 0\.0"):
+            target_lambda(100, 10, 0.5, 0.0)
+        # log(5) / (10 * 1e-320) is past the largest float
+        with pytest.raises(InputError, match=r"overflows at delta = 1e-320, c_lambda = 1\.0"):
+            target_lambda(10, 5, 1e-320)
+        with pytest.raises(InputError, match=r"overflows at delta = 1e-10, c_lambda = 1e\+308"):
+            target_lambda(10, 5, 1e-10, 1e308)
 
     def test_target_lambda_root_two_scaling(self):
         lam_n = target_lambda(750, 40, 0.3)
@@ -161,7 +166,7 @@ class TestTuningModes:
             == (0.5, 0.1, None)
         params = {"s": 2, "beta": 1.5, "c_delta": 1.0, "c_lambda": 1.0}
         delta, lam, cv = tuning.tuned_penalty(data, kernel, "theory", params, 0)
-        expected = theoretical_bandwidth(TuningSchedule(n=80, d=6, s=2, beta=1.5))
+        expected = theoretical_bandwidth(80, 6, 2, 1.5, 1.0)
         assert (delta, lam, cv) == (expected, target_lambda(80, 6, expected), None)
         with pytest.raises(InputError):
             tuning.tuned_penalty(data, kernel, "lepski-s", {"beta": 1.0}, 0)
@@ -536,72 +541,47 @@ class TestLepskiProcedures:
         assert delta_hat in grid
         assert len(fits) == len(grid)
 
-    def test_bandwidth_default_branch_on_total_failure(self, monkeypatch):
-        data = make_dataset(n=40, d=4, seed=6)
-        grid_values = set(build_lepski_grid("bandwidth", 40))
-        real = tuning.path_following
-
-        def failing(spec, cfg):
-            if spec.loss.bandwidth in grid_values:
-                raise NumericError("synthetic failure")
-            return real(spec, cfg)
-
-        monkeypatch.setattr(tuning, "path_following", failing)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            delta_hat, theta, fits = lepski_bandwidth(data, GAUSS, s=2)
-        # one warning per failed grid fit, then the fallback's
-        assert [str(w.message) for w in caught[:-1]] == [
-            f"bandwidth {v:g}: fit failed and is excluded from selection "
-            f"(synthetic failure)" for v in build_lepski_grid("bandwidth", 40)]
-        assert "falling back to 1/n" in str(caught[-1].message)
-        assert delta_hat == 1.0 / 40
-        assert theta.shape == (4,)
-        assert sum(f.status == "failed" for f in fits) == len(grid_values)
-        assert fits[-1].status == "ok" and fits[-1].grid_value == delta_hat
-
-    def test_sparsity_default_branch_on_total_failure(self, monkeypatch, tmp_path,
-                                                      forked_grid):
-        data = make_dataset(n=40, d=8, seed=6)
-        k2 = make_higher_order_gaussian(2)
-        real = tuning.path_following
-        log = tmp_path / "calls"
-
-        def failing(spec, cfg):
-            # the fallback refits the top level, so calls are counted over
-            # every process; the grid fits are the first three
-            log_call(log, "fit")
-            if len(logged(log)) <= 3:  # the three grid fits (d=8 gives m=2)
-                raise NumericError("synthetic failure")
-            return real(spec, cfg)
-
-        monkeypatch.setattr(tuning, "path_following", failing)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            s_hat, theta, fits = lepski_sparsity(data, k2, beta=2.0)
-        assert [str(w.message) for w in caught[:-1]] == [
-            f"sparsity level {s}: fit failed and is excluded from selection "
-            f"(synthetic failure)" for s in (1, 2, 4)]
-        assert "falling back to 2" in str(caught[-1].message)
-        assert s_hat == 4
-        assert theta.shape == (8,)
-        assert sum(f.status == "failed" for f in fits) == 3
-        assert fits[-1].status == "ok" and fits[-1].grid_value == 4
-        assert len(logged(log)) == 4
-
-    def test_failing_fallback_fit_raises(self, monkeypatch):
+    @pytest.mark.parametrize("workers", ["in_turn", "forked"])
+    def test_every_failed_fit_is_one_numeric_error(self, monkeypatch, request, workers):
+        # each grid value is fitted once and warned about in grid order; no
+        # fit is made after the grid, and no worker outlives the call
+        request.getfixturevalue("forked_grid" if workers == "forked" else "fits_in_turn")
         data = make_dataset(n=40, d=8, seed=6)
 
         def failing(spec, cfg):
             raise NumericError("synthetic failure")
 
         monkeypatch.setattr(tuning, "path_following", failing)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericError, match="synthetic failure"):
-                lepski_bandwidth(data, GAUSS, s=2)
-            with pytest.raises(NumericError, match="synthetic failure"):
-                lepski_sparsity(data, GAUSS, beta=1.0)
+        runs = [("bandwidth", build_lepski_grid("bandwidth", 40),
+                 lambda: lepski_bandwidth(data, GAUSS, s=2)),
+                ("sparsity level", build_lepski_grid("sparsity", 8),
+                 lambda: lepski_sparsity(data, make_higher_order_gaussian(2), beta=2.0))]
+        for label, grid, run in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericError) as failed:
+                    run()
+            assert str(failed.value) == (
+                f"every {label} fit failed ({', '.join(f'{v:g}' for v in grid)}); "
+                "nothing to select")
+            assert [str(w.message) for w in caught] == [
+                f"{label} {v:g}: fit failed and is excluded from selection "
+                f"(synthetic failure)" for v in grid]
+            assert_no_child()
+
+    def test_unusable_constants_are_refused_before_any_fork(self, monkeypatch, forked_grid):
+        data = make_dataset(n=40, d=8, seed=6)
+
+        def no_fork(*args):
+            pytest.fail("a grid fit started before the constants were checked")
+
+        monkeypatch.setattr(tuning, "fork_map", no_fork)
+        with pytest.raises(InputError, match="overflows at delta = "):
+            lepski_sparsity(data, make_higher_order_gaussian(2), beta=2.0, c_delta=1e-322)
+        with pytest.raises(InputError, match="overflows at delta = "):
+            lepski_bandwidth(data, GAUSS, s=2, c_lambda=1e308)
+        with pytest.raises(InputError, match=r"c_lambda must be a positive real, got 0\.0"):
+            lepski_bandwidth(data, GAUSS, s=2, c_lambda=0.0)
 
     def test_partial_failure_warns_and_excludes(self, monkeypatch):
         data = make_dataset(n=24, d=3, signal=False)
