@@ -34,9 +34,6 @@ from .optimizer import (
     SolutionPath,
     StageRecord,
     path_following,
-    proximal_gradient,
-    project_ball,
-    soft_threshold,
     suboptimality,
 )
 from .tuning import (
@@ -83,7 +80,6 @@ __all__ = [
     "Dataset", "SmoothedRiskSpec", "class_weights",
     "empirical_gradient", "empirical_risk", "objective", "zero_one_risk",
     "PathConfig", "SolutionPath", "StageRecord", "path_following",
-    "proximal_gradient", "project_ball", "soft_threshold",
     "suboptimality",
     "CvResult", "LepskiFit",
     "build_lepski_grid", "cross_validate_lambda", "default_lambda_grid",

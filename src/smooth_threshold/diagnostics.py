@@ -61,6 +61,8 @@ PROBE_DEFAULTS = {
 _QUAD_NODES = 200
 # largest relative deviation that gradient_check passes
 _GRADIENT_TOL = 1e-6
+# rows of a population-gradient chunk: about 4e6 values of z, at least 1000
+_CHUNK_ROWS_MIN, _CHUNK_VALUES = 1000, 4_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +173,7 @@ def gradient_check(spec: SmoothedRiskSpec, theta, step: float = 1e-5) -> ProbeRe
 
 
 def population_gradient(sim: SimSpec, kernel: Kernel, delta_grid,
-                        n_pop: int = 1_000_000, seed: int = 0,
-                        chunk_rows: int | None = None) -> np.ndarray:
+                        n_pop: int = 1_000_000, seed: int = 0) -> np.ndarray:
     """Monte Carlo population gradient of the smoothed risk at ``sim.theta_star``.
 
     Draws ``n_pop`` fresh samples from ``sim`` in chunks (one derived seed
@@ -183,9 +184,7 @@ def population_gradient(sim: SimSpec, kernel: Kernel, delta_grid,
     grid = _delta_grid_array(delta_grid)
     n_pop = _positive_int(n_pop, "n_pop")
     theta = sim.theta_star
-    if chunk_rows is None:
-        chunk_rows = max(1000, 4_000_000 // max(sim.d, 1))
-    chunk_rows = _positive_int(chunk_rows, "chunk_rows")
+    chunk_rows = max(_CHUNK_ROWS_MIN, _CHUNK_VALUES // max(sim.d, 1))
 
     totals = np.zeros((grid.size, sim.d))
     done = 0

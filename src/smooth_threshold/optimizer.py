@@ -6,9 +6,9 @@ penalty level with proximal gradient steps (gradient step, soft threshold,
 ball projection) from a stage state: the iterate, its gradient and margins,
 the first trial step and the stage index.  ``_solve_stage`` runs one stage
 and returns the state the next one starts from, so a path can stop after
-any stage and resume bit for bit.  ``proximal_gradient`` runs one stage;
-``path_following`` runs one per value of a descending penalty ladder,
-geometric by default, from the zero vector at a penalty where it is optimal.
+any stage and resume bit for bit.  ``path_following`` runs one stage per
+value of a descending penalty ladder, geometric by default, from the zero
+vector at a penalty where it is optimal.
 
 Step sizes follow Barzilai & Borwein (1988) inside a monotone backtracking,
 as SpaRSA (Wright, Nowak & Figueiredo 2009) does for l1 problems.  After
@@ -51,27 +51,6 @@ _STEP_RANGE = (1e-10, 1024.0)
 _MAX_STAGES = 10_000
 
 
-def soft_threshold(v, tau: float) -> np.ndarray:
-    """Elementwise shrinkage toward zero by tau; |v| <= tau maps to exactly 0."""
-    if not (np.isfinite(tau) and tau >= 0):
-        raise InputError(f"threshold must be a nonnegative real, got {tau}")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-def project_ball(v, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l2 ball; rescaling keeps the sparsity pattern."""
-    if not radius > 0:
-        raise InputError(f"ball radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=float)
-    if math.isinf(radius):
-        return v.copy()
-    norm = _l2_norm(v)
-    if norm <= radius:
-        return v.copy()
-    return v * (radius / norm)
-
-
 def _subopt_from_grad(g: np.ndarray, theta: np.ndarray, lam: float) -> float:
     on_support = theta != 0.0
     vals = np.where(on_support,
@@ -85,15 +64,6 @@ def suboptimality(spec: SmoothedRiskSpec, theta, lam: float) -> float:
     lam = _nonneg_real(lam, "penalty level")
     theta = _check_theta(theta, spec.data.d)
     return _subopt_from_grad(empirical_gradient(spec, theta), theta, lam)
-
-
-def _check_solver(eta, radius, max_iters, names) -> None:
-    """Step (positive, finite), ball radius (positive, inf allowed) and
-    iteration budget (>= 1) checks; each error names its argument by ``names``."""
-    _positive_real(eta, names[0])
-    if not radius > 0:
-        raise InputError(f"{names[1]} must be positive, got {radius!r}")
-    _positive_int(max_iters, names[2])
 
 
 @dataclass(frozen=True)
@@ -142,8 +112,11 @@ class PathConfig:
             raise InputError(f"nu must lie in (0, 1), got {self.nu}")
         if self.eps_tgt is not None:
             _positive_real(self.eps_tgt, "eps_tgt")
-        _check_solver(self.eta, self.omega_radius, self.max_inner_iters,
-                      ("eta", "omega_radius", "max_inner_iters"))
+        _positive_real(self.eta, "eta")
+        if not self.omega_radius > 0:
+            raise InputError(
+                f"omega_radius must be positive, got {self.omega_radius!r}")
+        _positive_int(self.max_inner_iters, "max_inner_iters")
 
 
 # solver defaults for callers that set lambda_tgt per fit themselves
@@ -187,6 +160,19 @@ class _State:
     index: int
 
 
+def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
+    """Elementwise shrinkage toward zero by tau; |v| <= tau maps to exactly 0."""
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def _project_ball(v: np.ndarray, radius: float) -> tuple:
+    """Euclidean projection onto the l2 ball, and whether ``v`` lay outside
+    it; rescaling keeps the sparsity pattern."""
+    norm = _l2_norm(v)
+    outside = norm > radius
+    return (v * (radius / norm) if outside else v), outside
+
+
 def _solve_stage(spec, state, lam, eps, radius, max_iters, notes):
     """One stage from ``state``: its record and the next stage's state.  A warm
     start with gap above lambda/2 and ball contact are appended to ``notes``."""
@@ -211,11 +197,9 @@ def _solve_stage(spec, state, lam, eps, radius, max_iters, notes):
             break
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            shrunk = soft_threshold(theta - step * g, lam * step)
-            # project_ball, with the norm it takes kept for the boundary check
-            norm = _l2_norm(shrunk)
-            cand = shrunk if norm <= radius else shrunk * (radius / norm)
-            boundary_hit = boundary_hit or norm > radius
+            cand, outside = _project_ball(
+                _soft_threshold(theta - step * g, lam * step), radius)
+            boundary_hit = boundary_hit or outside
             u_cand = spec.margins(cand)  # serve its objective and its gradient
             f_cand = objective(spec, cand, lam, u=u_cand)
             if f_cand <= f + _BACKTRACK_SLACK * max(1.0, abs(f)):
@@ -256,25 +240,6 @@ def _solve_stage(spec, state, lam, eps, radius, max_iters, notes):
                          nnz=int(np.count_nonzero(theta)), status=status,
                          step=step, halvings=halvings)
     return record, _State(theta, g, u, step, state.index + 1)
-
-
-def proximal_gradient(spec: SmoothedRiskSpec, theta0, lam: float, eps: float,
-                      *, eta: float = 1.0, radius: float = math.inf,
-                      max_iters: int = 10000) -> StageRecord:
-    """Run proximal gradient at a single penalty level until omega <= eps.
-
-    Returns the ``StageRecord`` (stage 0) of the first iterate whose own gap
-    meets ``eps`` (checked before the first update and after each), so a warm
-    start that already meets it is returned unchanged with 0 iterations.
-    ``eta`` is the first trial step; ``step`` is the one it would try next.
-    """
-    lam = _nonneg_real(lam, "penalty level")
-    if not eps >= 0:
-        raise InputError(f"tolerance must be nonnegative, got {eps}")
-    _check_solver(eta, radius, max_iters, ("eta", "radius", "max_iters"))
-    u = spec.margins(theta0)
-    state = _State(theta0, empirical_gradient(spec, theta0, u=u), u, eta, 0)
-    return _solve_stage(spec, state, lam, eps, radius, max_iters, [])[0]
 
 
 def _stage_schedule(lambda0: float, cfg: PathConfig) -> list:

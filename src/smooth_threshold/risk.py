@@ -69,7 +69,8 @@ def _frozen_array(a, dtype=float, ndim=None, name="array", order="C"):
     out = np.array(a, dtype=dtype, order=order)
     if ndim is not None and out.ndim != ndim:
         raise InputError(f"{name} must have {ndim} dimension(s), got {out.ndim}")
-    if not np.all(np.isfinite(out)):
+    # NaN and +-inf carry through min and max, without an n x d mask
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise InputError(f"{name} contains non-finite values")
     out.setflags(write=False)
     return out

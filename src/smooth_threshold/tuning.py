@@ -61,6 +61,10 @@ TUNING_MODES = {
 TUNING_DEFAULTS = {"folds": 5, "c_delta": 1.0, "c_lambda": 1.0, "c_sel": 2.0,
                    "c_bar": 2.0}
 
+# points of the default penalty grid, and its smallest value over lambda0
+_GRID_POINTS = 20
+_GRID_MIN_RATIO = 0.01
+
 
 def _readonly(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -92,8 +96,9 @@ class LepskiFit:
 
     ``grid_value`` is the grid coordinate (a bandwidth, or a sparsity
     level).  ``theta`` is None when the fit failed; ``detail`` then holds
-    the error message.  A procedure returns one per grid value, in grid
-    order.
+    the error message, or the status, gap and tolerance of a last stage
+    that stopped short of its tolerance.  A procedure returns one per grid
+    value, in grid order.
     """
 
     grid_value: float
@@ -165,22 +170,14 @@ def default_lambda_grid(
     data: Dataset,
     kernel: Kernel,
     delta: float,
-    num: int = 20,
-    min_ratio: float = 0.01,
     weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Geometric penalty grid from lambda0 = ||grad R(0)||_inf down to
-    ``min_ratio * lambda0``, descending, with ``num`` points.
+    ``_GRID_MIN_RATIO * lambda0``, descending, with ``_GRID_POINTS`` points.
 
     At the top value the zero vector is already stationary, so the grid
     brackets the whole path from the null model downward.
     """
-    num = _positive_int(num, "num")
-    if num < 2:
-        raise InputError("num must be at least 2")
-    min_ratio = float(min_ratio)
-    if not (0.0 < min_ratio < 1.0):
-        raise InputError(f"min_ratio must lie in (0, 1), got {min_ratio!r}")
     spec = SmoothedRiskSpec(data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta), weights=weights)
     lambda0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(data.d)))))
     if lambda0 <= 0.0:
@@ -188,8 +185,8 @@ def default_lambda_grid(
             "cannot build a default penalty grid: the risk gradient at the "
             "zero vector is identically zero; supply an explicit grid"
         )
-    expo = np.arange(num) / (num - 1.0)
-    return lambda0 * min_ratio ** expo
+    expo = np.arange(_GRID_POINTS) / (_GRID_POINTS - 1.0)
+    return lambda0 * _GRID_MIN_RATIO ** expo
 
 
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -368,7 +365,8 @@ def _lepski(
     select: Callable[[Sequence[LepskiFit]], Optional[float]],
 ) -> Tuple[float, np.ndarray, List[LepskiFit]]:
     """Fit one path per grid value at its ``schedule`` (delta, lambda), warn
-    about and exclude failed fits, and ``select``.  Every value's risk and
+    about and exclude failed fits, and ``select``.  A fit fails when it
+    raises or when its last stage does not converge.  Every value's risk and
     ``PathConfig`` are built, and so checked, before any fit; each value is
     fitted once.  A fit lies within its own bound, so nothing is selected
     only when every fit failed: one ``NumericError`` naming the grid.
@@ -384,10 +382,17 @@ def _lepski(
     def fit_one(value: float) -> LepskiFit:
         delta, lam, spec, cfg = planned[value]
         try:
-            theta = path_following(spec, cfg).theta_final.copy()
+            path = path_following(spec, cfg)
         except Exception as exc:  # noqa: BLE001 - any failure excludes the point
             return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
                              status="failed", detail=str(exc))
+        last = path.stages[-1]
+        if last.status != "converged":
+            detail = (f"last stage {last.status} with omega={last.exit_omega:.3e}"
+                      f" > eps={path.config_echo.eps_tgt:.3e}")
+            return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
+                             status="failed", detail=detail)
+        theta = path.theta_final.copy()
         theta.setflags(write=False)
         return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=theta, status="ok")
 

@@ -138,7 +138,7 @@ class TestPopulationGradient:
         sim = SimSpec(model="conditional_mean", n=500, d=8, s=3, mu=2.0,
                       noise_sd=1.0, seed=11)
         pop = population_gradient(sim, get_kernel("gaussian"), [0.5],
-                                  n_pop=500, seed=77, chunk_rows=10_000)
+                                  n_pop=500, seed=77)
         data, theta_star = generate(replace(sim, n=500, seed=derive_seed(77, 0)))
         spec = SmoothedRiskSpec(data, SurrogateLoss(get_kernel("gaussian"), 0.5))
         emp = empirical_gradient(spec, theta_star)

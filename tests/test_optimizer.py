@@ -18,9 +18,8 @@ import smooth_threshold
 from smooth_threshold import optimizer
 from smooth_threshold.errors import ConvergenceWarning, InputError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
-from smooth_threshold.optimizer import (PathConfig, path_following, project_ball,
-                                        proximal_gradient,
-                                        soft_threshold, suboptimality,
+from smooth_threshold.optimizer import (PathConfig, path_following, suboptimality,
+                                        _project_ball, _soft_threshold,
                                         _subopt_from_grad)
 from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, empirical_gradient,
                                    empirical_risk, objective)
@@ -29,15 +28,23 @@ from smooth_threshold.simulate import SimSpec, generate
 from conftest import random_spec, rng_for
 
 
+def _one_stage(spec, theta0, lam, eps, *, eta=1.0, radius=math.inf,
+               max_iters=10000):
+    """The record of one stage of the path's loop from ``theta0``, with its
+    margins and gradient evaluated there and first trial step ``eta``."""
+    u = spec.margins(theta0)
+    state = optimizer._State(theta0, empirical_gradient(spec, theta0, u=u), u,
+                             eta, 0)
+    return optimizer._solve_stage(spec, state, lam, eps, radius, max_iters, [])[0]
+
+
 def test_soft_threshold_exact_zero_at_boundary():
     v = np.array([0.3, -0.3, 0.300001, -5.0, 0.0])
-    out = soft_threshold(v, 0.3)
+    out = _soft_threshold(v, 0.3)
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[2] == pytest.approx(1e-6, rel=1e-6)
     assert out[3] == -4.7
     assert out[4] == 0.0
-    with pytest.raises(InputError):
-        soft_threshold(v, -0.1)
 
 
 def test_soft_threshold_against_grid_prox_oracle():
@@ -46,14 +53,14 @@ def test_soft_threshold_against_grid_prox_oracle():
     for w, tau in [(0.8, 0.3), (-1.4, 0.5), (0.2, 0.45), (1.9, 0.0)]:
         vals = 0.5 * (grid - w) ** 2 + tau * np.abs(grid)
         oracle = grid[np.argmin(vals)]
-        assert soft_threshold(np.array([w]), tau)[0] == pytest.approx(
+        assert _soft_threshold(np.array([w]), tau)[0] == pytest.approx(
             oracle, abs=2e-6)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(-50, 50), st.floats(0, 10))
 def test_soft_threshold_properties(v, tau):
-    out = float(soft_threshold(np.array([v]), tau)[0])
+    out = float(_soft_threshold(np.array([v]), tau)[0])
     assert abs(out) == pytest.approx(max(abs(v) - tau, 0.0), abs=0)
     if out != 0.0:
         assert math.copysign(1.0, out) == math.copysign(1.0, v)
@@ -61,15 +68,14 @@ def test_soft_threshold_properties(v, tau):
 
 def test_project_ball():
     v = np.array([3.0, 0.0, 4.0])  # norm 5
-    out = project_ball(v, 2.5)
+    out, outside = _project_ball(v, 2.5)
+    assert outside
     assert np.linalg.norm(out) == pytest.approx(2.5, rel=1e-14)
     assert out[1] == 0.0  # sparsity pattern kept
     assert out == pytest.approx(v * 0.5)
-    same = project_ball(v, 10.0)
-    assert np.array_equal(same, v) and same is not v
-    assert np.array_equal(project_ball(v, math.inf), v)
-    with pytest.raises(InputError):
-        project_ball(v, 0.0)
+    for radius in (5.0, 10.0, math.inf):  # on or inside the ball: unchanged
+        same, outside = _project_ball(v, radius)
+        assert not outside and np.array_equal(same, v)
 
 
 def brute_force_omega(g, theta, lam, step=1e-3):
@@ -111,12 +117,11 @@ def test_suboptimality_zero_at_origin_with_lambda0():
 
 @pytest.mark.parametrize("lam", [-0.5, math.inf, math.nan])
 def test_bad_penalty_level_has_one_message(lam):
-    # objective, suboptimality and proximal_gradient check it alike
+    # objective and suboptimality check it alike
     spec = random_spec(n=20, d=3, seed=2)
     message = f"penalty level must be a nonnegative real, got {lam}"
     for call in (lambda: objective(spec, np.zeros(3), lam),
-                 lambda: suboptimality(spec, np.zeros(3), lam),
-                 lambda: proximal_gradient(spec, np.zeros(3), lam, eps=1e-6)):
+                 lambda: suboptimality(spec, np.zeros(3), lam)):
         with pytest.raises(InputError) as exc:
             call()
         assert str(exc.value) == message
@@ -125,7 +130,7 @@ def test_bad_penalty_level_has_one_message(lam):
 def test_proximal_gradient_returns_warm_start_unchanged():
     spec = random_spec(n=50, d=4, seed=13)
     lam0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(4)))))
-    res = proximal_gradient(spec, np.zeros(4), lam0 * 1.01, eps=1e-9)
+    res = _one_stage(spec, np.zeros(4), lam0 * 1.01, eps=1e-9)
     assert res.iterations == 0
     assert res.exit_omega == 0.0
     assert np.array_equal(res.theta, np.zeros(4))
@@ -140,7 +145,7 @@ def test_pure_shrinkage_reaches_exact_zero():
                                                bandwidth=1.0))
     theta0 = np.array([0.95, -0.1, 0.4])
     lam, eta = 0.3, 1.0
-    res = proximal_gradient(spec, theta0, lam, eps=lam / 2, eta=eta)
+    res = _one_stage(spec, theta0, lam, eps=lam / 2, eta=eta)
     assert np.array_equal(res.theta, np.zeros(3))
     assert res.iterations == math.ceil(0.95 / (lam * eta))
     assert res.status == "converged"
@@ -150,10 +155,10 @@ def test_pure_shrinkage_reaches_exact_zero():
 def test_prox_step_fixed_point_at_zero():
     spec = random_spec(n=40, d=3, seed=8)
     lam0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(3)))))
-    out = proximal_gradient(spec, np.zeros(3), lam0, eps=0.0)
+    out = _one_stage(spec, np.zeros(3), lam0, eps=0.0)
     assert out.iterations == 0
     assert np.array_equal(out.theta, np.zeros(3))
-    moved = proximal_gradient(spec, np.zeros(3), lam0 * 0.5, eps=1e-8)
+    moved = _one_stage(spec, np.zeros(3), lam0 * 0.5, eps=1e-8)
     assert moved.iterations > 0 and np.any(moved.theta != 0.0)
 
 
@@ -228,8 +233,7 @@ def test_max_inner_iters_warns_with_status():
     spec = random_spec(n=100, d=5, seed=41)
     cfg_lam = 0.001
     with pytest.warns(ConvergenceWarning):
-        res = proximal_gradient(spec, np.zeros(5), cfg_lam, eps=1e-14,
-                                max_iters=3)
+        res = _one_stage(spec, np.zeros(5), cfg_lam, eps=1e-14, max_iters=3)
     assert res.status == "max_iter"
     assert res.iterations == 3
 
@@ -270,7 +274,7 @@ def test_one_margin_evaluation_per_candidate(monkeypatch):
                         counting("margins", SmoothedRiskSpec.margins))
     monkeypatch.setattr(optimizer, "objective",
                         counting("objective", optimizer.objective))
-    res = proximal_gradient(spec, np.zeros(4), 0.02, 1e-6, eta=50.0)
+    res = _one_stage(spec, np.zeros(4), 0.02, 1e-6, eta=50.0)
     assert res.iterations > 0
     # eta=50 forces step halvings, so some candidates are rejected
     assert counts["margins"] == counts["objective"] > res.iterations + 1
@@ -303,7 +307,7 @@ import numpy as np
 from smooth_threshold.errors import NumericError
 from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold import optimizer
-from smooth_threshold.optimizer import proximal_gradient
+from smooth_threshold.optimizer import PathConfig, path_following
 from smooth_threshold.risk import SmoothedRiskSpec
 from smooth_threshold.simulate import SimSpec, generate
 
@@ -311,7 +315,9 @@ data, _ = generate(SimSpec(model="conditional_mean", n=200, d=8, s=2, seed=3))
 spec = SmoothedRiskSpec(data, SurrogateLoss(get_kernel("gaussian"), 0.2))
 optimizer._BACKTRACK_SLACK = float("inf")  # accept every step: no backtracking
 try:
-    proximal_gradient(spec, np.zeros(8), 1e-3, 1e-9, eta=1e4, max_iters=50)
+    path_following(spec, PathConfig(lambda_tgt=1e-3, eps_tgt=1e-9, eta=1e4,
+                                    omega_radius=float("inf"),
+                                    max_inner_iters=50), lambdas=[1e-3])
 except NumericError as exc:
     print("NumericError:", exc)
 """
@@ -373,6 +379,14 @@ def test_config_validation():
         PathConfig(lambda_tgt=0.1, omega_radius=-2.0)
     with pytest.raises(InputError):
         PathConfig(lambda_tgt=0.1, max_inner_iters=0)
+    # unchecked, a zero radius or step runs the whole budget without
+    # progress; each refusal names its field
+    for kwargs, name in ((dict(eta=0.0), "eta"), (dict(eta=math.inf), "eta"),
+                         (dict(omega_radius=0.0), "omega_radius"),
+                         (dict(omega_radius=-1.0), "omega_radius"),
+                         (dict(max_inner_iters=-5), "max_inner_iters")):
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            PathConfig(lambda_tgt=0.1, **kwargs)
 
 
 def test_config_echo_reports_resolved_values():
@@ -422,8 +436,8 @@ def test_stage_margins_carried_to_next_stage(monkeypatch):
     monkeypatch.setattr(SmoothedRiskSpec, "margins",
                         counting("margins", SmoothedRiskSpec.margins))
     # the stage loop shrinks each candidate exactly once
-    monkeypatch.setattr(optimizer, "soft_threshold",
-                        counting("candidates", optimizer.soft_threshold))
+    monkeypatch.setattr(optimizer, "_soft_threshold",
+                        counting("candidates", optimizer._soft_threshold))
     path = path_following(spec, PathConfig(lambda_tgt=0.02, num_stages=6, eta=50.0))
     assert len(path.stages) == 7
     assert counts["candidates"] > sum(r.iterations for r in path.stages)
@@ -439,8 +453,8 @@ def test_margins_at_zero_are_y_times_x(d):
 
 
 def _geometric_path_oracle(spec, cfg):
-    """The geometric path rebuilt stage by stage from ``proximal_gradient``,
-    each stage's first trial step being the step the stage before carried."""
+    """The geometric path rebuilt stage by stage from ``_one_stage``, each
+    stage's first trial step being the step the stage before carried."""
     zero = np.zeros(spec.data.d)
     g0 = empirical_gradient(spec, zero)
     lam0 = float(np.max(np.abs(g0)))
@@ -453,8 +467,8 @@ def _geometric_path_oracle(spec, cfg):
     theta, step = zero, cfg.eta
     for t, lam in enumerate(lams, start=1):
         eps = cfg.nu * lam if t < num else eps_tgt
-        res = proximal_gradient(spec, theta, lam, eps, eta=step,
-                                radius=cfg.omega_radius)
+        res = _one_stage(spec, theta, lam, eps, eta=step,
+                         radius=cfg.omega_radius)
         theta, step = res.theta, res.step
         stages.append((t, lam, res.iterations, res.exit_omega, theta,
                        res.objective_trace, int(np.count_nonzero(theta)),
@@ -527,8 +541,8 @@ def test_step_kept_when_curvature_is_not_positive():
                             loss=SurrogateLoss(kernel=get_kernel("gaussian"),
                                                bandwidth=1.0))
     for eta in (1.0, 0.25):
-        res = proximal_gradient(spec, np.array([0.95, -0.1, 0.4]), 0.3,
-                                eps=0.15, eta=eta)
+        res = _one_stage(spec, np.array([0.95, -0.1, 0.4]), 0.3, eps=0.15,
+                         eta=eta)
         assert res.iterations == math.ceil(0.95 / (0.3 * eta)) > 1
         assert res.step == eta
 
@@ -562,7 +576,7 @@ def test_barzilai_borwein_step_is_clipped(monkeypatch):
 
     def one_step():
         with pytest.warns(ConvergenceWarning):
-            return proximal_gradient(spec, zero, lam, eps=1e-12, max_iters=1)
+            return _one_stage(spec, zero, lam, eps=1e-12, max_iters=1)
 
     res = one_step()
     assert res.iterations == 1
@@ -588,21 +602,6 @@ def test_adaptive_step_needs_fewer_iterations_than_fixed_step():
     path = path_following(spec, PathConfig(lambda_tgt=0.005))
     assert path.stages[-1].status == "converged"
     assert sum(rec.iterations for rec in path.stages) < _FIXED_STEP_ITERATIONS
-
-
-@pytest.mark.parametrize("kwargs, name", [
-    (dict(radius=0.0), "radius"), (dict(radius=-1.0), "radius"),
-    (dict(eta=0.0), "eta"), (dict(eta=math.inf), "eta"),
-    (dict(max_iters=-5), "max_iters"),
-], ids=["radius-zero", "radius-negative", "eta-zero", "eta-inf", "max-iters"])
-def test_proximal_gradient_refuses_what_path_config_refuses(kwargs, name):
-    # unchecked, a zero radius or step runs the whole budget without progress,
-    # and eta=inf fails with an error that names the soft threshold instead
-    data, _ = generate(SimSpec(model="binary_response", n=200, d=5, s=2, seed=3))
-    spec = SmoothedRiskSpec(data, SurrogateLoss(get_kernel("gaussian"), 0.5))
-    lam0 = float(np.max(np.abs(empirical_gradient(spec, np.zeros(5)))))
-    with pytest.raises(InputError, match=f"^{name} must be"):
-        proximal_gradient(spec, np.zeros(5), 0.3 * lam0, 1e-8, **kwargs)
 
 
 def _record_bytes(rec):

@@ -84,3 +84,13 @@ def test_only_the_parallel_module_spreads_work():
     assert {name: hits for name, hits in found.items()
             if hits[:2] != (set(), set())} == {}
     assert not found["risk"][2] and not found["tuning"][2]
+
+
+def test_the_stage_loop_has_one_way_in():
+    # path_following is the solver's entry; the single-stage entry, its
+    # argument checks and the loop's shrink and projection steps are not public
+    from smooth_threshold import optimizer
+    for name in ("proximal_gradient", "_check_solver", "soft_threshold",
+                 "project_ball"):
+        assert name not in smooth_threshold.__all__
+        assert not hasattr(optimizer, name)

@@ -67,6 +67,29 @@ def test_dataset_validation():
         Dataset(x=[], y=[], z=np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["x", "y", "z", "weights"])
+def test_non_finite_value_is_refused_at_either_end(name, bad, at):
+    # the first and last element of x, y, the weights and a column-major z
+    n = 6
+    arrays = {"x": np.linspace(-1.0, 1.0, n), "y": np.resize([1.0, -1.0], n),
+              "z": np.asfortranarray(np.arange(3.0 * n).reshape(n, 3)),
+              "weights": np.ones(n)}
+    arrays[name][(at,) * arrays[name].ndim] = bad
+    loss = SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=1.0)
+    with pytest.raises(InputError) as err:
+        data = Dataset(x=arrays["x"], y=arrays["y"], z=arrays["z"])
+        SmoothedRiskSpec(data=data, loss=loss, weights=arrays["weights"])
+    assert str(err.value) == f"{name} contains non-finite values"
+
+
+def test_empty_dataset_is_reported_as_empty():
+    for z in (np.zeros((0, 2)), np.zeros((0, 0))):
+        with pytest.raises(InputError, match="^dataset is empty$"):
+            Dataset(x=[], y=[], z=z)
+
+
 def test_dataset_is_immutable():
     data = Dataset(x=[1.0], y=[1.0], z=[[1.0, 2.0]])
     assert data.n == 1 and data.d == 2

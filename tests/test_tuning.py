@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smooth_threshold.errors import InputError, NumericError, read_settings
+from smooth_threshold.errors import (ConvergenceWarning, InputError, NumericError,
+                                    read_settings)
 from smooth_threshold.kernels import SurrogateLoss, get_kernel, make_higher_order_gaussian
 from smooth_threshold.optimizer import PathConfig, path_following, suboptimality
 from smooth_threshold.risk import (Dataset, SmoothedRiskSpec, empirical_gradient,
@@ -34,7 +35,7 @@ from smooth_threshold.tuning import (
     target_lambda,
     theoretical_bandwidth,
 )
-from smooth_threshold.simulate import SimSpec, gen_conditional_mean
+from smooth_threshold.simulate import SimSpec, gen_conditional_mean, generate
 
 from conftest import assert_no_child, log_call, logged, rng_for
 
@@ -256,10 +257,11 @@ class TestDefaultLambdaGrid:
 
     def test_parameter_validation(self):
         data = make_dataset()
-        with pytest.raises(InputError):
-            default_lambda_grid(data, GAUSS, 1.0, num=1)
-        with pytest.raises(InputError):
-            default_lambda_grid(data, GAUSS, 1.0, min_ratio=1.5)
+        for delta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="bandwidth"):
+                default_lambda_grid(data, GAUSS, delta)
+        with pytest.raises(InputError, match="weight"):
+            default_lambda_grid(data, GAUSS, 1.0, weights=np.ones(data.n + 1))
 
 
 class TestCrossValidation:
@@ -372,7 +374,7 @@ class TestCrossValidation:
         monkeypatch.setattr(tuning, "path_following", recording)
         for w in (None, rng_for(17).uniform(0.2, 3.0, size=data.n)):
             calls.clear()
-            grid = default_lambda_grid(data, GAUSS, 1.0, num=8, weights=w)
+            grid = default_lambda_grid(data, GAUSS, 1.0, weights=w)
             cv = cross_validate_lambda(data, GAUSS, 1.0, folds, grid, seed=2, weights=w)
             assert len(calls) == folds
             w_full = np.ones(data.n) if w is None else w
@@ -568,6 +570,52 @@ class TestLepskiProcedures:
                 f"{label} {v:g}: fit failed and is excluded from selection "
                 f"(synthetic failure)" for v in grid]
             assert_no_child()
+
+    @pytest.mark.parametrize("workers", ["in_turn", "forked"])
+    def test_fit_stopped_on_its_budget_is_excluded(self, request, workers):
+        # a grid fit whose last stage stops on its iteration budget fails like
+        # one that raised: warned about in grid order with its status, gap and
+        # tolerance, and left out of the selection; with no converged fit the
+        # call raises the one NumericError
+        request.getfixturevalue("forked_grid" if workers == "forked" else "fits_in_turn")
+        data, _ = generate(SimSpec(model="conditional_mean", n=300, d=16, s=2,
+                                   mu=2.0, noise_sd=0.1, seed=3))
+        cfg = PathConfig(lambda_tgt=1.0, max_inner_iters=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            delta_hat, _, fits = lepski_bandwidth(data, GAUSS, s=2, c_lambda=0.1,
+                                                  path_cfg=cfg)
+        assert_no_child()
+        ok = [f for f in fits if f.status == "ok"]
+        assert [f.grid_value for f in ok] == [1.0, 2.0 ** -6, 2.0 ** -9]
+        excluded = []
+        for fit in fits:
+            if fit.status == "ok":
+                continue
+            spec = SmoothedRiskSpec(data, SurrogateLoss(GAUSS, fit.delta))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                path = path_following(spec, replace(cfg, lambda_tgt=fit.lam))
+            last = path.stages[-1]
+            assert fit.theta is None and last.status == "max_iter"
+            assert fit.detail == (f"last stage max_iter with omega={last.exit_omega:.3e}"
+                                  f" > eps={path.config_echo.eps_tgt:.3e}")
+            excluded.append(f"bandwidth {fit.grid_value:g}: fit failed and is "
+                            f"excluded from selection ({fit.detail})")
+        assert len(excluded) == 7
+        assert [str(w.message) for w in caught if w.category is UserWarning] == excluded
+        assert delta_hat == select_lepski_bandwidth(ok, n=300, d=16, s=2, c_sel=2.0) == 1.0
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as failed:
+                lepski_sparsity(data, make_higher_order_gaussian(2), beta=2.0,
+                                c_delta=0.32, c_lambda=0.06, c_bar=1.0, path_cfg=cfg)
+        assert_no_child()
+        assert str(failed.value) == ("every sparsity level fit failed (1, 2, 4, 8); "
+                                     "nothing to select")
+        assert [str(w.message).split(":")[0] for w in caught if w.category is UserWarning] \
+            == ["sparsity level 1", "sparsity level 2", "sparsity level 4", "sparsity level 8"]
 
     def test_unusable_constants_are_refused_before_any_fork(self, monkeypatch, forked_grid):
         data = make_dataset(n=40, d=8, seed=6)
