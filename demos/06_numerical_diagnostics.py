@@ -66,7 +66,8 @@ lo = min(np.linalg.eigvalsh(a[np.ix_(s, s)])[0]
          for s in itertools.combinations(range(d), 2))
 hi = max(np.linalg.eigvalsh(a[np.ix_(s, s)])[-1]
          for s in itertools.combinations(range(d), 2))
-rho_minus, rho_plus, _ = restricted_curvature_probe(
+rep = restricted_curvature_probe(
     lambda th: 0.5 * float(th @ a @ th), 2, num_directions=800, seed=1, dim=d)
-print(f"  probe bracket  : [{rho_minus:.4f}, {rho_plus:.4f}]")
+print(f"  probe bracket  : [{rep.values['rho_minus']:.4f}, "
+      f"{rep.values['rho_plus']:.4f}]")
 print(f"  exact extremes : [{lo:.4f}, {hi:.4f}]")

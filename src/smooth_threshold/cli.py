@@ -83,7 +83,8 @@ class ColumnRoles:
 
 
 def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
-    """Read a header-first UTF-8 CSV into a Dataset.
+    """Read a header-first UTF-8 CSV into a Dataset; a leading byte-order
+    mark is skipped.
 
     Returns ``(dataset, weights, notes)``; ``weights`` is the weight column
     as an array, or None when ``roles.weight`` is unset.  The response
@@ -99,7 +100,7 @@ def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
     """
     roles = roles or ColumnRoles()
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
@@ -498,7 +499,7 @@ def _cmd_diagnose(args, config):
         if args.probe == "gradient":
             report = gradient_check(spec, np.zeros(data.d), step=args.step)
         else:
-            _, _, report = restricted_curvature_probe(
+            report = restricted_curvature_probe(
                 spec, args.support_size, num_directions=args.num_directions,
                 ball_radius=args.ball_radius, seed=args.seed, step=args.step)
     return [f"note: {n}" for n in notes] + report.lines(), []

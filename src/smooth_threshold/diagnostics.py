@@ -1,13 +1,13 @@
 """Numerical probes for the smoothed-risk machinery.
 
-Each probe measures one property the estimator relies on and returns a
-:class:`ProbeReport`: gradients against central differences, sampling
-variability of the empirical gradient around its population value, the
-smoothing bias of the gradient for the shifted-measurement model, and
-second-difference curvature over sparse directions.  Probes are deterministic
-given their seeds; reports hold only finite values so they can be printed and
-diffed verbatim.  ``PROBES`` and ``PROBE_DEFAULTS`` name what each probe
-reads on the command line.
+Each probe measures one property the estimator relies on and returns its
+:class:`ProbeReport`, which holds every number measured: gradients against
+central differences, sampling variability of the empirical gradient around
+its population value, the smoothing bias of the gradient for the
+shifted-measurement model, and second-difference curvature over sparse
+directions.  Probes are deterministic given their seeds; reports hold only
+finite values so they can be printed and diffed verbatim.  ``PROBES`` and
+``PROBE_DEFAULTS`` name what each probe reads on the command line.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def bias_probe(sim: SimSpec, kernel: Kernel, delta_grid, theta=None,
 def restricted_curvature_probe(spec, support_size: int,
                                num_directions: int = 500,
                                ball_radius: float = 1.0, seed: int = 0,
-                               step: float = 1e-3, dim: int | None = None):
+                               step: float = 1e-3, dim: int | None = None) -> ProbeReport:
     """Second-difference curvature of the risk over sparse directions.
 
     Samples sparse unit directions v and sparse base points theta with
@@ -349,8 +349,8 @@ def restricted_curvature_probe(spec, support_size: int,
 
         [f(theta + h v) - 2 f(theta) + f(theta - h v)] / h**2.
 
-    Returns ``(rho_minus, rho_plus, report)`` with the smallest and largest
-    observed values.  ``spec`` is a :class:`SmoothedRiskSpec`, or any
+    The report's values ``rho_minus`` and ``rho_plus`` are the smallest and
+    largest observed values.  ``spec`` is a :class:`SmoothedRiskSpec`, or any
     callable theta -> risk for probing the probe itself (pass ``dim`` then).
     Trials are drawn sequentially from the seed, so growing num_directions
     extends the sample without changing earlier draws.
@@ -401,6 +401,5 @@ def restricted_curvature_probe(spec, support_size: int,
               "step": step, "seed": int(seed)}
     values = {"rho_minus": rho_minus, "rho_plus": rho_plus,
               "mean_curvature": float(curvature.mean())}
-    report = ProbeReport("restricted_curvature_probe", inputs, values,
-                         notes=tuple(notes))
-    return rho_minus, rho_plus, report
+    return ProbeReport("restricted_curvature_probe", inputs, values,
+                       notes=tuple(notes))

@@ -10,12 +10,12 @@ of the step function, equal to 1/2 at u = 0 when K is symmetric.  Higher order
 kernels (vanishing moments beyond the first) trade positivity for smaller
 smoothing bias.
 
-Every built-in kernel has a closed-form tail, so fitting never integrates
-numerically.  ``scipy.integrate`` is imported only where quadrature runs:
-``kernel_moment``, ``verify_proper`` and the tail of a kernel declared
-without one.  ``scipy.special.ndtr`` is imported when a gaussian-family
-kernel is built (``get_kernel("gaussian")``, ``make_higher_order_gaussian``),
-and its tail keeps that function; importing this module loads numpy only.
+A kernel is its closed forms: every ``Kernel`` declares its tail, so fitting
+never integrates numerically.  ``scipy.integrate`` is imported only where
+quadrature runs, in ``kernel_moment`` and ``verify_proper``.
+``scipy.special.ndtr`` is imported when a gaussian-family kernel is built
+(``get_kernel("gaussian")``, ``make_higher_order_gaussian``), and its tail
+keeps that function; importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _positive_real
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -59,9 +59,8 @@ class Kernel:
         Upper bound on |K|.
     support_radius : float
         Half-width of the support; ``math.inf`` for full-line kernels.
-    tail : callable or None
-        Closed form for integral of K over [a, infinity) when available,
-        vectorized in a.  None falls back to adaptive quadrature.
+    tail : callable
+        Closed form for integral of K over [a, infinity), vectorized in a.
     """
 
     name: str
@@ -69,7 +68,7 @@ class Kernel:
     order: int
     sup_bound: float
     support_radius: float
-    tail: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    tail: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -90,21 +89,6 @@ def _quad(func, lo, hi):
     return integrate.quad(func, lo, hi, epsabs=_QUAD_TOL, limit=200, full_output=1)
 
 
-def _tail_by_quadrature(kernel: Kernel, a: float) -> float:
-    r = kernel.support_radius
-    if math.isfinite(r):
-        lo, hi = min(max(a, -r), r), r
-    else:
-        lo, hi = max(a, -_GAUSS_RANGE), _GAUSS_RANGE
-    if lo >= hi:
-        return 0.0
-    res = _quad(kernel.evaluate, lo, hi)
-    if len(res) > 3:
-        raise NumericError(f"tail quadrature for kernel {kernel.name!r} did not "
-                           f"converge at a={a}: {res[3]}")
-    return float(res[0])
-
-
 @dataclass(frozen=True)
 class SurrogateLoss:
     """Smoothed margin loss: ``value(u)`` integrates the kernel over [u/delta, inf).
@@ -117,20 +101,13 @@ class SurrogateLoss:
     bandwidth: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
+        _positive_real(self.bandwidth, "bandwidth")
 
     def value(self, u):
         arr = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InputError("margin must be finite")
-        scaled = arr / self.bandwidth
-        if self.kernel.tail is not None:
-            out = self.kernel.tail(scaled)
-        else:
-            quad_tail = np.frompyfunc(
-                lambda a: _tail_by_quadrature(self.kernel, a), 1, 1)
-            out = np.asarray(quad_tail(scaled), dtype=float)
+        out = self.kernel.tail(arr / self.bandwidth)
         if np.isscalar(u) or arr.ndim == 0:
             return float(out)
         return np.asarray(out, dtype=float)

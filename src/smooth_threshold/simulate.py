@@ -1,7 +1,8 @@
 """Synthetic data generators, a closed-form toy risk table, error metrics,
 and a repetition benchmark harness.
 
-Two model classes generate (x, y, z) with a known unit-norm target:
+``generate`` draws (x, y, z) from one of two model classes; the target
+theta* has its first s coordinates equal and positive and unit norm:
 
 * binary response: y = sign(x - theta'z + u) with Gaussian or logistic
   noise u, plus a noiseless variant (one_bit_noiseless),
@@ -10,7 +11,7 @@ Two model classes generate (x, y, z) with a known unit-norm target:
 ``toy_population_risks`` evaluates the scalar toy problem (Z on two atoms)
 where hinge and exponential surrogates point away from the 0-1 minimizer.
 
-All generators are pure functions of ``SimSpec``: the counter-based Philox
+``generate`` is a pure function of ``SimSpec``: the counter-based Philox
 generator keyed by ``spec.seed`` makes outputs bit-identical across runs
 and platforms.  Benchmark repetitions derive child seeds through
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=...)``.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,8 +38,6 @@ __all__ = [
     "ToyRiskTable",
     "BenchmarkRow",
     "BenchmarkResult",
-    "gen_binary_response",
-    "gen_conditional_mean",
     "generate",
     "toy_population_risks",
     "estimation_error",
@@ -69,10 +68,10 @@ _NOISES = ("gaussian", "logistic")
 class SimSpec:
     """Full description of one synthetic dataset.
 
-    ``theta_star`` defaults to the first ``s`` coordinates equal and
-    positive, normalized to unit Euclidean norm.  ``SIM_MODELS`` names the
-    parameters among ``mu``, ``noise_sd`` and ``noise`` that each model
-    reads.  ``noise`` selects the binary-response noise law: "gaussian"
+    ``theta_star`` is set from ``d`` and ``s``: the first ``s``
+    coordinates equal and positive, normalized to unit Euclidean norm.
+    ``SIM_MODELS`` names the parameters among ``mu``, ``noise_sd`` and
+    ``noise`` that each model reads.  ``noise`` selects the binary-response noise law: "gaussian"
     draws noise_sd * N(0,1), "logistic" draws noise_sd times a standard
     logistic variate (so noise_sd=1 gives the standard logistic
     distribution); the other models refuse "logistic", since they draw
@@ -86,7 +85,7 @@ class SimSpec:
     mu: float = SIM_DEFAULTS["mu"]
     noise_sd: float = SIM_DEFAULTS["noise_sd"]
     noise: str = SIM_DEFAULTS["noise"]
-    theta_star: Optional[np.ndarray] = None
+    theta_star: np.ndarray = field(init=False)
     seed: int = 0
 
     def __post_init__(self):
@@ -112,17 +111,8 @@ class SimSpec:
         if not float(seed).is_integer() or int(seed) < 0 or int(seed) >= 2 ** 64:
             raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         object.__setattr__(self, "seed", int(seed))
-        if self.theta_star is None:
-            theta = np.zeros(self.d)
-            theta[: self.s] = 1.0 / math.sqrt(self.s)
-        else:
-            theta = np.array(self.theta_star, dtype=float)
-            if theta.shape != (self.d,):
-                raise InputError(
-                    f"theta_star must have shape ({self.d},), got {theta.shape}"
-                )
-            if not np.all(np.isfinite(theta)):
-                raise InputError("theta_star must be finite")
+        theta = np.zeros(self.d)
+        theta[: self.s] = 1.0 / math.sqrt(self.s)
         theta.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
 
@@ -166,15 +156,13 @@ def _margins(x: np.ndarray, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return x - _row_dot(z, theta)
 
 
-def gen_binary_response(spec: SimSpec) -> Tuple[Dataset, np.ndarray]:
+def _gen_binary_response(spec: SimSpec) -> Dataset:
     """Draw the sign-response model y = sign(x - theta*'z + u).
 
     Draw order per attempt: z (row-major), then x, then u.  Rows with a
     zero margin (probability zero under continuous noise) are redrawn.
     one_bit_noiseless sets u = 0, so y depends on (x, z) alone.
     """
-    if spec.model not in ("binary_response", "one_bit_noiseless"):
-        raise InputError(f"expected a sign-response model, got {spec.model!r}")
     noiseless = spec.model == "one_bit_noiseless"
     rng = _rng(spec.seed)
 
@@ -197,30 +185,27 @@ def gen_binary_response(spec: SimSpec) -> Tuple[Dataset, np.ndarray]:
         z[tied], x[tied], u[tied] = z_new, x_new, u_new
         y[tied] = np.sign(_margins(x_new, z_new, spec.theta_star) + u_new)
         tied = np.flatnonzero(y == 0.0)
-    return Dataset(x=x, y=y, z=z), spec.theta_star
+    return Dataset(x=x, y=y, z=z)
 
 
-def gen_conditional_mean(spec: SimSpec) -> Tuple[Dataset, np.ndarray]:
+def _gen_conditional_mean(spec: SimSpec) -> Dataset:
     """Draw the shifted-measurement model x = mu y + theta*'z + u.
 
     Labels are uniform on {-1, +1}; draw order: y, then z (row-major),
     then u.
     """
-    if spec.model != "conditional_mean":
-        raise InputError(f"expected model 'conditional_mean', got {spec.model!r}")
     rng = _rng(spec.seed)
     y = rng.integers(0, 2, size=spec.n).astype(float) * 2.0 - 1.0
     z = rng.standard_normal((spec.n, spec.d))
     u = spec.noise_sd * rng.standard_normal(spec.n)
     x = spec.mu * y + _row_dot(z, spec.theta_star) + u
-    return Dataset(x=x, y=y, z=z), spec.theta_star
+    return Dataset(x=x, y=y, z=z)
 
 
 def generate(spec: SimSpec) -> Tuple[Dataset, np.ndarray]:
-    """Dispatch to the generator matching ``spec.model``."""
-    if spec.model == "conditional_mean":
-        return gen_conditional_mean(spec)
-    return gen_binary_response(spec)
+    """``(data, spec.theta_star)``, data drawn from ``spec.model``."""
+    draw = _gen_conditional_mean if spec.model == "conditional_mean" else _gen_binary_response
+    return draw(spec), spec.theta_star
 
 
 _TOY_ATOMS = (0.5, 5.0)

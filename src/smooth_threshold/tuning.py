@@ -323,9 +323,9 @@ def _select_lepski(
 
 def select_lepski_bandwidth(
     fits: Sequence[LepskiFit], n: int, d: int, s: int, c_sel: float
-) -> Optional[float]:
-    """Largest bandwidth whose fit stays within the deviation bound of all
-    fits at smaller (or equal) bandwidths.
+) -> Optional[LepskiFit]:
+    """The fit at the largest bandwidth that stays within the deviation
+    bound of all fits at smaller (or equal) bandwidths.
 
     The bound for comparator delta' is c_sel * sqrt(s log(d) / (n delta')).
     Failed fits are ignored.  Returns None when no successful fit is
@@ -333,25 +333,23 @@ def select_lepski_bandwidth(
     c_sel >= 0) only happens when every fit failed.
     """
     log_d = math.log(d)
-    best = _select_lepski(fits, lambda delta: -delta,
+    return _select_lepski(fits, lambda delta: -delta,
                           lambda delta: c_sel * math.sqrt(s * log_d / (n * delta)))
-    return None if best is None else float(best.grid_value)
 
 
 def select_lepski_sparsity(
     fits: Sequence[LepskiFit], n: int, d: int, beta: float, c_bar: float
-) -> Optional[int]:
-    """Smallest sparsity level whose fit stays within the deviation bound
-    of all fits at larger (or equal) levels.
+) -> Optional[LepskiFit]:
+    """The fit at the smallest sparsity level that stays within the
+    deviation bound of all fits at larger (or equal) levels.
 
     The bound for comparator s' is c_bar * (s' log(d) / n)**(beta / (2 beta + 1)).
     Failed fits are ignored; None means every fit failed.
     """
     log_d = math.log(d)
     expo = beta / (2.0 * beta + 1.0)
-    best = _select_lepski(fits, lambda level: level,
+    return _select_lepski(fits, lambda level: level,
                           lambda level: c_bar * (level * log_d / n) ** expo)
-    return None if best is None else int(best.grid_value)
 
 
 def _lepski(
@@ -362,14 +360,15 @@ def _lepski(
     grid_values: Sequence[float],
     schedule: Callable[[float], Tuple[float, float]],
     label: str,
-    select: Callable[[Sequence[LepskiFit]], Optional[float]],
+    select: Callable[[Sequence[LepskiFit]], Optional[LepskiFit]],
 ) -> Tuple[float, np.ndarray, List[LepskiFit]]:
     """Fit one path per grid value at its ``schedule`` (delta, lambda), warn
-    about and exclude failed fits, and ``select``.  A fit fails when it
-    raises or when its last stage does not converge.  Every value's risk and
-    ``PathConfig`` are built, and so checked, before any fit; each value is
-    fitted once.  A fit lies within its own bound, so nothing is selected
-    only when every fit failed: one ``NumericError`` naming the grid.
+    about and exclude failed fits, and return the grid value and theta of the
+    fit ``select`` chose, with every fit.  A fit fails when it raises or when
+    its last stage does not converge.  Every value's risk and ``PathConfig``
+    are built, and so checked, before any fit; each value is fitted once.  A
+    fit lies within its own bound, so nothing is selected only when every fit
+    failed: one ``NumericError`` naming the grid.
     """
     base = path_cfg or _DEFAULT_CONFIG
     planned = {}
@@ -410,8 +409,7 @@ def _lepski(
         raise NumericError(
             f"every {label} fit failed "
             f"({', '.join(f'{v:g}' for v in grid_values)}); nothing to select")
-    theta = next(f.theta for f in fits if f.status == "ok" and f.grid_value == chosen)
-    return chosen, theta, fits
+    return chosen.grid_value, chosen.theta, fits
 
 
 def lepski_bandwidth(

@@ -384,8 +384,9 @@ def test_probe_scaling_laws():
 
     a, risk = _quadratic_instance()
     lo, hi = _sparse_extremes(a, 2)
-    rho_minus, rho_plus, _ = restricted_curvature_probe(
-        risk, 2, num_directions=800, ball_radius=1.0, seed=1, dim=6)
+    curvature = restricted_curvature_probe(
+        risk, 2, num_directions=800, ball_radius=1.0, seed=1, dim=6).values
+    rho_minus, rho_plus = curvature["rho_minus"], curvature["rho_plus"]
     err_lo = abs(rho_minus - lo) / abs(lo)
     err_hi = abs(rho_plus - hi) / abs(hi)
 

@@ -1186,7 +1186,12 @@ class TestErrorRecords:
          "lambda0 must be a nonnegative real, got nan"),
         (["--tune", "lepski-s", "--beta", "2", "--c-delta", "1e-322"],
          "the penalty target c_lambda * sqrt(log(d) / (n delta)) overflows at delta = "),
-    ], ids=["eps_tgt", "lambda_tgt", "lambda0", "lepski_penalty"])
+        (["--delta", "inf", "--lambda-tgt", "0.1"],
+         "bandwidth must be a positive real, got inf"),
+        (["--delta", "nan", "--lambda-tgt", "0.1"],
+         "bandwidth must be a positive real, got nan"),
+    ], ids=["eps_tgt", "lambda_tgt", "lambda0", "lepski_penalty", "delta_inf",
+            "delta_nan"])
     def test_penalty_or_tolerance_not_finite_is_bad_input(self, flags, message,
                                                           sim_csv, capsys):
         code, out, err = run_cli(["fit", "--input", sim_csv, *flags], capsys)

@@ -82,6 +82,23 @@ class TestProbeReport:
         ]
 
 
+def test_every_probe_returns_its_report():
+    # each probe's numbers live in its report's values, and nowhere else
+    sim = SimSpec(model="conditional_mean", n=60, d=4, s=2, noise_sd=1.0, seed=2)
+    gauss = get_kernel("gaussian")
+    spec = SmoothedRiskSpec(generate(sim)[0], SurrogateLoss(gauss, 0.5))
+    reports = {
+        "rho_minus": restricted_curvature_probe(spec, 2, num_directions=5),
+        "max_relative_deviation": gradient_check(spec, np.zeros(4)),
+        "mean_sup_deviation": variance_probe(sim, gauss, [0.5, 0.25],
+                                             repetitions=2, n_pop=200),
+        "max_abs_bias": bias_probe(sim, gauss, [0.5, 0.25], num_directions=3),
+    }
+    for key, rep in reports.items():
+        assert type(rep) is ProbeReport
+        assert key in rep.values
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("kernel", ["gaussian", "gaussian-order-2",
                                         "gaussian-order-4", "gaussian-order-6"])
@@ -291,12 +308,12 @@ class TestCurvatureProbe:
         # all supports give the truth
         a, risk = quadratic_instance()
         lo, hi = sparse_extremes(a, 2)
-        rho_minus, rho_plus, rep = restricted_curvature_probe(
+        rep = restricted_curvature_probe(
             risk, 2, num_directions=800, ball_radius=1.0, seed=1, dim=6)
+        rho_minus, rho_plus = rep.values["rho_minus"], rep.values["rho_plus"]
         assert rho_minus == pytest.approx(lo, rel=0.05)
         assert rho_plus == pytest.approx(hi, rel=0.05)
         assert rho_minus >= lo - 1e-8 and rho_plus <= hi + 1e-8
-        assert rep.values["rho_minus"] == rho_minus
         assert rep.notes == ()
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -305,9 +322,10 @@ class TestCurvatureProbe:
         lo, hi = sparse_extremes(a, 2)
         errors = []
         for count in (50, 200, 800):
-            rho_minus, rho_plus, _ = restricted_curvature_probe(
-                risk, 2, num_directions=count, seed=seed, dim=6)
-            errors.append((abs(rho_minus - lo), abs(rho_plus - hi)))
+            values = restricted_curvature_probe(
+                risk, 2, num_directions=count, seed=seed, dim=6).values
+            errors.append((abs(values["rho_minus"] - lo),
+                           abs(values["rho_plus"] - hi)))
         for prev, nxt in zip(errors, errors[1:]):
             assert nxt[0] <= prev[0]
             assert nxt[1] <= prev[1]
@@ -325,18 +343,18 @@ class TestCurvatureProbe:
                       noise_sd=1.0, seed=17)
         data, _ = generate(sim)
         spec = SmoothedRiskSpec(data, SurrogateLoss(get_kernel("gaussian"), 1.0))
-        rho_minus, rho_plus, rep = restricted_curvature_probe(
+        rep = restricted_curvature_probe(
             spec, 10, num_directions=200, ball_radius=1.0, seed=3)
-        assert rho_minus > 0
-        assert rho_plus >= rho_minus
+        assert rep.values["rho_minus"] > 0
+        assert rep.values["rho_plus"] >= rep.values["rho_minus"]
         assert rep.notes == ()
 
     def test_concave_risk_is_not_certified(self):
-        rho_minus, rho_plus, rep = restricted_curvature_probe(
+        rep = restricted_curvature_probe(
             lambda th: -0.5 * float(th @ th), 2, num_directions=50, seed=0,
             dim=4)
-        assert rho_minus == pytest.approx(-1.0, abs=1e-6)
-        assert rho_plus == pytest.approx(-1.0, abs=1e-6)
+        assert rep.values["rho_minus"] == pytest.approx(-1.0, abs=1e-6)
+        assert rep.values["rho_plus"] == pytest.approx(-1.0, abs=1e-6)
         assert any("not certified" in s for s in rep.notes)
 
     def test_callable_requires_dim(self):
@@ -359,7 +377,7 @@ class TestCurvatureProbe:
         _, risk = quadratic_instance()
         a1 = restricted_curvature_probe(risk, 2, num_directions=40, seed=6, dim=6)
         a2 = restricted_curvature_probe(risk, 2, num_directions=40, seed=6, dim=6)
-        assert a1[:2] == a2[:2]
+        assert a1.values == a2.values
 
 
 class TestBiasVarianceCrossover:

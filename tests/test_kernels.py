@@ -135,30 +135,17 @@ def test_verify_proper_rejects_asymmetric_candidate():
         t = np.asarray(t, dtype=float)
         return np.where(t > 0, np.exp(-np.clip(t, 0, None)), 0.0)
 
+    def tail(a):
+        return np.exp(-np.clip(np.asarray(a, dtype=float), 0, None))
+
     cand = Kernel(name="one-sided-exp", evaluate=one_sided, order=1,
-                  sup_bound=1.0, support_radius=math.inf)
+                  sup_bound=1.0, support_radius=math.inf, tail=tail)
     report = verify_proper(cand)
     assert not report.passed
     assert not report.checks["symmetric"][0]
     assert not report.checks["moment_1_vanishes"][0]
     # mass is still one, so that check alone is not enough
     assert report.checks["unit_mass"][0]
-
-
-def test_quadrature_tail_fallback_matches_exact_triangle():
-    def triangle(t):
-        t = np.asarray(t, dtype=float)
-        return np.maximum(1.0 - np.abs(t), 0.0)
-
-    k = Kernel(name="triangle", evaluate=triangle, order=1, sup_bound=1.0,
-               support_radius=1.0)
-    assert k.tail is None
-    loss = SurrogateLoss(kernel=k, bandwidth=1.0)
-    # for a in [0, 1]: tail = (1 - a)^2 / 2
-    assert loss.value(0.4) == pytest.approx(0.18, abs=1e-9)
-    assert loss.value(-0.5) == pytest.approx(1 - 0.125, abs=1e-9)
-    assert loss.value(2.0) == 0.0
-    assert loss.value(-8.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_moment_oracle_values():
@@ -173,9 +160,14 @@ def test_moment_oracle_values():
 
 
 def test_bandwidth_validation():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InputError):
+    # the positive-real rule and message of every other constant
+    for bad, shown in ((0.0, "0.0"), (-1, "-1.0"), (math.nan, "nan"),
+                       (math.inf, "inf")):
+        with pytest.raises(InputError) as refused:
             SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=bad)
+        assert str(refused.value) == f"bandwidth must be a positive real, got {shown}"
+    # checked only: the value is kept as given
+    assert type(SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=2).bandwidth) is int
 
 
 @settings(max_examples=60, deadline=None)

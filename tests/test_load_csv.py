@@ -204,6 +204,26 @@ def test_quoted_cell_goes_straight_to_row_parser(tmp_path, loadtxt_calls):
     assert quoted[3] == original.z.tobytes()
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["fast_path", "row_path"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, quoted):
+    # spreadsheet programs often start a UTF-8 file with EF BB BF; the mark
+    # is not part of the first column's name, on either parser
+    text = 'y,x,z1,z2\n1,0.5,0.25,-1\n0,0.2,0.5,2e-3\n1,-0.1,"3",4\n'
+    if not quoted:
+        text = text.replace('"', "")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    row_parser_calls = []
+    real = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda *args: row_parser_calls.append(
+        args) or real(*args))
+    loaded = outcome(marked, None, ",")
+    assert len(row_parser_calls) == quoted
+    assert loaded == outcome(plain, None, ",")
+    assert loaded[-1] == ["response column 'y' coded {0,1}: 0 mapped to -1"]
+
+
 def test_quoted_header_keeps_the_fast_path(tmp_path, loadtxt_calls,
                                            no_row_parser):
     path = tmp_path / "header.csv"

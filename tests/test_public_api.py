@@ -1,9 +1,14 @@
 """The package's public surface and source: every exported name resolves,
 no check in the source is an ``assert``, only ``_parallel`` spreads work
-over threads and processes, and no CLI handler writes a file."""
+over threads and processes, no CLI handler writes a file, and each job has
+one way in."""
 
 import ast
+import math
 import pathlib
+
+import numpy as np
+import pytest
 
 import smooth_threshold
 from smooth_threshold import cli
@@ -94,3 +99,24 @@ def test_the_stage_loop_has_one_way_in():
                  "project_ball"):
         assert name not in smooth_threshold.__all__
         assert not hasattr(optimizer, name)
+
+
+def test_a_kernel_is_its_closed_forms():
+    # a kernel declares its tail; no quadrature stands in for a missing one
+    from smooth_threshold import kernels
+    with pytest.raises(TypeError, match="tail"):
+        kernels.Kernel(name="gaussian", evaluate=np.exp, order=1,
+                       sup_bound=1.0, support_radius=math.inf)
+    assert not hasattr(kernels, "_tail_by_quadrature")
+
+
+def test_generate_is_the_one_simulator_with_its_one_target():
+    # SimSpec sets theta_star from d and s, and generate is the only way to
+    # draw from a model
+    from smooth_threshold import simulate
+    with pytest.raises(TypeError, match="theta_star"):
+        simulate.SimSpec(model="binary_response", n=5, d=3, s=1,
+                         theta_star=np.ones(3))
+    for name in ("gen_binary_response", "gen_conditional_mean"):
+        assert name not in simulate.__all__
+        assert not hasattr(simulate, name)

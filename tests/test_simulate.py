@@ -22,8 +22,6 @@ from smooth_threshold.simulate import (
     BenchmarkRow,
     SimSpec,
     estimation_error,
-    gen_binary_response,
-    gen_conditional_mean,
     generate,
     run_benchmark,
     top_support,
@@ -54,11 +52,6 @@ class TestSimSpec:
         assert abs(np.linalg.norm(spec.theta_star) - 1.0) < 1e-12
         assert spec.theta_star.flags.writeable is False
 
-    def test_custom_target_kept_verbatim(self):
-        theta = np.array([2.0, 0.0, -1.0])
-        spec = SimSpec(model="binary_response", n=5, d=3, s=1, theta_star=theta)
-        assert np.array_equal(spec.theta_star, theta)
-
     def test_validation(self):
         with pytest.raises(InputError, match="model"):
             SimSpec(model="linear", n=5, d=3, s=1)
@@ -70,8 +63,6 @@ class TestSimSpec:
             SimSpec(model="binary_response", n=5, d=3, s=1, noise="cauchy")
         with pytest.raises(InputError, match="seed"):
             SimSpec(model="binary_response", n=5, d=3, s=1, seed=-1)
-        with pytest.raises(InputError, match="theta_star"):
-            SimSpec(model="binary_response", n=5, d=3, s=1, theta_star=np.ones(4))
 
     def test_noiseless_model_allows_zero_sd(self):
         spec = SimSpec(model="one_bit_noiseless", n=5, d=3, s=1, noise_sd=0.0)
@@ -89,33 +80,33 @@ class TestSimSpec:
 class TestGenerators:
     def test_binary_response_shapes_and_labels(self):
         spec = SimSpec(model="binary_response", n=200, d=6, s=2, seed=4)
-        data, theta_star = gen_binary_response(spec)
+        data, theta_star = generate(spec)
         assert data.x.shape == (200,) and data.z.shape == (200, 6)
         assert set(np.unique(data.y)) <= {-1.0, 1.0}
         assert theta_star is spec.theta_star
 
     def test_fixed_seed_is_bit_exact(self):
         spec = SimSpec(model="binary_response", n=100, d=5, s=2, seed=77)
-        a, _ = gen_binary_response(spec)
-        b, _ = gen_binary_response(spec)
+        a, _ = generate(spec)
+        b, _ = generate(spec)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.z, b.z)
-        c, _ = gen_binary_response(
+        c, _ = generate(
             SimSpec(model="binary_response", n=100, d=5, s=2, seed=78)
         )
         assert not np.array_equal(a.z, c.z)
 
     def test_one_bit_noiseless_labels_exact(self):
         spec = SimSpec(model="one_bit_noiseless", n=300, d=6, s=2, seed=3)
-        data, theta_star = gen_binary_response(spec)
+        data, theta_star = generate(spec)
         margins = data.x - data.z @ theta_star
         assert np.array_equal(data.y, np.sign(margins))
 
     def test_logistic_noise_changes_draw(self):
         base = dict(model="binary_response", n=4000, d=2, s=1, seed=9, noise_sd=1.0)
-        g, _ = gen_binary_response(SimSpec(noise="gaussian", **base))
-        l, _ = gen_binary_response(SimSpec(noise="logistic", **base))
+        g, _ = generate(SimSpec(noise="gaussian", **base))
+        l, _ = generate(SimSpec(noise="logistic", **base))
         # same x, z stream; labels flip more often under the heavier noise
         assert np.array_equal(g.x, l.x) and np.array_equal(g.z, l.z)
         assert not np.array_equal(g.y, l.y)
@@ -126,7 +117,7 @@ class TestGenerators:
 
     def test_conditional_mean_margin_dominates_noise(self):
         spec = SimSpec(model="conditional_mean", n=2000, d=8, s=3, seed=5)
-        data, theta_star = gen_conditional_mean(spec)
+        data, theta_star = generate(spec)
         agree = np.mean(data.y == np.sign(data.x - data.z @ theta_star))
         assert agree == 1.0  # P(flip) = Phi(-mu/noise_sd) = Phi(-20)
 
@@ -136,7 +127,7 @@ class TestGenerators:
         hits = 0
         for seed in range(100):
             spec = SimSpec(model="conditional_mean", n=n, d=2, s=1, seed=seed)
-            data, _ = gen_conditional_mean(spec)
+            data, _ = generate(spec)
             if abs(np.mean(data.y == 1.0) - 0.5) <= bound:
                 hits += 1
         assert hits >= 95
@@ -146,17 +137,13 @@ class TestGenerators:
             spec = SimSpec(model=model, n=20, d=3, s=1, seed=0)
             data, _ = generate(spec)
             assert data.n == 20
-        with pytest.raises(InputError):
-            gen_conditional_mean(SimSpec(model="binary_response", n=5, d=2, s=1))
-        with pytest.raises(InputError):
-            gen_binary_response(SimSpec(model="conditional_mean", n=5, d=2, s=1))
 
     def test_target_is_zero_one_risk_minimizer(self):
         # at theta* only the noise flips labels; any unit-distance deviation
         # misclassifies a positive-probability slab
         wins = 0
         for rep in range(20):
-            data, theta_star = gen_binary_response(
+            data, theta_star = generate(
                 SimSpec(model="binary_response", n=5000, d=6, s=2, seed=1000 + rep)
             )
             rng = rng_for(rep)

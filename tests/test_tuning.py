@@ -35,7 +35,7 @@ from smooth_threshold.tuning import (
     target_lambda,
     theoretical_bandwidth,
 )
-from smooth_threshold.simulate import SimSpec, gen_conditional_mean, generate
+from smooth_threshold.simulate import SimSpec, generate
 
 from conftest import assert_no_child, log_call, logged, rng_for
 
@@ -346,7 +346,7 @@ class TestCrossValidation:
         # n=400, d=50, s=5: the one-SE rule backs off from the minimizer and
         # the full-data fit at lambda_1se recovers the true support exactly
         spec = SimSpec(model="conditional_mean", n=400, d=50, s=5, seed=20260815)
-        data, theta_star = gen_conditional_mean(spec)
+        data, theta_star = generate(spec)
         grid = default_lambda_grid(data, GAUSS, 1.0)
         cv = cross_validate_lambda(data, GAUSS, 1.0, 5, grid, seed=101)
         assert cv.lambda_1se >= cv.lambda_min
@@ -429,17 +429,21 @@ def synthetic_fits(kind, thetas):
 class TestLepskiSelection:
     def test_identical_fits_pick_extremes(self):
         thetas = [np.array([0.3, -0.2])] * 5
-        assert select_lepski_bandwidth(synthetic_fits("bandwidth", thetas), 100, 10, 2, 2.0) == 1.0
-        assert select_lepski_sparsity(synthetic_fits("sparsity", thetas), 100, 10, 1.0, 2.0) == 1
+        fits_b = synthetic_fits("bandwidth", thetas)
+        assert select_lepski_bandwidth(fits_b, 100, 10, 2, 2.0) is fits_b[0]
+        assert fits_b[0].grid_value == 1.0
+        fits_s = synthetic_fits("sparsity", thetas)
+        assert select_lepski_sparsity(fits_s, 100, 10, 1.0, 2.0) is fits_s[0]
+        assert fits_s[0].grid_value == 1
 
     def test_zero_constant_with_distinct_fits(self):
         # with a zero constant every cross-fit bound fails, so only the most
         # conservative grid point (compared solely against itself) survives
         thetas = [np.array([float(i), 0.0]) for i in range(4)]
         fits_b = synthetic_fits("bandwidth", thetas)
-        assert select_lepski_bandwidth(fits_b, 100, 10, 2, 0.0) == min(f.grid_value for f in fits_b)
+        assert select_lepski_bandwidth(fits_b, 100, 10, 2, 0.0) is fits_b[-1]
         fits_s = synthetic_fits("sparsity", thetas)
-        assert select_lepski_sparsity(fits_s, 100, 10, 1.0, 0.0) == max(f.grid_value for f in fits_s)
+        assert select_lepski_sparsity(fits_s, 100, 10, 1.0, 0.0) is fits_s[-1]
 
     def test_bandwidth_bound_uses_comparator_scale(self):
         # distances sit between the bounds at delta'=1 and delta'=1/2, so the
@@ -453,13 +457,13 @@ class TestLepskiSelection:
             theta0 + np.array([gap_big, 0.0, 0.0]),
             theta0 + np.array([gap_big, 0.0, 0.0]),
         ])
-        assert select_lepski_bandwidth(fits, n, d, s, 1.0) == 0.5
+        assert select_lepski_bandwidth(fits, n, d, s, 1.0).grid_value == 0.5
 
     def test_failed_fits_are_skipped(self):
         thetas = [np.array([0.0, 0.0])] * 3
         fits = synthetic_fits("bandwidth", thetas)
         fits[0] = replace(fits[0], theta=None, status="failed", detail="boom")
-        assert select_lepski_bandwidth(fits, 100, 10, 2, 2.0) == 0.5
+        assert select_lepski_bandwidth(fits, 100, 10, 2, 2.0) is fits[1]
 
     def test_empty_when_all_failed(self):
         fits = [
@@ -475,9 +479,9 @@ class TestLepskiSelection:
             fits_b = synthetic_fits("bandwidth", thetas)
             fits_s = synthetic_fits("sparsity", thetas)
             consts = [0.0, 0.3, 0.8, 1.5, 3.0, 8.0]
-            deltas = [select_lepski_bandwidth(fits_b, 200, 30, 3, c) for c in consts]
+            deltas = [select_lepski_bandwidth(fits_b, 200, 30, 3, c).grid_value for c in consts]
             assert np.all(np.diff(deltas) >= 0)
-            esses = [select_lepski_sparsity(fits_s, 200, 30, 1.0, c) for c in consts]
+            esses = [select_lepski_sparsity(fits_s, 200, 30, 1.0, c).grid_value for c in consts]
             assert np.all(np.diff(esses) <= 0)
 
 
@@ -487,7 +491,7 @@ class TestLepskiProcedures:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             delta_hat, theta, fits = lepski_bandwidth(data, GAUSS, s=2)
-        assert delta_hat == 1.0
+        assert delta_hat == 1.0 and type(delta_hat) is float
         assert np.all(theta == 0.0)
         assert len(fits) == len(build_lepski_grid("bandwidth", 24))
         assert all(f.status == "ok" for f in fits)
@@ -498,7 +502,7 @@ class TestLepskiProcedures:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s_hat, theta, fits = lepski_sparsity(data, k2, beta=2.0)
-        assert s_hat == 1
+        assert s_hat == 1 and type(s_hat) is int
         assert np.all(theta == 0.0)
         # d = 8 is a sandwich tie (4 <= 8 <= 8 and 8 <= 8 <= 16); smaller m wins
         assert [f.grid_value for f in fits] == [1, 2, 4]
@@ -583,8 +587,8 @@ class TestLepskiProcedures:
         cfg = PathConfig(lambda_tgt=1.0, max_inner_iters=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            delta_hat, _, fits = lepski_bandwidth(data, GAUSS, s=2, c_lambda=0.1,
-                                                  path_cfg=cfg)
+            delta_hat, theta, fits = lepski_bandwidth(data, GAUSS, s=2, c_lambda=0.1,
+                                                      path_cfg=cfg)
         assert_no_child()
         ok = [f for f in fits if f.status == "ok"]
         assert [f.grid_value for f in ok] == [1.0, 2.0 ** -6, 2.0 ** -9]
@@ -604,7 +608,9 @@ class TestLepskiProcedures:
                             f"excluded from selection ({fit.detail})")
         assert len(excluded) == 7
         assert [str(w.message) for w in caught if w.category is UserWarning] == excluded
-        assert delta_hat == select_lepski_bandwidth(ok, n=300, d=16, s=2, c_sel=2.0) == 1.0
+        chosen = select_lepski_bandwidth(ok, n=300, d=16, s=2, c_sel=2.0)
+        assert delta_hat == chosen.grid_value == 1.0
+        assert np.array_equal(theta, chosen.theta)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
