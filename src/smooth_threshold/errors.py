@@ -19,27 +19,39 @@ class ConvergenceWarning(UserWarning):
     """Emitted when an iterative routine stops on a budget rather than its tolerance."""
 
 
+def _real(value, name: str) -> float:
+    """``float(value)``, or an ``InputError`` naming ``name`` where that fails."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _integer(value, name: str, least: int, kind: str) -> int:
+    number = _real(value, name)
+    if not number.is_integer() or number < least:
+        raise InputError(f"{name} must be a {kind} integer, got {value!r}")
+    # an int keeps every digit, which float() would round beyond 2**53
+    return int(value) if isinstance(value, (int, np.integer)) else int(number)
+
+
 def _positive_int(value, name: str) -> int:
-    if not float(value).is_integer() or int(value) < 1:
-        raise InputError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    return _integer(value, name, 1, "positive")
 
 
 def _nonneg_int(value, name: str) -> int:
-    if not float(value).is_integer() or int(value) < 0:
-        raise InputError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
+    return _integer(value, name, 0, "nonnegative")
 
 
 def _positive_real(value, name: str) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise InputError(f"{name} must be a positive real, got {value!r}")
     return value
 
 
 def _nonneg_real(value, name: str) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not math.isfinite(value) or value < 0.0:
         raise InputError(f"{name} must be a nonnegative real, got {value!r}")
     return value

@@ -13,15 +13,23 @@ smoothing bias.
 A kernel is its closed forms: every ``Kernel`` declares its tail, so fitting
 never integrates numerically.  ``scipy.integrate`` is imported only where
 quadrature runs, in ``kernel_moment`` and ``verify_proper``.
-``scipy.special.ndtr`` is imported when a gaussian-family kernel is built
-(``get_kernel("gaussian")``, ``make_higher_order_gaussian``), and its tail
-keeps that function; importing this module loads numpy only.
+A gaussian-family kernel (``get_kernel("gaussian")``,
+``make_higher_order_gaussian``) binds scipy's ``ndtr`` ufunc when it is
+built, and its tail keeps it.  ``_ndtr`` loads that ufunc from the one
+extension that defines it, so a fit never runs ``scipy.special``'s
+``__init__`` and its array-API layer, which cost far more time and memory
+than the extension; the ufunc is ``scipy.special.ndtr`` itself, so tails
+keep their bits.  Importing this module loads numpy only.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable
 
 import numpy as np
@@ -36,6 +44,35 @@ _GAUSS_RANGE = 12.0
 _QUAD_TOL = 1e-10
 # largest residual of unit mass or of a vanishing moment in verify_proper
 _PROPER_TOL = 1e-8
+
+
+# the extension that defines scipy.special.ndtr; older scipy releases keep
+# ndtr in _ufuncs, which does not load alone
+_NDTR_EXTENSION = "scipy.special._special_ufuncs"
+
+
+def _ndtr():
+    """scipy's ``ndtr`` ufunc, the standard normal cdf, loaded from
+    ``_NDTR_EXTENSION`` without importing ``scipy.special``.
+
+    The module stays in ``sys.modules``, so a later ``import scipy.special``
+    reuses it and ``scipy.special.ndtr is _ndtr()``.
+    """
+    module = sys.modules.get(_NDTR_EXTENSION)
+    if module is None:
+        import scipy
+
+        finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "special"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_NDTR_EXTENSION)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_NDTR_EXTENSION] = module
+    ndtr = getattr(module, "ndtr", None)
+    if ndtr is None:  # no such extension, or no ndtr in it
+        from scipy.special import ndtr
+    return ndtr
 
 
 def _phi(t):
@@ -101,7 +138,7 @@ class SurrogateLoss:
     bandwidth: float
 
     def __post_init__(self):
-        _positive_real(self.bandwidth, "bandwidth")
+        object.__setattr__(self, "bandwidth", _positive_real(self.bandwidth, "bandwidth"))
 
     def value(self, u):
         arr = np.asarray(u, dtype=float)
@@ -188,7 +225,7 @@ def make_higher_order_gaussian(order: int) -> Kernel:
     """
     if order < 2 or order % 2 != 0:
         raise InputError(f"order must be a positive even integer, got {order}")
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     half = order // 2
     # M[i, j] = integral of t^(2i) * t^(2j) * phi(t) dt = (2(i+j) - 1)!!
@@ -232,7 +269,7 @@ def make_higher_order_gaussian(order: int) -> Kernel:
 
 
 def _gaussian_kernel() -> Kernel:
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     def tail(a):
         return ndtr(-np.asarray(a, dtype=float))

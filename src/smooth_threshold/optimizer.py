@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (ConvergenceWarning, InputError, NumericError, _nonneg_real,
-                     _positive_int, _positive_real)
+                     _positive_int, _positive_real, _real)
 from .risk import (SmoothedRiskSpec, empirical_gradient, objective, _check_theta,
                    _l2_norm)
 
@@ -75,7 +75,10 @@ class PathConfig:
     ``_MAX_STAGES`` stages, given or implied by ``phi``, is bad input, and
     so are a ``lambda_tgt`` or given ``eps_tgt`` that is not a positive
     finite real and a given ``lambda0`` that is not a nonnegative finite
-    one; only ``omega_radius`` may be inf.  ``lambda0 = None`` resolves to
+    one; only ``omega_radius`` may be inf.  Each field keeps the number it
+    was checked as, a float or for a count an int, so a string such as
+    ``"0.01"`` fits as its float does and a non-number is bad input.
+    ``lambda0 = None`` resolves to
     ||grad risk(0)||_inf, the smallest penalty whose solution is exactly 0.
     ``eps_tgt = None`` resolves to 0.1 * nu * lambda_tgt.  ``eta`` is the
     first trial step of the first stage; later trial steps are
@@ -96,27 +99,34 @@ class PathConfig:
     max_inner_iters: int = 10000
 
     def __post_init__(self):
-        _positive_real(self.lambda_tgt, "lambda_tgt")
+        def store(name, check):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+
+        store("lambda_tgt", _positive_real)
         if self.lambda0 is not None:
-            _nonneg_real(self.lambda0, "lambda0")
+            store("lambda0", _nonneg_real)
         if self.num_stages is not None and self.phi is not None:
             raise InputError("set num_stages or phi, not both")
-        if self.num_stages is not None and self.num_stages < 1:
-            raise InputError(f"num_stages must be >= 1, got {self.num_stages}")
-        if self.num_stages is not None and self.num_stages > _MAX_STAGES:
-            raise InputError(f"num_stages must be at most {_MAX_STAGES}, "
-                             f"got {self.num_stages}")
-        if self.phi is not None and not (0.0 < self.phi < 1.0):
-            raise InputError(f"phi must lie in (0, 1), got {self.phi}")
+        if self.num_stages is not None:
+            store("num_stages", _positive_int)
+            if self.num_stages > _MAX_STAGES:
+                raise InputError(f"num_stages must be at most {_MAX_STAGES}, "
+                                 f"got {self.num_stages}")
+        if self.phi is not None:
+            store("phi", _real)
+            if not (0.0 < self.phi < 1.0):
+                raise InputError(f"phi must lie in (0, 1), got {self.phi}")
+        store("nu", _real)
         if not (0.0 < self.nu < 1.0):
             raise InputError(f"nu must lie in (0, 1), got {self.nu}")
         if self.eps_tgt is not None:
-            _positive_real(self.eps_tgt, "eps_tgt")
-        _positive_real(self.eta, "eta")
+            store("eps_tgt", _positive_real)
+        store("eta", _positive_real)
+        store("omega_radius", _real)
         if not self.omega_radius > 0:
             raise InputError(
                 f"omega_radius must be positive, got {self.omega_radius!r}")
-        _positive_int(self.max_inner_iters, "max_inner_iters")
+        store("max_inner_iters", _positive_int)
 
 
 # solver defaults for callers that set lambda_tgt per fit themselves

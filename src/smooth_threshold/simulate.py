@@ -28,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, NumericError, _positive_int, read_settings
-from .kernels import Kernel, SurrogateLoss
+from .kernels import Kernel, SurrogateLoss, _ndtr
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import Dataset, SmoothedRiskSpec, _l2_norm
 from .tuning import TUNING_DEFAULTS, TUNING_MODES, tuned_penalty
@@ -236,7 +236,7 @@ def toy_population_risks(theta_grid: Sequence[float]) -> ToyRiskTable:
         raise InputError("theta grid must be non-empty")
     if not np.all(np.isfinite(grid)):
         raise InputError("theta grid must be finite")
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     risk01 = np.zeros_like(grid)
     hinge = np.zeros_like(grid)

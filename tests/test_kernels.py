@@ -166,8 +166,18 @@ def test_bandwidth_validation():
         with pytest.raises(InputError) as refused:
             SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=bad)
         assert str(refused.value) == f"bandwidth must be a positive real, got {shown}"
-    # checked only: the value is kept as given
-    assert type(SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=2).bandwidth) is int
+    # the checked float is stored: an int, a numpy float or a string fits
+    # exactly as its float does, and a non-number is refused by name
+    u = np.linspace(-3.0, 3.0, 13)
+    reference = SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=2.0)
+    for given in (2, np.float64(2.0), "2", "2.0"):
+        loss = SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=given)
+        assert type(loss.bandwidth) is float and loss.bandwidth == 2.0
+        assert loss.value(u).tobytes() == reference.value(u).tobytes()
+    for bad in ("abc", None):
+        with pytest.raises(InputError) as refused:
+            SurrogateLoss(kernel=get_kernel("gaussian"), bandwidth=bad)
+        assert str(refused.value) == f"bandwidth must be a real number, got {bad!r}"
 
 
 @settings(max_examples=60, deadline=None)

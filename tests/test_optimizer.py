@@ -389,6 +389,35 @@ def test_config_validation():
             PathConfig(lambda_tgt=0.1, **kwargs)
 
 
+def test_config_stores_the_checked_numbers():
+    # a constant given as a string, or an integral float, fits exactly as
+    # the number it parses to; only omega_radius may be inf
+    spec = random_spec(n=60, d=4, seed=7)
+    numbers = dict(lambda_tgt=0.02, lambda0=0.5, phi=0.6, nu=0.5, eta=1.0,
+                   eps_tgt=1e-3, omega_radius=2.0, max_inner_iters=500)
+    given = {name: str(value) for name, value in numbers.items()}
+    given["max_inner_iters"] = 500.0
+    as_given, as_numbers = PathConfig(**given), PathConfig(**numbers)
+    assert as_given == as_numbers
+    assert {name: type(getattr(as_given, name)) for name in numbers} == \
+        {name: type(value) for name, value in numbers.items()}
+    fit_given, fit_numbers = (path_following(spec, cfg) for cfg in (as_given, as_numbers))
+    assert fit_given.theta_final.tobytes() == fit_numbers.theta_final.tobytes()
+    assert fit_given.config_echo == fit_numbers.config_echo
+    assert PathConfig(lambda_tgt=0.1, num_stages="4").num_stages == 4
+    assert PathConfig(lambda_tgt=0.1, omega_radius="inf").omega_radius == math.inf
+
+
+@pytest.mark.parametrize("name", ["lambda_tgt", "lambda0", "num_stages", "phi",
+                                  "nu", "eta", "eps_tgt", "omega_radius",
+                                  "max_inner_iters"])
+def test_config_refuses_a_non_number_naming_its_field(name):
+    for bad in ("abc", [1.0]):
+        with pytest.raises(InputError) as refused:
+            PathConfig(**{"lambda_tgt": 0.1, name: bad})
+        assert str(refused.value) == f"{name} must be a real number, got {bad!r}"
+
+
 def test_config_echo_reports_resolved_values():
     spec = random_spec(n=50, d=4, seed=13)
     path = path_following(spec, PathConfig(lambda_tgt=0.05))
