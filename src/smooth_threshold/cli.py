@@ -5,12 +5,15 @@ Subcommands cover the whole workflow: ``fit`` (one penalized fit), ``path``
 ``bench`` (repeated generate/tune/fit/score table), ``toy-risks``
 (closed-form scalar risk curves), and ``diagnose`` (numerical probes).
 
-``fit --tune`` picks the penalty and bandwidth: ``fixed`` (given), ``theory``
-(closed-form schedules), ``cv`` (cross-validation curve, then the fit at
-lambda_1se), ``lepski-beta`` / ``lepski-s`` (dyadic-grid adaptation of the
-bandwidth or the sparsity level, with constants ``--c-sel`` / ``--c-bar``).
-One solver config, built from the solver flags, drives every fit a command
-makes: CV folds and Lepski grid points included.
+``fit --tune`` and ``bench --tune`` pick the penalty and bandwidth:
+``fixed`` (given), ``theory`` (closed-form schedules), ``cv``
+(cross-validation curve, then the fit at lambda_1se), ``lepski-beta`` /
+``lepski-s`` (dyadic-grid adaptation of the bandwidth or the sparsity level,
+with constants ``--c-sel`` / ``--c-bar``).  Both go through
+``tuning.tuned_fit``, so every mode's fit has its ``SolutionPath``, and a
+``fit`` document ends with that path's notes and certificate.  One solver
+config, built from the solver flags, drives every fit a command makes: CV
+folds and Lepski grid points included.
 
 Which flags a run reads, and their defaults, comes from one table per axis:
 ``_READS`` for each subcommand (with its data, solver, simulation and output
@@ -49,7 +52,7 @@ import sys
 import warnings
 from array import array
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -61,10 +64,9 @@ from .errors import InputError, NumericError, _fmt, read_settings
 from .kernels import BUILTIN_KERNELS, SurrogateLoss, get_kernel
 from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
 from .risk import Dataset, SmoothedRiskSpec
-from .simulate import (BENCH_DEFAULTS, BENCH_MODES, SIM_DEFAULTS, SIM_MODELS,
-                       SimSpec, generate, run_benchmark, toy_population_risks)
-from .tuning import (TUNING_DEFAULTS, TUNING_MODES, lepski_bandwidth,
-                     lepski_sparsity, tuned_penalty)
+from .simulate import (BENCH_DEFAULTS, SIM_DEFAULTS, SIM_MODELS, SimSpec,
+                       generate, run_benchmark, toy_population_risks)
+from .tuning import TUNING_DEFAULTS, TUNING_MODES, tuned_fit
 
 __all__ = ["ColumnRoles", "load_csv", "main"]
 
@@ -114,14 +116,15 @@ def load_csv(path, roles: ColumnRoles | None = None, delimiter: str = ","):
 
     y = parsed[:, 0]
     notes = []
-    values = set(np.unique(y).tolist())
-    if values <= {0.0, 1.0} and 0.0 in values:
+    # np.unique imports numpy.ma, so it only lists the labels of a refusal
+    if not np.all((y == 1.0) | (y == -1.0)):
+        if not np.all((y == 0.0) | (y == 1.0)):
+            values = set(np.unique(y).tolist())
+            raise InputError(f"response column {roles.response!r} must be coded "
+                             f"{{-1,+1}} or {{0,1}}; saw {sorted(values)[:6]}")
         y = np.where(y == 0.0, -1.0, 1.0)
         notes.append(f"response column {roles.response!r} coded {{0,1}}: "
                      f"0 mapped to -1")
-    elif not values <= {-1.0, 1.0}:
-        raise InputError(f"response column {roles.response!r} must be coded "
-                         f"{{-1,+1}} or {{0,1}}; saw {sorted(values)[:6]}")
 
     data = Dataset(x=parsed[:, 1], y=y, z=parsed[:, 2:2 + d])
     weights = None if roles.weight is None else parsed[:, -1]
@@ -354,48 +357,35 @@ def _delta_grid_from_arg(text: str) -> list:
 
 def _cmd_fit(args, config):
     data, weights, notes, scales = _load_input(args)
-    kernel = get_kernel(args.kernel)
-    cfg = _path_config(args)
     params = {name: getattr(args, name) for name in TUNING_MODES[args.tune]}
-    if args.tune in _LEPSKI:
-        select, result = _LEPSKI[args.tune]
-        chosen, theta, fits = select(data, kernel, **params, path_cfg=cfg, weights=weights)
-        extra = ["table fits: grid_value delta lambda status nnz"]
-        for fit in fits:
-            nnz = "" if fit.theta is None else int(np.count_nonzero(fit.theta))
-            extra.append(f"row fits = {_fmt(fit.grid_value)} {_fmt(fit.delta)} "
-                         f"{_fmt(fit.lam)} {fit.status} {nnz}")
-        extra.append(f"result {result} = {_fmt(chosen)}")
+    fit = tuned_fit(data, get_kernel(args.kernel), args.tune, params,
+                    config.get("seed"), weights, _path_config(args))
+    path, last, cv = fit.path, fit.path.stages[-1], fit.cv
+    if fit.fits:  # a Lepski mode: its grid, then the value it selected
+        hat = "delta_hat" if args.tune == "lepski-beta" else "s_hat"
+        lines = ["table fits: grid_value delta lambda status nnz"] + [
+            f"row fits = {_fmt(f.grid_value)} {_fmt(f.delta)} {_fmt(f.lam)} {f.status} "
+            f"{'' if f.theta is None else int(np.count_nonzero(f.theta))}"
+            for f in fit.fits] + [f"result {hat} = {_fmt(fit.grid_value)}"]
+    elif cv is not None:
+        config["lambda_grid"] = cv.lambda_grid
+        lines = ["table cv: lambda mean_cv_loss se_cv_loss"] + [
+            f"row cv = {_fmt(lam)} {_fmt(mean)} {_fmt(se)}"
+            for lam, mean, se in zip(cv.lambda_grid, cv.mean_cv_loss, cv.se_cv_loss)] + [
+            f"result lambda_min = {_fmt(cv.lambda_min)}",
+            f"result lambda_1se = {_fmt(cv.lambda_1se)}"]
     else:
-        delta, lam, cv = tuned_penalty(data, kernel, args.tune, params,
-                                       config.get("seed"), weights, cfg)
-        spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
-        path = path_following(spec, replace(cfg, lambda_tgt=lam))
-        theta, last = path.theta_final, path.stages[-1]
-        extra = [f"note: {note}" for note in path.notes] + [
-            f"result lambda_tgt = {_fmt(path.config_echo.lambda_tgt)}",
-            f"result stages = {len(path.stages)}",
-            f"result status = {last.status}",
-            f"result exit_omega = {_fmt(last.exit_omega)}"]
-        if args.tune == "theory":
-            extra = [f"result delta = {_fmt(delta)}"] + extra
-        if cv is None:
-            config.update(delta=delta, lambda_tgt=lam)
-        else:
-            config["lambda_grid"] = cv.lambda_grid
-            extra = _cv_lines(cv) + extra
-    theta = theta / scales  # on the original scale
-    return [f"note: {n}" for n in notes] + extra + [
+        config.update(delta=fit.delta, lambda_tgt=fit.lam)
+        lines = [f"result delta = {_fmt(fit.delta)}"] if args.tune == "theory" else []
+    theta = fit.theta / scales  # on the original scale
+    return [f"note: {n}" for n in notes] + lines + [
+        *(f"note: {note}" for note in path.notes),
+        f"result lambda_tgt = {_fmt(path.config_echo.lambda_tgt)}",
+        f"result stages = {len(path.stages)}",
+        f"result status = {last.status}",
+        f"result exit_omega = {_fmt(last.exit_omega)}",
         f"result nnz = {int(np.count_nonzero(theta))}",
         f"result theta = {_fmt(theta)}"], []
-
-
-def _cv_lines(cv) -> list:
-    lines = ["table cv: lambda mean_cv_loss se_cv_loss"]
-    for lam, mean, se in zip(cv.lambda_grid, cv.mean_cv_loss, cv.se_cv_loss):
-        lines.append(f"row cv = {_fmt(lam)} {_fmt(mean)} {_fmt(se)}")
-    return lines + [f"result lambda_min = {_fmt(cv.lambda_min)}",
-                    f"result lambda_1se = {_fmt(cv.lambda_1se)}"]
 
 
 def _cmd_path(args, config):
@@ -430,7 +420,7 @@ def _cmd_simulate(args, config):
 
 
 def _cmd_bench(args, config):
-    params = {name: getattr(args, name) for name in _BENCH_MODES[args.tune]}
+    params = {name: getattr(args, name) for name in TUNING_MODES[args.tune] if name != "s"}
     result = run_benchmark(_sim_from_args(args), get_kernel(args.kernel),
                            tune=args.tune, **params, path_cfg=_path_config(args),
                            repetitions=args.reps, seed=args.seed)
@@ -441,10 +431,11 @@ def _cmd_bench(args, config):
              row.lambda_used, row.delta_used, "; ".join(row.messages)]
             for row in result.rows)
 
-    # the delta and lambda the repetitions ran with (theory computes both)
-    first = result.rows[0]
-    config.update(delta=first.delta_used,
-                  lambda_tgt=None if args.tune == "cv" else first.lambda_used)
+    # the delta and lambda the repetitions ran with (theory computes both);
+    # none where each repetition chose its own: cv's lambda, Lepski's both
+    first, lepski = result.rows[0], args.tune.startswith("lepski")
+    config.update(delta=None if lepski else first.delta_used,
+                  lambda_tgt=None if lepski or args.tune == "cv" else first.lambda_used)
     lines = []
     for norm, stats in result.summary().items():
         lines.append(f"result {norm}_mean = {_fmt(stats['mean'])}")
@@ -514,15 +505,10 @@ _SOLVER = {"lambda0": "lambda0", "stages": "num_stages", "phi": "phi", "nu": "nu
            "eta": "eta", "eps_tgt": "eps_tgt", "radius": "omega_radius"}
 _GROUPS = {"input": _DATA[1:], "model": ("n", "d", "s")}
 
-# fit's cross-validation draws its folds from --seed
-_FIT_MODES = {mode: TUNING_MODES[mode] + ("seed",) * (mode == "cv")
-              for mode in ("fixed", "cv", "theory", "lepski-beta", "lepski-s")}
-# fit's Lepski modes: the selector and the name of the value it selects
-_LEPSKI = {"lepski-beta": (lepski_bandwidth, "delta_hat"),
-           "lepski-s": (lepski_sparsity, "s_hat")}
-# bench's theory tuning reads the simulated sparsity --s as its s
-_BENCH_MODES = {mode: tuple(name for name in TUNING_MODES[mode] if name != "s")
-                for mode in BENCH_MODES}
+# fit's cross-validation draws its folds from --seed; bench's tuning reads
+# its s, where it reads one, from the model's --s
+_FIT_MODES = {mode: names + ("seed",) * (mode == "cv")
+              for mode, names in TUNING_MODES.items()}
 
 # what each subcommand reads, in config-echo order: "tune", "model" and
 # "probe" add what their value reads, "input" and "model" their groups
@@ -534,7 +520,7 @@ _READS = {
     "toy-risks": ("grid_start", "grid_stop", "grid_step", "out"),
     "diagnose": ("probe", "kernel", "out"),
 }
-_MODES = {"fit": _FIT_MODES, "bench": _BENCH_MODES}
+_MODES = {"fit": _FIT_MODES, "bench": TUNING_MODES}
 
 # defaults of the flags outside the tables of tuning, models and probes, the
 # roles' and solver's from the library; a flag without one must be given

@@ -27,20 +27,24 @@ def _real(value, name: str) -> float:
         raise InputError(f"{name} must be a real number, got {value!r}") from None
 
 
-def _integer(value, name: str, least: int, kind: str) -> int:
-    number = _real(value, name)
-    if not number.is_integer() or number < least:
-        raise InputError(f"{name} must be a {kind} integer, got {value!r}")
-    # an int keeps every digit, which float() would round beyond 2**53
-    return int(value) if isinstance(value, (int, np.integer)) else int(number)
+def _integer(value, name: str, least: int, kind: str, bound=math.inf) -> int:
+    """``value`` as an int in [least, bound), else ``name`` must be ``kind``."""
+    # int() keeps every digit of an int or integer text; float() rounds past 2**53
+    try:
+        exact = int(value) if isinstance(value, (int, np.integer, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):  # text such as "3.0", or no number
+        exact = _real(value, name)
+    if exact % 1 or not least <= exact < bound:  # inf % 1 and nan % 1 are nan
+        raise InputError(f"{name} must be {kind}, got {value!r}")
+    return int(exact)
 
 
 def _positive_int(value, name: str) -> int:
-    return _integer(value, name, 1, "positive")
+    return _integer(value, name, 1, "a positive integer")
 
 
 def _nonneg_int(value, name: str) -> int:
-    return _integer(value, name, 0, "nonnegative")
+    return _integer(value, name, 0, "a nonnegative integer")
 
 
 def _positive_real(value, name: str) -> float:

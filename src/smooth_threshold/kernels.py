@@ -16,10 +16,11 @@ quadrature runs, in ``kernel_moment`` and ``verify_proper``.
 A gaussian-family kernel (``get_kernel("gaussian")``,
 ``make_higher_order_gaussian``) binds scipy's ``ndtr`` ufunc when it is
 built, and its tail keeps it.  ``_ndtr`` loads that ufunc from the one
-extension that defines it, so a fit never runs ``scipy.special``'s
-``__init__`` and its array-API layer, which cost far more time and memory
-than the extension; the ufunc is ``scipy.special.ndtr`` itself, so tails
-keep their bits.  Importing this module loads numpy only.
+extension that defines it, found without importing ``scipy``, so a fit never
+runs the ``__init__`` of ``scipy`` or of ``scipy.special`` and its array-API
+layer, which cost far more time and memory than the extension; the ufunc is
+``scipy.special.ndtr`` itself, so tails keep their bits.  Importing this
+module loads numpy only.
 """
 
 from __future__ import annotations
@@ -60,17 +61,19 @@ def _ndtr():
     """
     module = sys.modules.get(_NDTR_EXTENSION)
     if module is None:
-        import scipy
-
-        finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "special"),
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = FileFinder(os.path.join(scipy_dir, "special"),
                             (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(_NDTR_EXTENSION)
         if spec is not None:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_NDTR_EXTENSION] = module
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_NDTR_EXTENSION] = module
+            except ImportError:
+                module = None
     ndtr = getattr(module, "ndtr", None)
-    if ndtr is None:  # no such extension, or no ndtr in it
+    if ndtr is None:  # no such extension, one that does not load, or no ndtr in it
         from scipy.special import ndtr
     return ndtr
 

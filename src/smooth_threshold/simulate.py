@@ -27,11 +27,12 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, NumericError, _positive_int, read_settings
-from .kernels import Kernel, SurrogateLoss, _ndtr
-from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
-from .risk import Dataset, SmoothedRiskSpec, _l2_norm
-from .tuning import TUNING_DEFAULTS, TUNING_MODES, tuned_penalty
+from .errors import (InputError, NumericError, _integer, _positive_int, _real,
+                     read_settings)
+from .kernels import Kernel, _ndtr
+from .optimizer import PathConfig
+from .risk import Dataset, _l2_norm
+from .tuning import TUNING_DEFAULTS, TUNING_MODES, tuned_fit
 
 __all__ = [
     "SimSpec",
@@ -46,7 +47,6 @@ __all__ = [
     "run_benchmark",
     "SIM_MODELS",
     "SIM_DEFAULTS",
-    "BENCH_MODES",
     "BENCH_DEFAULTS",
 ]
 
@@ -57,9 +57,7 @@ SIM_MODELS = {
     "one_bit_noiseless": (),
 }
 SIM_DEFAULTS = {"mu": 2.0, "noise_sd": 0.1, "noise": "gaussian"}
-# the tuning modes of run_benchmark, and the bandwidth of fixed and cv tuning
-# when none is given
-BENCH_MODES = ("fixed", "cv", "theory")
+# the bandwidth of run_benchmark's fixed and cv tuning when none is given
 BENCH_DEFAULTS = {"delta": 1.0}
 _NOISES = ("gaussian", "logistic")
 
@@ -95,11 +93,11 @@ class SimSpec:
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.s > self.d:
             raise InputError(f"s must not exceed d, got s={self.s}, d={self.d}")
-        mu = float(self.mu)
+        mu = _real(self.mu, "mu")
         if not math.isfinite(mu):
             raise InputError(f"mu must be a finite real, got {self.mu!r}")
         object.__setattr__(self, "mu", mu)
-        sd = float(self.noise_sd)
+        sd = _real(self.noise_sd, "noise_sd")
         if not math.isfinite(sd) or sd < 0.0 or (sd == 0.0 and self.model != "one_bit_noiseless"):
             raise InputError(f"noise_sd must be a positive real, got {self.noise_sd!r}")
         object.__setattr__(self, "noise_sd", sd)
@@ -107,10 +105,8 @@ class SimSpec:
             raise InputError(f"noise must be one of {_NOISES}, got {self.noise!r}")
         if self.noise != "gaussian" and "noise" not in SIM_MODELS[self.model]:
             raise InputError(f"model {self.model!r} does not draw {self.noise} noise")
-        seed = self.seed
-        if not float(seed).is_integer() or int(seed) < 0 or int(seed) >= 2 ** 64:
-            raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", _integer(
+            self.seed, "seed", 0, "an unsigned 64-bit integer", 2 ** 64))
         theta = np.zeros(self.d)
         theta[: self.s] = 1.0 / math.sqrt(self.s)
         theta.setflags(write=False)
@@ -283,10 +279,9 @@ def top_support(theta: np.ndarray, s: int) -> np.ndarray:
     function of the input.
     """
     theta = np.asarray(theta, dtype=float).ravel()
-    if not float(s).is_integer() or not (1 <= int(s) <= theta.size):
-        raise InputError(f"s must be an integer in [1, {theta.size}], got {s!r}")
+    s = _integer(s, "s", 1, f"an integer in [1, {theta.size}]", theta.size + 1)
     order = np.lexsort((np.arange(theta.size), -np.abs(theta)))
-    return np.sort(order[: int(s)])
+    return np.sort(order[:s])
 
 
 @dataclass(frozen=True)
@@ -336,59 +331,41 @@ def derive_seed(root: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_benchmark(
-    spec: SimSpec,
-    kernel: Kernel,
-    tune: str = "cv",
-    delta: Optional[float] = None,
-    lambda_tgt: Optional[float] = None,
-    beta: Optional[float] = None,
-    c_delta: Optional[float] = None,
-    c_lambda: Optional[float] = None,
-    folds: Optional[int] = None,
-    path_cfg: Optional[PathConfig] = None,
-    repetitions: int = 1,
-    seed: int = 0,
-) -> BenchmarkResult:
+def run_benchmark(spec: SimSpec, kernel: Kernel, tune: str = "cv", *,
+                  path_cfg: Optional[PathConfig] = None, repetitions: int = 1,
+                  seed: int = 0, **params) -> BenchmarkResult:
     """Repeat generate -> tune -> fit -> score with derived seeds.
 
-    ``tune`` selects how ``tuning.tuned_penalty`` finds (delta, lambda_tgt)
-    per repetition, reading the parameters ``TUNING_MODES`` lists for it
-    (delta defaults to 1, s is ``spec.s``); any other must stay None:
-
-    * "fixed": both supplied by the caller,
-    * "cv": K-fold cross-validation of lambda at the fixed delta using the
-      one-standard-error rule over a geometric sweep from the gradient
-      sup-norm at zero,
-    * "theory": closed-form schedules from (s, beta) and the constants.
+    Each repetition is one ``tuning.tuned_fit`` of mode ``tune`` with the
+    ``params`` that ``TUNING_MODES`` lists for it, each a keyword here (the
+    arguments after ``tune`` are keyword-only).  delta defaults to 1; s is
+    always ``spec.s``, the sparsity simulated, so an ``s`` keyword is bad
+    input, as is any keyword the mode does not read.  Every mode runs:
+    fixed, theory, cv and the Lepski selectors lepski-beta and lepski-s.
 
     Repetition i draws data with seed spawn_key (i, 0) and cross-validates
     with spawn_key (i, 1) off the benchmark seed, so every repetition is
     tuned on its own data.  Solver warnings never abort a repetition and
-    never reach stderr: the path's notes and the text of each warning land
-    in the row's ``messages``.  Runtime covers tuning plus fitting.
+    never reach stderr: the final path's notes and the text of each warning
+    land in the row's ``messages``.  Runtime covers tuning plus fitting.
     """
-    if tune not in BENCH_MODES:
-        raise InputError(f"tune must be one of {BENCH_MODES}, got {tune!r}")
+    if tune not in TUNING_MODES:
+        raise InputError(f"tune must be one of {tuple(TUNING_MODES)}, got {tune!r}")
     repetitions = _positive_int(repetitions, "repetitions")
-    given = {"delta": delta, "lambda_tgt": lambda_tgt, "beta": beta,
-             "c_delta": c_delta, "c_lambda": c_lambda, "folds": folds}
-    params = read_settings(TUNING_MODES[tune], given, f"tune={tune!r}", str,
+    if params.get("s") is not None:  # s is the sparsity simulated
+        raise InputError("run_benchmark tunes with spec.s; do not pass s")
+    params = read_settings(TUNING_MODES[tune], params, f"tune={tune!r}", str,
                            {**TUNING_DEFAULTS, **BENCH_DEFAULTS, "s": spec.s})
-    base = path_cfg or _DEFAULT_CONFIG
 
     def one_rep(i: int) -> BenchmarkRow:
         data, theta_star = generate(replace(spec, seed=derive_seed(seed, i, 0)))
         t0 = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            delta_used, lam, _ = tuned_penalty(data, kernel, tune, params,
-                                               derive_seed(seed, i, 1), path_cfg=base)
-            fit_spec = SmoothedRiskSpec(
-                data=data, loss=SurrogateLoss(kernel=kernel, bandwidth=delta_used))
-            path = path_following(fit_spec, replace(base, lambda_tgt=lam))
+            fit = tuned_fit(data, kernel, tune, params, derive_seed(seed, i, 1),
+                            None, path_cfg)
         runtime = time.perf_counter() - t0
-        theta = path.theta_final
+        theta = fit.theta
         return BenchmarkRow(
             repetition=i,
             l1=estimation_error(theta, theta_star, "l1"),
@@ -396,9 +373,9 @@ def run_benchmark(
             linf=estimation_error(theta, theta_star, "linf"),
             nnz=int(np.count_nonzero(theta)),
             runtime=runtime,
-            lambda_used=float(lam),
-            delta_used=delta_used,
-            messages=path.notes + tuple(str(w.message) for w in caught),
+            lambda_used=fit.lam,
+            delta_used=fit.delta,
+            messages=fit.path.notes + tuple(str(w.message) for w in caught),
         )
 
     return BenchmarkResult(rows=tuple(one_rep(i) for i in range(repetitions)))

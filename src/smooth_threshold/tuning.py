@@ -16,9 +16,10 @@ fits, selection and warnings.  Cross-validation folds are fitted in turn.
 
 ``TUNING_MODES`` names the parameters each ``--tune`` mode reads and
 ``TUNING_DEFAULTS`` the defaults of the constants among them; a caller
-checks its parameters against both with ``errors.read_settings``, and
-``tuned_penalty`` turns them into (delta, lambda_tgt) for the modes that fit
-once (fixed, theory, cv).
+checks its parameters against both with ``errors.read_settings``.
+``tuned_fit`` is the one way from a mode and its parameters to a fit, a
+``TunedFit``: theta, (delta, lambda_tgt), the ``SolutionPath`` certifying
+theta, and the ``CvResult`` or the Lepski grid fits behind the choice.
 
 All logarithms are natural.  Every formula involving log d requires d >= 2.
 """
@@ -36,16 +37,16 @@ from ._parallel import fork_map
 from .errors import (InputError, NumericError, _nonneg_int, _nonneg_real,
                      _positive_int, _positive_real)
 from .kernels import Kernel, SurrogateLoss
-from .optimizer import PathConfig, _DEFAULT_CONFIG, path_following
+from .optimizer import PathConfig, SolutionPath, _DEFAULT_CONFIG, path_following
 from .risk import (Dataset, SmoothedRiskSpec, _l2_norm, empirical_gradient,
                    empirical_risk)
 
 __all__ = [
-    "CvResult", "LepskiFit",
+    "CvResult", "LepskiFit", "TunedFit",
     "theoretical_bandwidth", "target_lambda", "default_lambda_grid",
     "cross_validate_lambda", "build_lepski_grid", "lepski_bandwidth",
     "lepski_sparsity", "select_lepski_bandwidth", "select_lepski_sparsity",
-    "TUNING_MODES", "TUNING_DEFAULTS", "tuned_penalty"
+    "TUNING_MODES", "TUNING_DEFAULTS", "tuned_fit"
 ]
 
 # the parameters each tuning mode reads, in the order a config echo prints them
@@ -95,10 +96,10 @@ class LepskiFit:
     """One grid-point fit inside an adaptive procedure.
 
     ``grid_value`` is the grid coordinate (a bandwidth, or a sparsity
-    level).  ``theta`` is None when the fit failed; ``detail`` then holds
-    the error message, or the status, gap and tolerance of a last stage
-    that stopped short of its tolerance.  A procedure returns one per grid
-    value, in grid order.
+    level).  ``theta`` and ``path``, the ``SolutionPath`` that ends at it,
+    are None when the fit failed; ``detail`` then holds the error message,
+    or the status, gap and tolerance of a last stage that stopped short of
+    its tolerance.  A procedure returns one per grid value, in grid order.
     """
 
     grid_value: float
@@ -107,6 +108,24 @@ class LepskiFit:
     theta: Optional[np.ndarray]
     status: str
     detail: str = ""
+    path: Optional[SolutionPath] = None
+
+
+@dataclass(frozen=True)
+class TunedFit:
+    """One fit tuned by a ``TUNING_MODES`` mode: ``theta`` at bandwidth
+    ``delta`` and penalty ``lam``, ``path`` the ``SolutionPath`` ending at it,
+    ``cv`` the cross-validation of a cv fit (else None); ``fits`` the grid
+    fits of a Lepski mode and ``grid_value`` the one chosen (else () and None).
+    """
+
+    theta: np.ndarray
+    delta: float
+    lam: float
+    path: SolutionPath
+    cv: Optional[CvResult]
+    fits: Tuple[LepskiFit, ...]
+    grid_value: Optional[float]
 
 
 def theoretical_bandwidth(n: int, d: int, s: int, beta: float, c_delta: float) -> float:
@@ -280,29 +299,6 @@ def cross_validate_lambda(
     )
 
 
-def tuned_penalty(data: Dataset, kernel: Kernel, mode: str, params: dict, seed: int,
-                  weights: Optional[np.ndarray] = None, path_cfg: Optional[PathConfig] = None,
-                  ) -> Tuple[float, float, Optional[CvResult]]:
-    """``(delta, lambda_tgt, cv)`` of one fit tuned by ``mode`` with the
-    ``params`` that ``TUNING_MODES`` lists for it: given ("fixed"),
-    closed-form schedules at the size of ``data`` ("theory"), or
-    ``lambda_1se`` of cross-validation at the given delta with folds keyed by
-    ``seed`` ("cv", the one mode whose ``cv`` is a ``CvResult`` and not None).
-    """
-    if mode == "fixed":
-        return float(params["delta"]), float(params["lambda_tgt"]), None
-    if mode == "theory":
-        return (*_theory_schedule(data.n, data.d, params["s"], params["beta"],
-                                  params["c_delta"], params["c_lambda"]), None)
-    if mode != "cv":
-        raise InputError(f"tuned_penalty takes fixed, theory or cv, got {mode!r}")
-    delta = float(params["delta"])
-    grid = default_lambda_grid(data, kernel, delta, weights=weights)
-    cv = cross_validate_lambda(data, kernel, delta, params["folds"], grid, seed,
-                               weights=weights, path_cfg=path_cfg)
-    return delta, cv.lambda_1se, cv
-
-
 def _select_lepski(
     fits: Sequence[LepskiFit], key: Callable[[float], float], bound: Callable[[float], float]
 ) -> Optional[LepskiFit]:
@@ -391,9 +387,9 @@ def _lepski(
                       f" > eps={path.config_echo.eps_tgt:.3e}")
             return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=None,
                              status="failed", detail=detail)
-        theta = path.theta_final.copy()
-        theta.setflags(write=False)
-        return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=theta, status="ok")
+        path.theta_final.setflags(write=False)
+        return LepskiFit(grid_value=value, delta=delta, lam=lam, theta=path.theta_final,
+                         status="ok", path=path)
 
     fits = fork_map(fit_one, grid_values, label)
     for fit in fits:
@@ -495,3 +491,35 @@ def lepski_sparsity(
         label="sparsity level",
         select=lambda fits: select_lepski_sparsity(fits, n=n, d=d, beta=beta, c_bar=c_bar),
     )
+
+
+def tuned_fit(data: Dataset, kernel: Kernel, tune: str, params: dict, seed: Optional[int],
+              weights: Optional[np.ndarray], path_cfg: Optional[PathConfig]) -> TunedFit:
+    """The fit ``tune`` picks with the ``params`` ``TUNING_MODES`` lists for
+    it: one path at the given (delta, lambda_tgt) ("fixed"), the closed-form
+    schedules ("theory") or cross-validation's ``lambda_1se`` at the given
+    delta, folds keyed by ``seed`` ("cv"); or the fit, path included, that
+    ``lepski_bandwidth`` or ``lepski_sparsity`` chose ("lepski-beta", "-s").
+    """
+    if tune in ("lepski-beta", "lepski-s"):
+        select = lepski_bandwidth if tune == "lepski-beta" else lepski_sparsity
+        value, _, fits = select(data, kernel, **params, path_cfg=path_cfg, weights=weights)
+        chosen = next(fit for fit in fits if fit.grid_value == value)
+        return TunedFit(chosen.theta, chosen.delta, chosen.lam, chosen.path, None, tuple(fits), value)
+    cv = None
+    if tune == "fixed":
+        delta, lam = float(params["delta"]), float(params["lambda_tgt"])
+    elif tune == "theory":
+        delta, lam = _theory_schedule(data.n, data.d, params["s"], params["beta"],
+                                      params["c_delta"], params["c_lambda"])
+    elif tune == "cv":
+        delta = float(params["delta"])
+        grid = default_lambda_grid(data, kernel, delta, weights=weights)
+        cv = cross_validate_lambda(data, kernel, delta, params["folds"], grid, seed,
+                                   weights=weights, path_cfg=path_cfg)
+        lam = cv.lambda_1se
+    else:
+        raise InputError(f"tune must be one of {tuple(TUNING_MODES)}, got {tune!r}")
+    spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta), weights)
+    path = path_following(spec, replace(path_cfg or _DEFAULT_CONFIG, lambda_tgt=lam))
+    return TunedFit(path.theta_final, delta, lam, path, cv, (), None)

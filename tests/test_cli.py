@@ -23,9 +23,10 @@ from smooth_threshold.kernels import SurrogateLoss, get_kernel
 from smooth_threshold.optimizer import PathConfig, path_following
 from smooth_threshold.risk import SmoothedRiskSpec
 from smooth_threshold.simulate import (SIM_MODELS, SimSpec, derive_seed,
-                                       generate, run_benchmark)
+                                       estimation_error, generate, run_benchmark)
 from smooth_threshold.tuning import (build_lepski_grid, cross_validate_lambda,
-                                     default_lambda_grid, target_lambda,
+                                     default_lambda_grid, lepski_bandwidth,
+                                     lepski_sparsity, target_lambda,
                                      theoretical_bandwidth)
 
 
@@ -528,6 +529,33 @@ class TestAdapt:
         fits = [l for l in out.splitlines() if l.startswith("row fits = ")]
         assert len(fits) == 3  # levels 1, 2, 4 for d = 8
 
+    @pytest.mark.parametrize("tune", [
+        ["lepski-beta", "--s", "2", "--c-lambda", "0.5"],
+        ["lepski-s", "--beta", "1.0"],
+    ], ids=["lepski-beta", "lepski-s"])
+    def test_document_carries_the_chosen_fits_certificate(self, sim_csv, capsys,
+                                                          tune):
+        # after the grid and the selected value, the chosen fit's path prints
+        # what every other mode prints: its penalty, stages and certificate
+        code, out, err = run_cli(["fit", "--input", sim_csv, "--tune"] + tune,
+                                 capsys)
+        assert code == 0, err
+        hat = "result delta_hat" if tune[0] == "lepski-beta" else "result s_hat"
+        keys = [line.split(" = ")[0] for line in out.splitlines()
+                if line.startswith("result ")]
+        assert keys == [hat, "result lambda_tgt", "result stages",
+                        "result status", "result exit_omega", "result nnz",
+                        "result theta"]
+        assert doc_value(out, "result status") == "converged"
+        lam = float(doc_value(out, "result lambda_tgt"))
+        [chosen] = [line.split()[3:] for line in out.splitlines()
+                    if line.startswith("row fits = ")
+                    and line.split()[3] == doc_value(out, hat)]
+        assert float(chosen[2]) == lam and chosen[3] == "ok"
+        # the default final-stage tolerance is 0.1 * nu * lambda_tgt, nu = 0.25
+        assert float(doc_value(out, "result exit_omega")) <= 0.1 * 0.25 * lam
+        assert int(doc_value(out, "result stages")) >= 1
+
     def test_adapt_s_constant_precondition(self, sim_csv, capsys):
         code, _, err = run_cli(["fit", "--input", sim_csv, "--tune",
                                 "lepski-s", "--beta", "1.0",
@@ -608,11 +636,36 @@ class TestBench:
             assert [b[1] for b in budget if b] == [f"{lam:.6g}" for lam in stopped]
             assert not [m for m in row.messages if m.endswith(": max_iter")]
 
-    def test_rejects_lepski_tuning(self, tmp_path, capsys):
-        code, _, err = run_cli(["bench", "--tune", "lepski-beta", "--out",
-                                str(tmp_path / "x.csv")], capsys)
-        assert code == 2
-        assert "invalid choice" in json.loads(err)["message"]
+    @pytest.mark.parametrize("tune,flags,select", [
+        ("lepski-beta", ["--c-lambda", "0.5"],
+         lambda data, kernel: lepski_bandwidth(data, kernel, s=2, c_lambda=0.5)),
+        ("lepski-s", ["--beta", "1.0"],
+         lambda data, kernel: lepski_sparsity(data, kernel, beta=1.0)),
+    ], ids=["lepski-beta", "lepski-s"])
+    def test_lepski_rows_are_the_selectors_choice(self, tmp_path, capsys, tune,
+                                                  flags, select):
+        # each repetition runs the selector on its own data; lepski-beta
+        # reads the simulated --s as its s
+        out = tmp_path / "b.csv"
+        code, _, err = run_cli(["bench", "--model", "conditional_mean",
+                                "--n", "120", "--d", "6", "--s", "2",
+                                "--noise-sd", "1.0", "--tune", tune] + flags
+                               + ["--reps", "2", "--seed", "4", "--out", str(out)],
+                               capsys)
+        assert code == 0, err
+        rows = read_rows(out, csv.DictReader)
+        assert len(rows) == 2
+        sim = SimSpec(model="conditional_mean", n=120, d=6, s=2, noise_sd=1.0)
+        for i, row in enumerate(rows):
+            data, theta_star = generate(replace(sim, seed=derive_seed(4, i, 0)))
+            value, theta, fits = select(data, get_kernel("gaussian"))
+            chosen = next(fit for fit in fits if fit.grid_value == value)
+            assert (row["delta_used"], row["lambda_used"]) == \
+                (repr(chosen.delta), repr(chosen.lam))
+            assert row["l2"] == repr(estimation_error(theta, theta_star))
+        run_doc = read_run_doc(out)
+        assert doc_value(run_doc, "config delta") == "none"
+        assert doc_value(run_doc, "config lambda_tgt") == "none"
 
     @pytest.mark.parametrize("tune,flags", [
         ("fixed", ["--lambda-tgt", "0.05"]),
@@ -959,8 +1012,8 @@ class TestConfigEcho:
 
 # a callee each subcommand reaches, and a run of it
 CALLEES = {
-    "fit": ("tuned_penalty", ["fit", "--input", "INPUT", "--delta", "0.5",
-                              "--lambda-tgt", "0.05"]),
+    "fit": ("tuned_fit", ["fit", "--input", "INPUT", "--delta", "0.5",
+                          "--lambda-tgt", "0.05"]),
     "path": ("path_following", ["path", "--input", "INPUT", "--delta", "0.5",
                                 "--lambda-tgt", "0.05", "--out", "OUT"]),
     "simulate": ("generate", ["simulate", "--n", "20", "--d", "3", "--s", "1",

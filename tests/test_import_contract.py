@@ -1,6 +1,7 @@
 """Fitting never loads scipy.integrate; only quadrature does.  Nothing the
 package does loads scipy.special: a gaussian-family kernel and the toy
-risks bind its ndtr ufunc from the one extension that defines it.
+risks bind its ndtr ufunc from the one extension that defines it, without
+running scipy's own ``__init__``.  Loading a CSV leaves numpy.ma out.
 
 Each check runs in a fresh interpreter, because this process may already
 hold scipy through pytest, hypothesis or another test.
@@ -133,15 +134,18 @@ def test_builds_bind_ndtr_without_scipy_special(build, value):
               "from smooth_threshold.kernels import _ndtr\n"
               f"built = {build}\n"
               "after_build = 'scipy.special' in sys.modules\n"
+              "scipy_after_build = 'scipy' in sys.modules\n"
               f"result = float({value})\n"
               "after_call = 'scipy.special' in sys.modules\n"
               "import scipy.special\n"
               "same = scipy.special.ndtr is _ndtr()\n"
               "equal = (get_kernel('gaussian').tail(grid).tobytes()\n"
               "         == scipy.special.ndtr(-grid).tobytes())\n"
-              "print(json.dumps([after_build, after_call, result, same, equal]))\n")
-    after_build, after_call, result, same, equal = run_fresh(script)
+              "print(json.dumps([after_build, scipy_after_build, after_call, result,\n"
+              "                  same, equal]))\n")
+    after_build, scipy_after_build, after_call, result, same, equal = run_fresh(script)
     assert not after_build
+    assert not scipy_after_build
     assert not after_call
     assert 0.0 < result < 1.0
     assert same
@@ -153,6 +157,10 @@ import hashlib, json, sys
 from smooth_threshold import kernels
 if sys.argv[1] == "missing":
     kernels._NDTR_EXTENSION = "scipy.special._no_such_extension"
+if sys.argv[1] == "raises":
+    def refuse(spec):
+        raise ImportError("cannot load " + spec.name)
+    kernels.importlib.util.module_from_spec = refuse
 tail = kernels.get_kernel("gaussian-order-2").tail(grid)
 print(json.dumps([hashlib.sha256(tail.tobytes()).hexdigest(),
                   "scipy.special" in sys.modules]))
@@ -166,3 +174,34 @@ def test_missing_extension_falls_back_to_scipy_special():
     assert fallback == direct
     assert not direct_loaded
     assert fallback_loaded
+
+
+def test_extension_that_fails_to_load_falls_back_to_scipy_special():
+    require_special_ufuncs_ndtr()
+    direct, _ = run_fresh(FALLBACK, "direct")
+    fallback, fallback_loaded = run_fresh(FALLBACK, "raises")
+    assert fallback == direct
+    assert fallback_loaded
+
+
+NO_MASKED_ARRAYS = r"""
+import json, sys
+from smooth_threshold.cli import load_csv
+loaded = []
+for name, labels in (("pm.csv", "-1.0 1.0"), ("01.csv", "0 1")):
+    path = sys.argv[1] + "/" + name
+    with open(path, "w") as handle:
+        handle.write("y,x,z1\n" + "".join(f"{label},0.5,1.5\n"
+                                          for label in labels.split() * 3))
+    data, _, notes = load_csv(path)
+    loaded.append([data.y.tolist(), notes])
+print(json.dumps([loaded, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_loading_a_csv_leaves_numpy_ma_out(tmp_path):
+    # np.unique imports numpy.ma, about 1.6 MB; the label check does not call it
+    loaded, masked = run_fresh(NO_MASKED_ARRAYS, tmp_path)
+    assert loaded == [[[-1.0, 1.0] * 3, []],
+                      [[-1.0, 1.0] * 3, ["response column 'y' coded {0,1}: 0 mapped to -1"]]]
+    assert not masked

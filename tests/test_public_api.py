@@ -120,3 +120,34 @@ def test_generate_is_the_one_simulator_with_its_one_target():
     for name in ("gen_binary_response", "gen_conditional_mean"):
         assert name not in simulate.__all__
         assert not hasattr(simulate, name)
+
+
+def uses_of(stem, name):
+    """Where module ``stem`` names ``name``: "import" for an import of it,
+    the top-level function or class that reads it, "module" elsewhere."""
+    path = next(p for p in PACKAGE if p.stem == stem)
+    found = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        where = getattr(node, "name", "module")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.alias) and sub.name == name:
+                found.add("import")
+            elif (isinstance(sub, ast.Name) and sub.id == name) or (
+                    isinstance(sub, ast.Attribute) and sub.attr == name):
+                found.add(where)
+    return found
+
+
+def test_tuning_then_fitting_has_one_way_in():
+    # tuning.tuned_fit composes every mode's tuning with its fit; fit and
+    # bench call it, simulate never calls the solver itself, and cli calls
+    # it only to print a path stage by stage
+    from smooth_threshold import simulate, tuning
+    assert uses_of("simulate", "path_following") == set()
+    assert uses_of("cli", "path_following") == {"import", "_cmd_path"}
+    assert uses_of("cli", "tuned_fit") == {"import", "_cmd_fit"}
+    assert uses_of("simulate", "tuned_fit") == {"import", "run_benchmark"}
+    assert not hasattr(tuning, "tuned_penalty")
+    assert not hasattr(cli, "_LEPSKI") and not hasattr(cli, "_BENCH_MODES")
+    assert not hasattr(simulate, "BENCH_MODES")
+    assert "BENCH_MODES" not in simulate.__all__

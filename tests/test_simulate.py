@@ -64,6 +64,37 @@ class TestSimSpec:
         with pytest.raises(InputError, match="seed"):
             SimSpec(model="binary_response", n=5, d=3, s=1, seed=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("mu", "abc"), ("mu", None), ("noise_sd", "abc"), ("noise_sd", None),
+        ("seed", "abc"), ("seed", None),
+    ])
+    def test_non_number_is_one_input_error_naming_its_field(self, field, value):
+        with pytest.raises(InputError) as exc:
+            SimSpec(model="conditional_mean", n=10, d=4, s=2, **{field: value})
+        assert str(exc.value) == f"{field} must be a real number, got {value!r}"
+
+    def test_numbers_are_stored_as_checked(self):
+        spec = SimSpec(model="conditional_mean", n="10", d=4, s=2, mu="1.5",
+                       noise_sd="0.5", seed="3.0")
+        assert (spec.n, spec.mu, spec.noise_sd, spec.seed) == (10, 1.5, 0.5, 3)
+        assert type(spec.seed) is int
+        # an int or an integer's text keeps every digit, past float's 2**53
+        for seed in (2 ** 64 - 1, "18446744073709551615", 2 ** 53 + 1, "9007199254740993"):
+            top = SimSpec(model="binary_response", n=5, d=3, s=1, seed=seed)
+            assert top.seed == int(seed) and type(top.seed) is int
+        # the range messages stay as they were
+        for seed in (-1, 2 ** 64, 10 ** 400, 1.5, "-1", float("inf"), float("nan")):
+            with pytest.raises(InputError) as exc:
+                SimSpec(model="binary_response", n=5, d=3, s=1, seed=seed)
+            assert str(exc.value) == \
+                f"seed must be an unsigned 64-bit integer, got {seed!r}"
+        with pytest.raises(InputError) as exc:
+            SimSpec(model="conditional_mean", n=5, d=3, s=1, mu=float("inf"))
+        assert str(exc.value) == "mu must be a finite real, got inf"
+        with pytest.raises(InputError) as exc:
+            SimSpec(model="conditional_mean", n=5, d=3, s=1, noise_sd="-1")
+        assert str(exc.value) == "noise_sd must be a positive real, got '-1'"
+
     def test_noiseless_model_allows_zero_sd(self):
         spec = SimSpec(model="one_bit_noiseless", n=5, d=3, s=1, noise_sd=0.0)
         assert spec.noise_sd == 0.0
@@ -280,6 +311,19 @@ class TestEstimationError:
         l1 = estimation_error(a, b, "l1")
         assert linf <= l2 + 1e-12 and l2 <= l1 + 1e-12
 
+    def test_top_support_parses_its_size(self):
+        theta = np.array([0.1, -2.0, 0.0, 1.5])
+        assert np.array_equal(top_support(theta, "2"), [1, 3])
+        assert np.array_equal(top_support(theta, 2.0), [1, 3])
+        for s in ("abc", None):
+            with pytest.raises(InputError) as exc:
+                top_support(theta, s)
+            assert str(exc.value) == f"s must be a real number, got {s!r}"
+        for s in (0, 5, 1.5):
+            with pytest.raises(InputError) as exc:
+                top_support(theta, s)
+            assert str(exc.value) == f"s must be an integer in [1, 4], got {s!r}"
+
     def test_top_support(self):
         assert np.array_equal(top_support(np.array([0.1, -2.0, 0.0, 1.5]), 2), [1, 3])
         # magnitude tie resolves to the smaller index
@@ -338,13 +382,13 @@ class TestBenchmark:
     def test_tuning_warnings_land_in_messages(self, monkeypatch):
         # a warning raised while tuning, as a cross-validation fold path
         # raises one, is recorded once and never escapes
-        real = simulate.tuned_penalty
+        real = simulate.tuned_fit
 
         def noisy(*args, **kwargs):
             warnings.warn("fold path stopped early", UserWarning)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "tuned_penalty", noisy)
+        monkeypatch.setattr(simulate, "tuned_fit", noisy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_benchmark(self.SPEC, GAUSS, tune="fixed", delta=1.0,
@@ -387,5 +431,14 @@ class TestBenchmark:
                 ("theory", {"beta": 1.0, "lambda_tgt": 0.05}, "lambda_tgt")]:
             with pytest.raises(InputError, match=f"does not use {unused}"):
                 run_benchmark(self.SPEC, GAUSS, tune=tune, **extra)
+        # s is always the simulated sparsity, never a keyword
+        for tune, extra in [("theory", {"beta": 2.0, "s": 50}), ("lepski-beta", {"s": 3}),
+                            ("fixed", {"lambda_tgt": 0.05, "s": 3})]:
+            with pytest.raises(InputError) as exc:
+                run_benchmark(self.SPEC, GAUSS, tune=tune, **extra)
+            assert str(exc.value) == "run_benchmark tunes with spec.s; do not pass s"
+        # the arguments after tune are keyword-only
+        with pytest.raises(TypeError):
+            run_benchmark(self.SPEC, GAUSS, "fixed", 1.0, 0.05)
         with pytest.raises(InputError, match="repetitions"):
             run_benchmark(self.SPEC, GAUSS, tune="fixed", lambda_tgt=0.1, repetitions=0)

@@ -159,28 +159,63 @@ class TestTuningModes:
                           tuning.TUNING_DEFAULTS)
         assert str(exc.value) == "who requires --beta"
 
-    def test_tuned_penalty_fixed_and_theory(self):
+    def test_tuned_fit_fixed_and_theory(self):
         data = make_dataset(n=80, d=6)
         kernel = get_kernel("gaussian")
-        assert tuning.tuned_penalty(data, kernel, "fixed",
-                                    {"delta": 0.5, "lambda_tgt": 0.1}, 0) \
-            == (0.5, 0.1, None)
-        params = {"s": 2, "beta": 1.5, "c_delta": 1.0, "c_lambda": 1.0}
-        delta, lam, cv = tuning.tuned_penalty(data, kernel, "theory", params, 0)
-        expected = theoretical_bandwidth(80, 6, 2, 1.5, 1.0)
-        assert (delta, lam, cv) == (expected, target_lambda(80, 6, expected), None)
-        with pytest.raises(InputError):
-            tuning.tuned_penalty(data, kernel, "lepski-s", {"beta": 1.0}, 0)
 
-    def test_tuned_penalty_cv_takes_lambda_1se(self):
+        def direct(delta, lam):
+            spec = SmoothedRiskSpec(data, SurrogateLoss(kernel, delta))
+            return path_following(spec, PathConfig(lambda_tgt=lam))
+
+        fit = tuning.tuned_fit(data, kernel, "fixed", {"delta": 0.5, "lambda_tgt": 0.1},
+                               None, None, None)
+        assert (fit.delta, fit.lam, fit.cv, fit.fits, fit.grid_value) == \
+            (0.5, 0.1, None, (), None)
+        assert fit.theta is fit.path.theta_final
+        assert np.array_equal(fit.theta, direct(0.5, 0.1).theta_final)
+        params = {"s": 2, "beta": 1.5, "c_delta": 1.0, "c_lambda": 1.0}
+        fit = tuning.tuned_fit(data, kernel, "theory", params, None, None, None)
+        expected = theoretical_bandwidth(80, 6, 2, 1.5, 1.0)
+        assert (fit.delta, fit.lam, fit.cv, fit.fits, fit.grid_value) == \
+            (expected, target_lambda(80, 6, expected), None, (), None)
+        assert np.array_equal(fit.theta, direct(fit.delta, fit.lam).theta_final)
+        with pytest.raises(InputError, match="tune must be one of"):
+            tuning.tuned_fit(data, kernel, "oracle", {}, None, None, None)
+
+    def test_tuned_fit_cv_takes_lambda_1se(self):
         data = make_dataset(n=80, d=4)
         kernel = get_kernel("gaussian")
-        delta, lam, cv = tuning.tuned_penalty(data, kernel, "cv",
-                                              {"delta": 1.0, "folds": 3}, 7)
+        fit = tuning.tuned_fit(data, kernel, "cv", {"delta": 1.0, "folds": 3}, 7,
+                               None, None)
         grid = default_lambda_grid(data, kernel, 1.0)
         direct = cross_validate_lambda(data, kernel, 1.0, 3, grid, 7)
-        assert (delta, lam) == (1.0, direct.lambda_1se)
-        assert np.array_equal(cv.mean_cv_loss, direct.mean_cv_loss)
+        assert (fit.delta, fit.lam, fit.fits, fit.grid_value) == \
+            (1.0, direct.lambda_1se, (), None)
+        assert np.array_equal(fit.cv.mean_cv_loss, direct.mean_cv_loss)
+        assert fit.path.config_echo.lambda_tgt == direct.lambda_1se
+
+    @pytest.mark.parametrize("tune,params,select", [
+        ("lepski-beta", {"s": 1, "c_sel": 2.0, "c_lambda": 1.0}, lepski_bandwidth),
+        ("lepski-s", {"beta": 1.0, "c_delta": 1.0, "c_lambda": 1.0, "c_bar": 2.0},
+         lepski_sparsity),
+    ])
+    def test_tuned_fit_takes_the_lepski_choice_with_its_path(self, tune, params, select):
+        # the selector's chosen fit, whose path ends at its theta and is
+        # certified at the final-stage tolerance
+        data = make_dataset(n=80, d=4)
+        fit = tuning.tuned_fit(data, GAUSS, tune, params, None, None, None)
+        value, theta, fits = select(data, GAUSS, **params)
+        chosen = next(f for f in fit.fits if f.path is fit.path)
+        assert chosen.grid_value == fit.grid_value == value
+        assert [f.grid_value for f in fit.fits] == [f.grid_value for f in fits]
+        assert (fit.delta, fit.lam) == (chosen.delta, chosen.lam)
+        assert fit.cv is None
+        assert fit.theta is fit.path.theta_final
+        assert np.array_equal(fit.theta, theta)
+        last = fit.path.stages[-1]
+        assert last.status == "converged"
+        assert last.exit_omega <= fit.path.config_echo.eps_tgt
+        assert all((f.path is None) == (f.theta is None) for f in fit.fits)
 
     def test_library_defaults_come_from_the_table(self):
         for func in (lepski_bandwidth, lepski_sparsity, target_lambda):
